@@ -3,7 +3,7 @@
 The package is organized in four layers:
 
 * :mod:`seidelkit.graphs`   -- dense graphs, graph6 codec, blow-up constructions
-* :mod:`seidelkit.spectral` -- Seidel matrices, Jacobi eigenvalues, exact charpoly
+* :mod:`seidelkit.spectral` -- Seidel matrices, LAPACK eigenvalues, exact charpoly
 * :mod:`seidelkit.theory`   -- closed-form blow-up spectra and pair certification
 * :mod:`seidelkit.search`   -- bulk catalog scanning and report serialization
 
@@ -16,18 +16,18 @@ from .graphs import (DEFAULT_MAX_DIM, Graph, Graph6Error, add_loops, blowup,
                      clique_blowup, complement, complete_graph, cycle_graph,
                      empty_graph, graph_from_edges, graph_from_graph6,
                      graph_to_graph6, kronecker, path_graph, remove_loops)
-from .spectral import (CONV_TOL, GROUP_TOL, NUM_TOL, ZERO_TOL,
-                       ConvergenceError, Inertia, IntPolynomial, Spectrum,
-                       adjacency_matrix, charpoly_exact, classify_inertia,
-                       format_values_grouped, integer_root_multiplicity,
-                       seidel_energy, seidel_inertia, seidel_matrix,
-                       seidel_spectrum, spectrum_from_values, sym_eigenvalues)
+from .spectral import (GROUP_TOL, NUM_TOL, ZERO_TOL, ConvergenceError,
+                       Inertia, IntPolynomial, Spectrum, adjacency_matrix,
+                       charpoly_exact, classify_inertia, format_values_grouped,
+                       integer_root_multiplicity, seidel_energy,
+                       seidel_inertia, seidel_matrix, seidel_spectrum,
+                       spectrum_from_values, sym_eigenvalues)
 from .theory import (ENERGY_TOL, EXACT_MAX_ORDER, Certificate,
                      ClosedFormSpectrum, HypothesisReport,
                      blowup_seidel_spectrum, certify, certify_blowup_pair,
                      certify_composed_pair, check_cospectral,
                      check_equienergetic, check_hypothesis,
-                     clique_blowup_seidel_spectrum,
+                     clique_blowup_seidel_spectrum, compare_spectra,
                      composed_blowup_seidel_spectra, hypothesis_from_spectrum)
 from .search import (NUMERIC_MAX_ORDER, PairReport, ScanConfig, ScanEntry,
                      ScanFailure, ScanSkip, ScanTotals, report_from_json,

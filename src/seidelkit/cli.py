@@ -21,8 +21,8 @@ from .graphs import (DEFAULT_MAX_DIM, Graph6Error, blowup, clique_blowup,
 from .spectral import (ConvergenceError, charpoly_exact, seidel_inertia,
                        seidel_matrix, seidel_spectrum)
 from .search import (NUMERIC_MAX_ORDER, ScanConfig, scan_stream, write_report)
-from .theory import (certify, check_cospectral, check_equienergetic,
-                     blowup_seidel_spectrum, clique_blowup_seidel_spectrum,
+from .theory import (blowup_seidel_spectrum, certify,
+                     clique_blowup_seidel_spectrum, compare_spectra,
                      composed_blowup_seidel_spectra)
 
 _fmt = "{:.12g}".format
@@ -252,8 +252,8 @@ def _cmd_closed_form(args) -> int:
 def _cmd_compare(args) -> int:
     g1 = _load_graph_token(args.graph1)
     g2 = _load_graph_token(args.graph2)
-    equal, delta = check_equienergetic(g1, g2)
-    cospectral = check_cospectral(g1, g2)
+    equal, delta, cospectral = compare_spectra(seidel_spectrum(g1),
+                                               seidel_spectrum(g2))
     if args.json:
         _emit_json({"equienergetic": equal, "energy_delta": delta,
                     "cospectral": cospectral})
@@ -278,10 +278,11 @@ def _cmd_scan(args) -> int:
     config = ScanConfig(m=args.m, theorem=args.theorem,
                         max_order=args.max_order, exact_verify=args.exact,
                         parallelism=args.jobs)
+    # read bytes: a non-ASCII line then fails to parse on its own
     if args.input == "-":
-        report = scan_stream(sys.stdin, config)
+        report = scan_stream(sys.stdin.buffer, config)
     else:
-        with open(args.input, "r", encoding="ascii") as fh:
+        with open(args.input, "rb") as fh:
             report = scan_stream(fh, config)
     text = write_report(report, format=args.format, destination=args.out)
     if args.out is None:

@@ -76,7 +76,7 @@ class Graph:
             raise ValueError("adjacency matrix must be square")
         if a.shape[0] == 0:
             raise ValueError("graph must have at least one vertex")
-        if not np.isin(a, (0, 1)).all():
+        if not ((a == 0) | (a == 1)).all():
             raise ValueError("adjacency entries must be 0 or 1")
         if not np.array_equal(a, a.T):
             raise ValueError("adjacency matrix must be symmetric")

@@ -202,7 +202,7 @@ class PairReport:
 # ---------------------------------------------------------------------------
 
 
-def _scan_one(config: ScanConfig, task: tuple[int, str]):
+def _scan_one(config: ScanConfig, task: tuple[int, str | bytes]):
     """Process a single input line; returns a (tag, ...) record.
 
     Module-level so worker processes can unpickle it.
@@ -216,11 +216,11 @@ def _scan_one(config: ScanConfig, task: tuple[int, str]):
     if order > config.max_order:
         return ("skip", line_no, order)
     sigma = seidel_spectrum(g)
-    hyp = hypothesis_from_spectrum(sigma, config.m,
-                                   1 if config.theorem == 1 else 2)
+    hyp = hypothesis_from_spectrum(sigma, config.m, config.theorem)
     if not hyp.bound_met(ZERO_TOL):
         return ("hypfail", line_no)
-    cert = certify(g, config.m, config.theorem, exact=config.exact_verify)
+    cert = certify(g, config.m, config.theorem, exact=config.exact_verify,
+                   sigma=sigma, hypothesis=hyp)
     kind = "certified" if cert.hypothesis.satisfied else "refuted"
     return ("cert", line_no, kind, cert)
 
@@ -228,6 +228,8 @@ def _scan_one(config: ScanConfig, task: tuple[int, str]):
 def scan_stream(lines, config: ScanConfig) -> PairReport:
     """Scan an iterable of graph6 lines; returns an ordered :class:`PairReport`.
 
+    Lines may be ``str`` or ``bytes``; bytes let a non-ASCII line fail
+    to parse on its own instead of failing the read of the whole input.
     Blank lines are ignored (line numbering still counts them).  With
     ``config.parallelism > 1`` the lines are certified in worker
     processes and merged back in input order, so the report is identical
@@ -238,8 +240,11 @@ def scan_stream(lines, config: ScanConfig) -> PairReport:
 
     worker = partial(_scan_one, config)
     if config.parallelism > 1 and len(tasks) > 1:
+        # about four chunks per worker: few enough that the per-chunk
+        # pickling cost stays small next to sub-millisecond lines
+        chunksize = -(-len(tasks) // (4 * config.parallelism))
         with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-            records = list(pool.map(worker, tasks, chunksize=8))
+            records = list(pool.map(worker, tasks, chunksize=chunksize))
     else:
         records = [worker(t) for t in tasks]
 

@@ -1,15 +1,13 @@
 """Seidel matrices, dense symmetric eigenvalues, energy, and an exact oracle.
 
-The numeric path is a deterministic cyclic Jacobi sweep over a private
-copy of the matrix; the exact path computes the integer characteristic
-polynomial with the Faddeev-LeVerrier recurrence over Python big integers
-and certifies integer eigenvalue multiplicities by repeated synthetic
-division.  The two paths are independent on purpose: one checks the other.
+The numeric path is LAPACK's symmetric eigensolver (``numpy.linalg.eigvalsh``);
+the exact path computes the integer characteristic polynomial with the
+Faddeev-LeVerrier recurrence over Python big integers and certifies integer
+eigenvalue multiplicities by repeated synthetic division.  The two paths are
+independent on purpose: one checks the other.
 
 Tolerances (module defaults):
 
-* ``CONV_TOL``  -- Jacobi stops once the off-diagonal Frobenius mass drops
-                   below CONV_TOL times the Frobenius norm of the input.
 * ``NUM_TOL``   -- equality tolerance for eigenvalue comparisons.
 * ``ZERO_TOL``  -- sign classification threshold for inertia, deliberately
                    looser than NUM_TOL so counts never flip on solver noise.
@@ -25,11 +23,9 @@ import numpy as np
 from .graphs import Graph
 
 __all__ = [
-    "CONV_TOL",
     "NUM_TOL",
     "ZERO_TOL",
     "GROUP_TOL",
-    "MAX_SWEEPS",
     "ConvergenceError",
     "Spectrum",
     "Inertia",
@@ -47,11 +43,9 @@ __all__ = [
     "format_values_grouped",
 ]
 
-CONV_TOL = 1e-12
 NUM_TOL = 1e-9
 ZERO_TOL = 1e-7
 GROUP_TOL = 1e-8
-MAX_SWEEPS = 100
 
 # Adjacent eigenvalue groups closer than this many widths get flagged as an
 # ambiguous clustering.
@@ -59,15 +53,7 @@ _AMBIGUITY_FACTOR = 10
 
 
 class ConvergenceError(RuntimeError):
-    """Jacobi iteration failed to reach the requested off-diagonal mass."""
-
-    def __init__(self, sweeps: int, residual: float, threshold: float):
-        super().__init__(
-            f"eigensolver did not converge in {sweeps} sweeps "
-            f"(off-diagonal norm {residual:.3e}, target {threshold:.3e})")
-        self.sweeps = sweeps
-        self.residual = residual
-        self.threshold = threshold
+    """The eigensolver failed to converge."""
 
 
 # ---------------------------------------------------------------------------
@@ -158,23 +144,22 @@ def format_values_grouped(values, group_tol: float = GROUP_TOL,
 
 
 def _cluster(values_desc: np.ndarray, group_tol: float):
-    groups = []
-    start = 0
-    for i in range(1, len(values_desc) + 1):
-        if i == len(values_desc) or values_desc[i - 1] - values_desc[i] > group_tol:
-            block = values_desc[start:i]
-            groups.append((float(block.mean()), len(block)))
-            start = i
-    ambiguous = any(groups[k][0] - groups[k + 1][0] < _AMBIGUITY_FACTOR * group_tol
-                    for k in range(len(groups) - 1))
-    return tuple(groups), ambiguous
+    if not len(values_desc):
+        return (), False
+    breaks = np.flatnonzero(values_desc[:-1] - values_desc[1:] > group_tol) + 1
+    starts = np.concatenate(([0], breaks))
+    sizes = np.append(breaks, len(values_desc)) - starts
+    means = np.add.reduceat(values_desc, starts) / sizes
+    gaps = means[:-1] - means[1:]
+    ambiguous = bool((gaps < _AMBIGUITY_FACTOR * group_tol).any())
+    return tuple(zip(means.tolist(), sizes.tolist())), ambiguous
 
 
 def spectrum_from_values(values, group_tol: float = GROUP_TOL) -> Spectrum:
     """Wrap a plain list of eigenvalues in a :class:`Spectrum` (sorts it)."""
     arr = np.sort(np.asarray(values, dtype=float))[::-1]
     groups, ambiguous = _cluster(arr, group_tol)
-    return Spectrum(tuple(float(v) for v in arr), groups, ambiguous)
+    return Spectrum(tuple(arr.tolist()), groups, ambiguous)
 
 
 @dataclass(frozen=True)
@@ -209,74 +194,31 @@ def classify_inertia(values, zero_tol: float = ZERO_TOL) -> Inertia:
 
 
 # ---------------------------------------------------------------------------
-# Cyclic Jacobi eigensolver
+# Eigensolver
 # ---------------------------------------------------------------------------
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    # computed on a masked copy: subtracting diagonal mass from the total
-    # cancels catastrophically once the off-diagonal part is small
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
+def sym_eigenvalues(mat: np.ndarray, group_tol: float = GROUP_TOL) -> Spectrum:
+    """All eigenvalues of a symmetric matrix via LAPACK (``eigvalsh``).
 
-
-def sym_eigenvalues(mat: np.ndarray, conv_tol: float = CONV_TOL,
-                    max_sweeps: int = MAX_SWEEPS,
-                    group_tol: float = GROUP_TOL) -> Spectrum:
-    """All eigenvalues of a symmetric matrix via cyclic Jacobi sweeps.
-
-    Rotations are applied in a fixed row-major order over the upper
-    triangle, so results are bit-for-bit reproducible.  Iteration stops
-    when the off-diagonal Frobenius mass falls below ``conv_tol`` times
-    the Frobenius norm of the input; exceeding ``max_sweeps`` raises
-    :class:`ConvergenceError` rather than returning a truncated answer.
+    A LAPACK convergence failure (``LinAlgError``) is raised as
+    :class:`ConvergenceError`.
     """
     a = np.asarray(mat)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix must be symmetric")
-    a = a.astype(np.float64, copy=True)
-    n = a.shape[0]
-
-    threshold = conv_tol * float(np.linalg.norm(a))
-    sweeps = 0
-    while _offdiag_norm(a) > threshold:
-        if sweeps >= max_sweeps:
-            raise ConvergenceError(sweeps, _offdiag_norm(a), threshold)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(diff) > abs(apq) * 1e12:
-                    # tiny rotation angle; the exact formula would overflow
-                    t = apq / diff
-                else:
-                    theta = diff / (2.0 * apq)
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, q] = a[q, p] = 0.0
-        sweeps += 1
-    return spectrum_from_values(np.diagonal(a), group_tol)
+    try:
+        values = np.linalg.eigvalsh(a.astype(np.float64))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
+    return spectrum_from_values(values, group_tol)
 
 
-def seidel_spectrum(g: Graph, conv_tol: float = CONV_TOL,
-                    max_sweeps: int = MAX_SWEEPS,
-                    group_tol: float = GROUP_TOL) -> Spectrum:
+def seidel_spectrum(g: Graph, group_tol: float = GROUP_TOL) -> Spectrum:
     """Eigenvalues of the Seidel matrix of a simple graph."""
-    return sym_eigenvalues(seidel_matrix(g), conv_tol, max_sweeps, group_tol)
+    return sym_eigenvalues(seidel_matrix(g), group_tol)
 
 
 def seidel_energy(g: Graph) -> float:

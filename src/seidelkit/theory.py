@@ -48,6 +48,7 @@ __all__ = [
     "composed_blowup_seidel_spectra",
     "check_equienergetic",
     "check_cospectral",
+    "compare_spectra",
     "check_hypothesis",
     "hypothesis_from_spectrum",
     "certify_blowup_pair",
@@ -178,30 +179,38 @@ def composed_blowup_seidel_spectra(sigma: Spectrum, m: int,
 # ---------------------------------------------------------------------------
 
 
+def compare_spectra(s1: Spectrum, s2: Spectrum, energy_tol: float = ENERGY_TOL,
+                    num_tol: float = NUM_TOL) -> tuple[bool, float, bool]:
+    """Pair verdicts from two known Seidel spectra.
+
+    Returns (equienergetic, |SE1 - SE2|, cospectral).  The energy verdict
+    is relative: |SE1 - SE2| <= energy_tol * max(1, SE1).
+    """
+    e1 = s1.energy()
+    delta = abs(e1 - s2.energy())
+    return (delta <= energy_tol * max(1.0, e1), delta,
+            _values_close(s1.values, s2.values, num_tol))
+
+
 def check_equienergetic(g1: Graph, g2: Graph,
                         energy_tol: float = ENERGY_TOL) -> tuple[bool, float]:
-    """Compare Seidel energies; returns (verdict, absolute difference).
-
-    The verdict is relative: |SE1 - SE2| <= energy_tol * max(1, SE1).
-    """
-    e1 = seidel_spectrum(g1).energy()
-    e2 = seidel_spectrum(g2).energy()
-    delta = abs(e1 - e2)
-    return delta <= energy_tol * max(1.0, e1), delta
+    """Compare Seidel energies; returns (verdict, absolute difference)."""
+    equal, delta, _ = compare_spectra(seidel_spectrum(g1), seidel_spectrum(g2),
+                                      energy_tol)
+    return equal, delta
 
 
 def check_cospectral(g1: Graph, g2: Graph, num_tol: float = NUM_TOL) -> bool:
     """True when both Seidel spectra agree elementwise after sorting."""
     if g1.n != g2.n:
         return False
-    s1 = seidel_spectrum(g1).values
-    s2 = seidel_spectrum(g2).values
-    return _values_close(s1, s2, num_tol)
+    return compare_spectra(seidel_spectrum(g1), seidel_spectrum(g2),
+                           num_tol=num_tol)[2]
 
 
 def _values_close(a, b, tol: float) -> bool:
     return len(a) == len(b) and bool(
-        np.allclose(np.asarray(a), np.asarray(b), rtol=0.0, atol=tol))
+        np.abs(np.subtract(a, b)).max(initial=0.0) <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +386,16 @@ def _exact_padding_ok(g: Graph, expectations) -> bool:
                for value, mult in expectations if mult > 0)
 
 
-def _certify(g: Graph, m: int, power: int, num_tol: float, zero_tol: float,
-             energy_tol: float, exact: bool, exact_max_order: int,
-             max_dim: int) -> Certificate:
-    sigma = seidel_spectrum(g)
-    hyp = hypothesis_from_spectrum(sigma, m, power, zero_tol)
+def _certify(g: Graph, m: int, power: int, num_tol: float = NUM_TOL,
+             zero_tol: float = ZERO_TOL, energy_tol: float = ENERGY_TOL,
+             exact: bool = True, exact_max_order: int = EXACT_MAX_ORDER,
+             max_dim: int = DEFAULT_MAX_DIM, sigma: Spectrum | None = None,
+             hypothesis: HypothesisReport | None = None) -> Certificate:
+    # a caller that already holds the base spectrum and the hypothesis
+    # report for (m, power, zero_tol) passes them in to avoid a re-solve
+    if sigma is None:
+        sigma = seidel_spectrum(g)
+    hyp = hypothesis or hypothesis_from_spectrum(sigma, m, power, zero_tol)
     n = g.n
 
     if power == 1:
@@ -400,11 +414,8 @@ def _certify(g: Graph, m: int, power: int, num_tol: float, zero_tol: float,
 
     spec_a = seidel_spectrum(graph_a)
     spec_b = seidel_spectrum(graph_b)
-    energy_a = spec_a.energy()
-    energy_b = spec_b.energy()
-    delta = abs(energy_a - energy_b)
-    equienergetic = delta <= energy_tol * max(1.0, energy_a)
-    cospectral = _values_close(spec_a.values, spec_b.values, num_tol)
+    equienergetic, delta, cospectral = compare_spectra(spec_a, spec_b,
+                                                       energy_tol, num_tol)
     agrees = (_values_close(spec_a.values, closed_a.values(), num_tol)
               and _values_close(spec_b.values, closed_b.values(), num_tol))
 
@@ -427,7 +438,8 @@ def _certify(g: Graph, m: int, power: int, num_tol: float, zero_tol: float,
         theorem=power, graph6=graph_to_graph6(g), m=m, hypothesis=hyp,
         spectrum_a=spec_a, spectrum_b=spec_b,
         closed_a=closed_a, closed_b=closed_b,
-        energy_a=energy_a, energy_b=energy_b, energy_delta=delta,
+        energy_a=spec_a.energy(), energy_b=spec_b.energy(),
+        energy_delta=delta,
         equienergetic=equienergetic, cospectral=cospectral,
         closed_form_agrees=agrees,
         exact_multiplicities_verified=exact_ok,
@@ -461,9 +473,13 @@ def certify_composed_pair(g: Graph, m: int, num_tol: float = NUM_TOL,
 
 
 def certify(g: Graph, m: int, theorem: int, **kwargs) -> Certificate:
-    """Dispatch to the single (theorem=1) or composed (theorem=2) pair."""
-    if theorem == 1:
-        return certify_blowup_pair(g, m, **kwargs)
-    if theorem == 2:
-        return certify_composed_pair(g, m, **kwargs)
-    raise ValueError("theorem must be 1 or 2")
+    """Certify the single (theorem=1) or composed (theorem=2) pair.
+
+    Takes the keyword arguments of :func:`certify_blowup_pair`, plus
+    ``sigma`` and ``hypothesis``: the base spectrum and the hypothesis
+    report at the same m, theorem and ``zero_tol``, when the caller
+    already has them.
+    """
+    if theorem not in (1, 2):
+        raise ValueError("theorem must be 1 or 2")
+    return _certify(g, m, theorem, **kwargs)

@@ -3,8 +3,10 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
+from seidelkit import spectral
 from seidelkit.cli import run
 
 
@@ -99,6 +101,19 @@ def test_compare_k3_p3(capsys):
     assert "equienergetic=True" in out and "cospectral=False" in out
 
 
+def test_compare_solves_each_spectrum_once(capsys, monkeypatch):
+    solved = []
+    original = spectral.sym_eigenvalues
+
+    def counting(mat, *args, **kwargs):
+        solved.append(np.asarray(mat).shape)
+        return original(mat, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "sym_eigenvalues", counting)
+    assert run(["compare", "Bw", "BW"]) == 0
+    assert solved == [(3, 3), (3, 3)]
+
+
 def test_compare_json(capsys):
     assert run(["compare", "--json", "A_", "Bw"]) == 0
     out, _ = _out(capsys)
@@ -140,8 +155,24 @@ def test_scan_from_file(tmp_path, capsys):
     assert doc["totals"]["hypothesis_failed"] == 1
 
 
+def test_scan_from_file_with_non_ascii_line(tmp_path, capsys):
+    catalog = tmp_path / "graphs.g6"
+    catalog.write_bytes(b"A_\nB\xc3\xa9\nBw\n")
+    assert run(["scan", str(catalog), "--m", "2"]) == 0
+    doc = json.loads(_out(capsys)[0])
+    t = doc["totals"]
+    assert (t["scanned"], t["parse_failed"], t["certified"], t["refuted"]) \
+        == (3, 1, 1, 1)
+    assert t["scanned"] == (t["certified"] + t["refuted"]
+                            + t["hypothesis_failed"] + t["parse_failed"]
+                            + t["skipped"])
+    [failure] = doc["failures"]
+    assert failure["line"] == 2
+    assert [e["line"] for e in doc["certificates"]] == [1, 3]
+
+
 def test_scan_stdin_and_output_file(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("A_\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"A_\n")))
     out_path = tmp_path / "report.csv"
     assert run(["scan", "--m", "3", "--format", "csv",
                 "--out", str(out_path)]) == 0

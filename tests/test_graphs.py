@@ -7,7 +7,7 @@ from seidelkit import (Graph, Graph6Error, add_loops, blowup, clique_blowup,
                        complement, complete_graph, cycle_graph, empty_graph,
                        graph_from_edges, graph_from_graph6, graph_to_graph6,
                        kronecker, path_graph, remove_loops)
-from conftest import eigvalsh_desc, random_simple_graph
+from conftest import jacobi_desc, random_simple_graph
 
 
 # -- Graph invariants --------------------------------------------------------
@@ -171,8 +171,8 @@ def test_kronecker_eigenvalues_are_pairwise_products():
     a = a + a.T
     b = rng.integers(-2, 3, size=(4, 4))
     b = b + b.T
-    product = np.sort([x * y for x in eigvalsh_desc(a) for y in eigvalsh_desc(b)])
-    direct = np.sort(eigvalsh_desc(kronecker(a, b)))
+    product = np.sort([x * y for x in jacobi_desc(a) for y in jacobi_desc(b)])
+    direct = np.sort(jacobi_desc(kronecker(a, b)))
     assert np.allclose(product, direct, atol=1e-9)
 
 

@@ -1,4 +1,4 @@
-"""Seidel matrix, Jacobi eigensolver, and exact charpoly oracle tests."""
+"""Seidel matrix, LAPACK eigensolver, and exact charpoly oracle tests."""
 
 import math
 
@@ -11,7 +11,9 @@ from seidelkit import (ConvergenceError, IntPolynomial, adjacency_matrix,
                        integer_root_multiplicity, path_graph, seidel_energy,
                        seidel_inertia, seidel_matrix, seidel_spectrum,
                        spectrum_from_values, sym_eigenvalues)
-from conftest import eigvalsh_desc, poly_mul, random_simple_graph
+from seidelkit.cli import run
+from conftest import (JacobiConvergenceError, jacobi_desc, poly_mul,
+                      random_simple_graph)
 
 
 # -- matrices ------------------------------------------------------------------
@@ -68,26 +70,27 @@ def test_eigenvalues_of_identity():
 
 
 def test_eigenvalues_match_lapack_oracle():
+    # the package's LAPACK path against the independent Jacobi oracle
     rng = np.random.default_rng(99)
     for _ in range(40):
         n = int(rng.integers(1, 26))
         a = rng.integers(-3, 4, size=(n, n))
         a = a + a.T
         ours = sym_eigenvalues(a).values
-        assert np.allclose(ours, eigvalsh_desc(a), atol=1e-9)
+        assert np.allclose(ours, jacobi_desc(a), atol=1e-9)
     # float input
     a = rng.standard_normal((12, 12))
     a = a + a.T
-    assert np.allclose(sym_eigenvalues(a).values, eigvalsh_desc(a), atol=1e-9)
+    assert np.allclose(sym_eigenvalues(a).values, jacobi_desc(a), atol=1e-9)
 
 
 def test_eigenvalues_deterministic():
     rng = np.random.default_rng(1234)
     a = rng.integers(-5, 6, size=(15, 15))
     a = a + a.T
-    first = sym_eigenvalues(a).values
-    second = sym_eigenvalues(a).values
-    assert first == second  # bit-for-bit
+    assert sym_eigenvalues(a).values == sym_eigenvalues(a).values
+    # the Jacobi oracle's fixed rotation order makes it bit-for-bit too
+    assert np.array_equal(jacobi_desc(a), jacobi_desc(a))
 
 
 def test_eigenvalues_input_validation():
@@ -98,9 +101,21 @@ def test_eigenvalues_input_validation():
 
 
 def test_convergence_failure_is_reported():
+    # the Jacobi oracle refuses to return a truncated answer
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(ConvergenceError):
-        sym_eigenvalues(a, max_sweeps=0)
+    with pytest.raises(JacobiConvergenceError):
+        jacobi_desc(a, max_sweeps=0)
+
+
+def test_lapack_failure_is_convergence_error(monkeypatch, capsys):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        sym_eigenvalues(np.eye(3))
+    assert run(["spectrum", "C~"]) == 2
+    assert "did not converge" in capsys.readouterr().err
 
 
 def test_spectrum_trace_and_frobenius_invariants():
