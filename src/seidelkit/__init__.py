@@ -19,11 +19,10 @@ from .graphs import (DEFAULT_MAX_DIM, Graph, Graph6Error, add_loops, blowup,
 from .spectral import (GROUP_TOL, NUM_TOL, ZERO_TOL, ConvergenceError,
                        Inertia, IntPolynomial, Spectrum, adjacency_matrix,
                        charpoly_exact, classify_inertia, format_values_grouped,
-                       integer_root_multiplicity, seidel_energy,
-                       seidel_inertia, seidel_matrix, seidel_spectrum,
-                       spectrum_from_values, sym_eigenvalues)
-from .theory import (ENERGY_TOL, EXACT_MAX_ORDER, Certificate,
-                     ClosedFormSpectrum, HypothesisReport,
+                       seidel_energy, seidel_inertia, seidel_matrix,
+                       seidel_spectrum, spectrum_from_values, sym_eigenvalues)
+from .theory import (ENERGY_TOL, Certificate, ClosedFormSpectrum,
+                     HypothesisReport,
                      blowup_seidel_spectrum, certify, certify_blowup_pair,
                      certify_composed_pair, check_cospectral,
                      check_equienergetic, check_hypothesis,

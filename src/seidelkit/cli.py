@@ -104,7 +104,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--theorem", type=int, choices=(1, 2), required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--no-exact", action="store_true",
-                   help="skip the integer charpoly verification")
+                   help="skip the exact check of the padding multiplicities")
     p.add_argument("--text", action="store_true",
                    help="human-readable rendering instead of JSON")
 
@@ -116,7 +116,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--out", default=None, help="write the report to this path")
     p.add_argument("--exact", action="store_true",
-                   help="verify integer padding multiplicities exactly")
+                   help="check the padding multiplicities exactly")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--max-order", type=int, default=NUMERIC_MAX_ORDER,
                    help="skip graphs whose constructed order exceeds this")

@@ -49,8 +49,8 @@ class ScanConfig:
 
     ``theorem`` selects the pair construction (1 = single blow-ups,
     2 = composed double blow-ups); ``max_order`` caps the order of the
-    constructed graphs; ``exact_verify`` turns on the integer charpoly
-    certification (itself capped at order 200); ``parallelism`` is the
+    constructed graphs; ``exact_verify`` turns on the exact eigenvector
+    check of the padding multiplicities; ``parallelism`` is the
     worker count and never affects results.
     """
 

@@ -2,9 +2,10 @@
 
 The numeric path is LAPACK's symmetric eigensolver (``numpy.linalg.eigvalsh``);
 the exact path computes the integer characteristic polynomial with the
-Faddeev-LeVerrier recurrence over Python big integers and certifies integer
-eigenvalue multiplicities by repeated synthetic division.  The two paths are
-independent on purpose: one checks the other.
+Faddeev-LeVerrier recurrence over Python big integers and reads integer
+eigenvalue multiplicities off it by repeated synthetic division.  It backs
+the ``charpoly`` command and is the tests' oracle for the numeric path and
+for the certificates' eigenvector check (see :mod:`seidelkit.theory`).
 
 Tolerances (module defaults):
 
@@ -39,7 +40,6 @@ __all__ = [
     "seidel_inertia",
     "classify_inertia",
     "charpoly_exact",
-    "integer_root_multiplicity",
     "format_values_grouped",
 ]
 

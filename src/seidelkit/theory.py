@@ -21,8 +21,8 @@ a constant of fixed sign:
 so the pair is equienergetic exactly when G has equally many positive and
 negative Seidel eigenvalues and none at zero.  ``certify_blowup_pair`` and
 ``certify_composed_pair`` check that equivalence instance by instance, in
-both directions, against numeric spectra, the closed forms above, and (for
-small orders) exact integer multiplicities of the padding eigenvalues.
+both directions, against numeric spectra, the closed forms above, and, at
+every order, exact integer eigenvectors of the padding eigenvalues.
 """
 
 import math
@@ -33,13 +33,11 @@ import numpy as np
 from .graphs import (DEFAULT_MAX_DIM, Graph, blowup, clique_blowup,
                      graph_to_graph6)
 from .spectral import (GROUP_TOL, NUM_TOL, ZERO_TOL, Inertia, Spectrum,
-                       charpoly_exact, classify_inertia,
-                       integer_root_multiplicity, seidel_matrix,
-                       seidel_spectrum, spectrum_from_values)
+                       classify_inertia, seidel_matrix, seidel_spectrum,
+                       spectrum_from_values, sym_eigenvalues)
 
 __all__ = [
     "ENERGY_TOL",
-    "EXACT_MAX_ORDER",
     "ClosedFormSpectrum",
     "HypothesisReport",
     "Certificate",
@@ -58,8 +56,6 @@ __all__ = [
 
 # Relative tolerance for declaring two Seidel energies equal.
 ENERGY_TOL = 1e-8
-# Integer charpoly certification is capped here; coefficients grow fast.
-EXACT_MAX_ORDER = 200
 
 
 # ---------------------------------------------------------------------------
@@ -380,16 +376,61 @@ class Certificate:
         return "\n".join(lines)
 
 
-def _exact_padding_ok(g: Graph, expectations) -> bool:
-    p = charpoly_exact(seidel_matrix(g))
-    return all(integer_root_multiplicity(p, value) >= mult
-               for value, mult in expectations if mult > 0)
+def _padding_eigenvectors(n: int, m: int, power: int):
+    """Explicit integer eigenvectors of each closed-form padding block.
+
+    In np.kron(J_m, X) vertex k*n + v is copy k of vertex v, so the twin
+    differences e_v - e_{kn+v} are eigenvectors for -1 (blowup) or +1
+    (clique_blowup).  The composed pairs take the outer twin differences
+    for their +-1 block, and lift the inner ones to 1_m (x) (e_v - e_{kn+v})
+    for the (1-2m) and (2m-1) blocks.  Each block is (supports, signs): row
+    j of supports lists the coordinates of vector j, and signs its entries.
+    """
+    def twins(order):
+        return np.stack([np.tile(np.arange(order), m - 1),
+                         np.arange(order, m * order)], axis=1)
+
+    signs = np.array([1, -1])
+    if power == 1:
+        return [(twins(n), signs)]
+    lifted = twins(n)[:, None, :] + m * n * np.arange(m)[:, None]
+    return [(lifted.reshape(m * n - n, -1), np.tile(signs, m)),
+            (twins(m * n), signs)]
+
+
+def _exact_padding_ok(s: np.ndarray, padding, vectors) -> bool:
+    """True when each block (value, mult) has mult vectors with x s = value x.
+
+    The test gathers the support rows of s and runs in integer arithmetic.
+    Only vectors with a private coordinate, which no other vector of the
+    block touches, count, so the counted vectors are linearly independent.
+    As s and its transpose share the characteristic polynomial, that proves
+    value is a root of it of multiplicity at least mult.
+    """
+    for (value, mult), (supports, signs) in zip(padding, vectors):
+        # row j: x_j s - value x_j
+        residual = sum(sign * s[supports[:, t]] for t, sign in enumerate(signs))
+        np.subtract.at(residual, (np.arange(len(supports))[:, None], supports),
+                       value * signs)
+        uses = np.bincount(supports.ravel(), minlength=len(s))
+        passed = ~residual.any(axis=1) & (uses[supports] == 1).any(axis=1)
+        if np.count_nonzero(passed) < mult:
+            return False
+    return True
+
+
+def _solve_member(graph: Graph, padding, vectors):
+    """Spectrum of one constructed member and, given ``vectors``, its exact
+    padding verdict, both on one Seidel matrix, freed before the next."""
+    s = seidel_matrix(graph)
+    spectrum = sym_eigenvalues(s)
+    return spectrum, vectors is not None and _exact_padding_ok(s, padding, vectors)
 
 
 def _certify(g: Graph, m: int, power: int, num_tol: float = NUM_TOL,
              zero_tol: float = ZERO_TOL, energy_tol: float = ENERGY_TOL,
-             exact: bool = True, exact_max_order: int = EXACT_MAX_ORDER,
-             max_dim: int = DEFAULT_MAX_DIM, sigma: Spectrum | None = None,
+             exact: bool = True, max_dim: int = DEFAULT_MAX_DIM,
+             sigma: Spectrum | None = None,
              hypothesis: HypothesisReport | None = None) -> Certificate:
     # a caller that already holds the base spectrum and the hypothesis
     # report for (m, power, zero_tol) passes them in to avoid a re-solve
@@ -403,27 +444,19 @@ def _certify(g: Graph, m: int, power: int, num_tol: float = NUM_TOL,
         graph_b = clique_blowup(g, m, max_dim=max_dim)
         closed_a = blowup_seidel_spectrum(sigma, m, n)
         closed_b = clique_blowup_seidel_spectrum(sigma, m, n)
-        pad_a = list(closed_a.padding)
-        pad_b = list(closed_b.padding)
     else:
         graph_a = clique_blowup(blowup(g, m, max_dim=max_dim), m, max_dim=max_dim)
         graph_b = blowup(clique_blowup(g, m, max_dim=max_dim), m, max_dim=max_dim)
         closed_a, closed_b = composed_blowup_seidel_spectra(sigma, m, n)
-        pad_a = list(closed_a.padding)
-        pad_b = list(closed_b.padding)
 
-    spec_a = seidel_spectrum(graph_a)
-    spec_b = seidel_spectrum(graph_b)
+    vectors = _padding_eigenvectors(n, m, power) if exact else None
+    spec_a, exact_a = _solve_member(graph_a, closed_a.padding, vectors)
+    spec_b, exact_b = _solve_member(graph_b, closed_b.padding, vectors)
+    exact_ok = (exact_a and exact_b) if exact else None
     equienergetic, delta, cospectral = compare_spectra(spec_a, spec_b,
                                                        energy_tol, num_tol)
     agrees = (_values_close(spec_a.values, closed_a.values(), num_tol)
               and _values_close(spec_b.values, closed_b.values(), num_tol))
-
-    if exact and graph_a.n <= exact_max_order:
-        exact_ok = (_exact_padding_ok(graph_a, pad_a)
-                    and _exact_padding_ok(graph_b, pad_b))
-    else:
-        exact_ok = None
 
     if hyp.satisfied:
         violation = not equienergetic
@@ -449,27 +482,23 @@ def _certify(g: Graph, m: int, power: int, num_tol: float = NUM_TOL,
 def certify_blowup_pair(g: Graph, m: int, num_tol: float = NUM_TOL,
                         zero_tol: float = ZERO_TOL,
                         energy_tol: float = ENERGY_TOL, exact: bool = True,
-                        exact_max_order: int = EXACT_MAX_ORDER,
                         max_dim: int = DEFAULT_MAX_DIM) -> Certificate:
     """Certify blowup(g, m) vs clique_blowup(g, m) (order m*n each).
 
     Numeric spectra of both constructions are checked against their
-    closed forms; when ``exact`` is set and the order allows, the integer
-    padding multiplicities (-1 and +1, each at least mn - n) are certified
-    through the exact characteristic polynomial.
+    closed forms; when ``exact`` is set, the padding multiplicities (-1
+    and +1, each at least mn - n) are certified exactly by explicit
+    integer eigenvectors.
     """
-    return _certify(g, m, 1, num_tol, zero_tol, energy_tol, exact,
-                    exact_max_order, max_dim)
+    return _certify(g, m, 1, num_tol, zero_tol, energy_tol, exact, max_dim)
 
 
 def certify_composed_pair(g: Graph, m: int, num_tol: float = NUM_TOL,
                           zero_tol: float = ZERO_TOL,
                           energy_tol: float = ENERGY_TOL, exact: bool = True,
-                          exact_max_order: int = EXACT_MAX_ORDER,
                           max_dim: int = DEFAULT_MAX_DIM) -> Certificate:
     """Certify the two mixed double blow-ups of g (order m^2 * n each)."""
-    return _certify(g, m, 2, num_tol, zero_tol, energy_tol, exact,
-                    exact_max_order, max_dim)
+    return _certify(g, m, 2, num_tol, zero_tol, energy_tol, exact, max_dim)
 
 
 def certify(g: Graph, m: int, theorem: int, **kwargs) -> Certificate:

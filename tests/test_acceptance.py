@@ -19,10 +19,10 @@ from seidelkit import (ScanConfig, blowup, certify_blowup_pair,
                        check_cospectral, check_equienergetic, clique_blowup,
                        blowup_seidel_spectrum, clique_blowup_seidel_spectrum,
                        complement, complete_graph, empty_graph,
-                       graph_from_graph6, graph_to_graph6,
-                       integer_root_multiplicity, path_graph, report_to_json,
-                       scan_stream, seidel_energy, seidel_matrix,
-                       seidel_spectrum)
+                       graph_from_graph6, graph_to_graph6, path_graph,
+                       report_to_json, scan_stream, seidel_energy,
+                       seidel_matrix, seidel_spectrum)
+from seidelkit.spectral import integer_root_multiplicity
 from conftest import jacobi_desc, random_simple_graph, seidel_of
 
 

@@ -8,10 +8,11 @@ import pytest
 from seidelkit import (ConvergenceError, IntPolynomial, adjacency_matrix,
                        add_loops, charpoly_exact, classify_inertia,
                        complement, complete_graph, cycle_graph, empty_graph,
-                       integer_root_multiplicity, path_graph, seidel_energy,
-                       seidel_inertia, seidel_matrix, seidel_spectrum,
-                       spectrum_from_values, sym_eigenvalues)
+                       path_graph, seidel_energy, seidel_inertia,
+                       seidel_matrix, seidel_spectrum, spectrum_from_values,
+                       sym_eigenvalues)
 from seidelkit.cli import run
+from seidelkit.spectral import integer_root_multiplicity
 from conftest import (JacobiConvergenceError, jacobi_desc, poly_mul,
                       random_simple_graph)
 

@@ -9,11 +9,14 @@ import pytest
 from seidelkit import (Certificate, ClosedFormSpectrum, blowup,
                        blowup_seidel_spectrum, certify, certify_blowup_pair,
                        certify_composed_pair, check_cospectral,
-                       check_equienergetic, check_hypothesis, clique_blowup,
-                       clique_blowup_seidel_spectrum, complement,
-                       complete_graph, composed_blowup_seidel_spectra,
-                       cycle_graph, empty_graph, hypothesis_from_spectrum,
-                       path_graph, seidel_spectrum, spectrum_from_values)
+                       charpoly_exact, check_equienergetic, check_hypothesis,
+                       clique_blowup, clique_blowup_seidel_spectrum,
+                       complement, complete_graph,
+                       composed_blowup_seidel_spectra, cycle_graph,
+                       empty_graph, hypothesis_from_spectrum, path_graph,
+                       seidel_matrix, seidel_spectrum, spectrum_from_values)
+from seidelkit.spectral import integer_root_multiplicity
+from seidelkit.theory import _exact_padding_ok, _padding_eigenvectors
 from conftest import random_simple_graph
 
 
@@ -270,13 +273,14 @@ def test_certify_dispatch():
         certify(complete_graph(2), 2, theorem=3)
 
 
-def test_certify_skips_exact_verification_above_cap():
-    cert = certify_blowup_pair(complete_graph(2), 2, exact_max_order=3)
-    assert cert.exact_multiplicities_verified is None
+def test_certify_verifies_exact_multiplicities_at_order_400():
+    g = random_simple_graph(np.random.default_rng(400), 200)
+    cert = certify_blowup_pair(g, 2)
+    assert cert.closed_form_agrees
+    assert cert.exact_multiplicities_verified is True
 
 
 def test_certificate_padding_multiplicities_hold_exactly():
-    from seidelkit import charpoly_exact, integer_root_multiplicity, seidel_matrix
     rng = np.random.default_rng(53)
     for _ in range(6):
         n = int(rng.integers(1, 6))
@@ -286,6 +290,66 @@ def test_certificate_padding_multiplicities_hold_exactly():
         pb = charpoly_exact(seidel_matrix(clique_blowup(g, m)))
         assert integer_root_multiplicity(pa, -1) >= m * n - n
         assert integer_root_multiplicity(pb, 1) >= m * n - n
+
+
+# -- exact padding check: explicit twin eigenvectors ---------------------------
+
+def _members_with_padding(g, m, power):
+    """(Seidel matrix, closed-form padding) of both members of a pair."""
+    sigma = seidel_spectrum(g)
+    if power == 1:
+        members = (blowup(g, m), clique_blowup(g, m))
+        closed = (blowup_seidel_spectrum(sigma, m, g.n),
+                  clique_blowup_seidel_spectrum(sigma, m, g.n))
+    else:
+        members = (clique_blowup(blowup(g, m), m),
+                   blowup(clique_blowup(g, m), m))
+        closed = composed_blowup_seidel_spectra(sigma, m, g.n)
+    return [(seidel_matrix(h), c.padding) for h, c in zip(members, closed)]
+
+
+@pytest.mark.parametrize("power, m", [(1, 2), (1, 3), (2, 2)])
+def test_exact_padding_check_agrees_with_charpoly(catalog_graphs, power, m):
+    for g in catalog_graphs:
+        if g.n > 5:
+            continue
+        vectors = _padding_eigenvectors(g.n, m, power)
+        for s, padding in _members_with_padding(g, m, power):
+            poly = charpoly_exact(s)
+            for (value, mult), vecs in zip(padding, vectors):
+                assert (_exact_padding_ok(s, [(value, mult)], [vecs])
+                        == (integer_root_multiplicity(poly, value) >= mult))
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_exact_padding_check_rejects_corrupted_matrix(power):
+    g, m = path_graph(4), 2
+    vectors = _padding_eigenvectors(g.n, m, power)
+    for s, padding in _members_with_padding(g, m, power):
+        assert _exact_padding_ok(s, padding, vectors)
+        # every vertex lies on some vector of every block, so flipping any
+        # symmetric off-diagonal pair, or setting a diagonal entry, must
+        # break every block
+        for i, j in zip(*np.triu_indices(len(s))):
+            bad = s.copy()
+            bad[i, j] = bad[j, i] = -s[i, j] if i != j else 1
+            for block, vecs in zip(padding, vectors):
+                assert not _exact_padding_ok(bad, [block], [vecs])
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_exact_padding_check_needs_enough_independent_vectors(power):
+    g, m = cycle_graph(5), 3
+    vectors = _padding_eigenvectors(g.n, m, power)
+    for s, padding in _members_with_padding(g, m, power):
+        for (value, mult), (supports, signs) in zip(padding, vectors):
+            assert len(supports) == mult
+            assert _exact_padding_ok(s, [(value, mult)], [(supports, signs)])
+            assert not _exact_padding_ok(s, [(value, mult + 1)],
+                                         [(supports, signs)])
+            # listing every vector twice adds no independent one
+            doubled = (np.concatenate([supports, supports]), signs)
+            assert not _exact_padding_ok(s, [(value, mult)], [doubled])
 
 
 def test_certificate_json_round_trip():
