@@ -16,11 +16,12 @@ import os
 import sys
 
 from . import __version__
-from .graphs import (DEFAULT_MAX_DIM, Graph6Error, blowup, clique_blowup,
-                     complement, graph_from_graph6, graph_to_graph6)
+from .graphs import (DEFAULT_MAX_DIM, Graph6Error, complement, construct,
+                     graph_from_graph6, graph_to_graph6)
 from .spectral import (ConvergenceError, charpoly_exact, seidel_inertia,
                        seidel_matrix, seidel_spectrum)
-from .search import (NUMERIC_MAX_ORDER, ScanConfig, scan_stream, write_report)
+from .search import (NUMERIC_MAX_ORDER, ScanConfig, scan_stream, to_plain,
+                     write_report)
 from .theory import (blowup_seidel_spectrum, certify,
                      clique_blowup_seidel_spectrum, compare_spectra,
                      composed_blowup_seidel_spectra)
@@ -76,14 +77,13 @@ def _build_parser() -> _Parser:
 
     p = graph_command("construct", "build a blow-up graph, print its graph6")
     which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--dm", action="store_true",
-                       help="independent blow-up (order m*n)")
-    which.add_argument("--dmstar", action="store_true",
-                       help="clique blow-up (order m*n)")
-    which.add_argument("--t2-left", action="store_true",
-                       help="clique blow-up of the independent blow-up (order m^2*n)")
-    which.add_argument("--t2-right", action="store_true",
-                       help="independent blow-up of the clique blow-up (order m^2*n)")
+    for kind, help_text in [
+            ("dm", "independent blow-up (order m*n)"),
+            ("dmstar", "clique blow-up (order m*n)"),
+            ("t2-left", "clique blow-up of the independent blow-up (order m^2*n)"),
+            ("t2-right", "independent blow-up of the clique blow-up (order m^2*n)")]:
+        which.add_argument(f"--{kind}", dest="kind", action="store_const",
+                           const=kind, help=help_text)
     p.add_argument("--m", type=int, required=True, help="multiplicity, >= 2")
 
     p = graph_command("closed-form", "predicted blow-up spectrum from the input spectrum")
@@ -123,6 +123,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# built once per process: parse_args leaves the parser unchanged
+_PARSER = _build_parser()
+
+
 # ---------------------------------------------------------------------------
 # Input plumbing
 # ---------------------------------------------------------------------------
@@ -158,7 +162,7 @@ def _load_graph_token(token: str):
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    print(json.dumps(to_plain(obj), sort_keys=True, indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +173,7 @@ def _emit_json(obj) -> None:
 def _cmd_spectrum(args) -> int:
     spec = seidel_spectrum(_load_graph(args))
     if args.json:
-        _emit_json(spec.to_dict())
+        _emit_json(spec)
     else:
         print(spec.format_grouped())
     return 0
@@ -187,7 +191,7 @@ def _cmd_energy(args) -> int:
 def _cmd_inertia(args) -> int:
     inertia = seidel_inertia(_load_graph(args))
     if args.json:
-        _emit_json(inertia.to_dict())
+        _emit_json(inertia)
     else:
         print(f"({inertia.n_pos}, {inertia.n_zero}, {inertia.n_neg})")
     return 0
@@ -213,15 +217,7 @@ def _cmd_complement(args) -> int:
 
 def _cmd_construct(args) -> int:
     g = _load_graph(args)
-    cap = _max_dim()
-    if args.dm:
-        result = blowup(g, args.m, max_dim=cap)
-    elif args.dmstar:
-        result = clique_blowup(g, args.m, max_dim=cap)
-    elif args.t2_left:
-        result = clique_blowup(blowup(g, args.m, max_dim=cap), args.m, max_dim=cap)
-    else:
-        result = blowup(clique_blowup(g, args.m, max_dim=cap), args.m, max_dim=cap)
+    result = construct(g, args.m, args.kind, max_dim=_max_dim())
     line = graph_to_graph6(result)
     if args.json:
         _emit_json({"graph6": line, "order": result.n})
@@ -241,7 +237,7 @@ def _cmd_closed_form(args) -> int:
         left, right = composed_blowup_seidel_spectra(sigma, args.m, g.n)
         forms = {"spectrum_a": left, "spectrum_b": right}
     if args.json:
-        _emit_json({key: cf.to_dict() for key, cf in forms.items()})
+        _emit_json(forms)
     else:
         for key, cf in forms.items():
             prefix = "" if len(forms) == 1 else f"{key}: "
@@ -270,20 +266,19 @@ def _cmd_certify(args) -> int:
     if args.text:
         print(cert.render_text())
     else:
-        _emit_json(cert.to_dict())
+        _emit_json(cert)
     return 3 if cert.theorem_violation else 0
 
 
 def _cmd_scan(args) -> int:
     config = ScanConfig(m=args.m, theorem=args.theorem,
-                        max_order=args.max_order, exact_verify=args.exact,
-                        parallelism=args.jobs)
+                        max_order=args.max_order, exact_verify=args.exact)
     # read bytes: a non-ASCII line then fails to parse on its own
     if args.input == "-":
-        report = scan_stream(sys.stdin.buffer, config)
+        report = scan_stream(sys.stdin.buffer, config, jobs=args.jobs)
     else:
         with open(args.input, "rb") as fh:
-            report = scan_stream(fh, config)
+            report = scan_stream(fh, config, jobs=args.jobs)
     text = write_report(report, format=args.format, destination=args.out)
     if args.out is None:
         sys.stdout.write(text)
@@ -306,9 +301,8 @@ _DISPATCH = {
 
 def run(argv) -> int:
     """Parse arguments, dispatch, and map failures onto the exit-code contract."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

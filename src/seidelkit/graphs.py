@@ -1,10 +1,8 @@
 """Dense undirected graphs, the graph6 codec, and twin blow-up constructions.
 
-Graphs are stored as dense 0/1 adjacency matrices with a canonical vertex
-order.  Loops are carried on the diagonal and gated by an explicit flag, so
-the loop-adding / loop-stripping operators stay honest.  Everything here is
-a pure function over immutable values; ``Graph`` instances can be shared
-freely between workers.
+Graphs are simple: dense 0/1 adjacency matrices with a zero diagonal and a
+canonical vertex order.  Everything here is a pure function over immutable
+values; ``Graph`` instances can be shared freely between workers.
 
 The two product constructions replace every vertex by m "twin" copies:
 
@@ -13,7 +11,8 @@ The two product constructions replace every vertex by m "twin" copies:
 * ``clique_blowup(g, m)`` -- twins form cliques; the adjacency matrix is
                              J_m (x) (A + I) - I.
 
-Both return simple graphs on m*n vertices.
+Both return simple graphs on m*n vertices.  ``construct(g, m, kind)`` builds
+either of them or one of the two composed double blow-ups by name.
 """
 
 from dataclasses import dataclass
@@ -27,11 +26,9 @@ __all__ = [
     "graph_from_graph6",
     "graph_to_graph6",
     "complement",
-    "add_loops",
-    "remove_loops",
-    "kronecker",
     "blowup",
     "clique_blowup",
+    "construct",
     "empty_graph",
     "complete_graph",
     "path_graph",
@@ -60,15 +57,13 @@ class Graph6Error(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Dense undirected graph on vertices 0..n-1.
+    """Simple undirected graph on vertices 0..n-1.
 
-    ``adj`` is a symmetric 0/1 matrix; diagonal entries mark loops and are
-    only permitted when ``loops_allowed`` is set.  The array is copied and
-    frozen at construction.
+    ``adj`` is a symmetric 0/1 matrix with a zero diagonal (no loops).  The
+    array is copied and frozen at construction.
     """
 
     adj: np.ndarray
-    loops_allowed: bool = False
 
     def __post_init__(self):
         a = np.asarray(self.adj)
@@ -80,8 +75,8 @@ class Graph:
             raise ValueError("adjacency entries must be 0 or 1")
         if not np.array_equal(a, a.T):
             raise ValueError("adjacency matrix must be symmetric")
-        if not self.loops_allowed and a.diagonal().any():
-            raise ValueError("loops present but loops_allowed is false")
+        if a.diagonal().any():
+            raise ValueError("adjacency diagonal must be zero (no loops)")
         a = a.astype(np.int8, copy=True)
         a.setflags(write=False)
         object.__setattr__(self, "adj", a)
@@ -92,29 +87,18 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        off = int(self.adj.sum() - self.adj.diagonal().sum()) // 2
-        return off + int(self.adj.diagonal().sum())
-
-    def is_simple(self) -> bool:
-        return not self.adj.diagonal().any()
+        return int(self.adj.sum()) // 2
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return (self.loops_allowed == other.loops_allowed
-                and np.array_equal(self.adj, other.adj))
+        return np.array_equal(self.adj, other.adj)
 
     def __hash__(self):
-        return hash((self.n, self.loops_allowed, self.adj.tobytes()))
+        return hash((self.n, self.adj.tobytes()))
 
     def __repr__(self):
-        kind = "graph" if self.is_simple() else "looped graph"
-        return f"Graph({kind}, n={self.n}, edges={self.edge_count})"
-
-
-def _require_simple(g: Graph, what: str) -> None:
-    if not g.is_simple():
-        raise ValueError(f"{what} requires a loop-free graph")
+        return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +197,7 @@ def graph_from_graph6(text: str | bytes) -> Graph:
 
 
 def graph_to_graph6(g: Graph) -> str:
-    """Encode a simple graph as its canonical graph6 line (no trailing newline)."""
-    _require_simple(g, "graph6 encoding")
+    """Encode a graph as its canonical graph6 line (no trailing newline)."""
     n = g.n
     if n <= 62:
         head = [n + 63]
@@ -234,62 +217,18 @@ def graph_to_graph6(g: Graph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Complement and loop operators
+# Complement and the blow-up constructions
 # ---------------------------------------------------------------------------
 
 
 def complement(g: Graph) -> Graph:
-    """Edge-complement of a simple graph (an involution; diagonal stays zero)."""
-    _require_simple(g, "complement")
+    """Edge-complement (an involution; the diagonal stays zero)."""
     n = g.n
     adj = np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8) - g.adj
     return Graph(adj)
 
 
-def add_loops(g: Graph) -> Graph:
-    """Attach a loop to every vertex: adjacency becomes A + I."""
-    _require_simple(g, "add_loops")
-    return Graph(g.adj + np.eye(g.n, dtype=np.int8), loops_allowed=True)
-
-
-def remove_loops(g: Graph) -> Graph:
-    """Strip all loops (zero the diagonal); no-op on simple graphs."""
-    adj = np.array(g.adj)
-    np.fill_diagonal(adj, 0)
-    return Graph(adj)
-
-
-# ---------------------------------------------------------------------------
-# Kronecker product and the blow-up constructions
-# ---------------------------------------------------------------------------
-
-
-def kronecker(a: np.ndarray, b: np.ndarray,
-              max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
-    """Kronecker (tensor) product of two square integer matrices.
-
-    Block index convention: entry ((i,u),(j,v)) = a[i,j]*b[u,v] with the
-    pair (i,u) flattened to i*len(b)+u.  The eigenvalues of the result are
-    all pairwise products of the factors' eigenvalues.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("first factor must be square")
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError("second factor must be square")
-    for factor in (a, b):
-        if not issubclass(factor.dtype.type, np.integer):
-            raise ValueError("kronecker expects integer matrices")
-    out_dim = a.shape[0] * b.shape[0]
-    if out_dim > max_dim:
-        raise ValueError(
-            f"kronecker product dimension {out_dim} exceeds cap {max_dim}")
-    return np.kron(a.astype(np.int64), b.astype(np.int64))
-
-
 def _check_blowup_args(g: Graph, m: int, max_dim: int) -> None:
-    _require_simple(g, "blow-up construction")
     if m < 2:
         raise ValueError(f"blow-up multiplicity must be >= 2, got {m}")
     if m * g.n > max_dim:
@@ -306,10 +245,7 @@ def blowup(g: Graph, m: int, max_dim: int = DEFAULT_MAX_DIM) -> Graph:
     classes themselves stay independent.  Simple, on m*n vertices.
     """
     _check_blowup_args(g, m, max_dim)
-    ones = np.ones((m, m), dtype=np.int64)
-    adj = kronecker(ones, g.adj, max_dim=max_dim)
-    assert not adj.diagonal().any()
-    return Graph(adj)
+    return Graph(np.kron(np.ones((m, m), dtype=np.int8), g.adj))
 
 
 def clique_blowup(g: Graph, m: int, max_dim: int = DEFAULT_MAX_DIM) -> Graph:
@@ -320,11 +256,28 @@ def clique_blowup(g: Graph, m: int, max_dim: int = DEFAULT_MAX_DIM) -> Graph:
     on m*n vertices.
     """
     _check_blowup_args(g, m, max_dim)
-    ones = np.ones((m, m), dtype=np.int64)
-    closed = g.adj.astype(np.int64) + np.eye(g.n, dtype=np.int64)
-    adj = kronecker(ones, closed, max_dim=max_dim) - np.eye(m * g.n, dtype=np.int64)
-    assert not adj.diagonal().any()
-    return Graph(adj)
+    closed = g.adj + np.eye(g.n, dtype=np.int8)
+    adj = np.kron(np.ones((m, m), dtype=np.int8), closed)
+    return Graph(adj - np.eye(m * g.n, dtype=np.int8))
+
+
+def construct(g: Graph, m: int, kind: str,
+              max_dim: int = DEFAULT_MAX_DIM) -> Graph:
+    """Build one blow-up construction of g, selected by ``kind``.
+
+    "dm" is blowup(g, m) and "dmstar" clique_blowup(g, m), both of order
+    m*n; "t2-left" is clique_blowup(blowup(g, m), m) and "t2-right"
+    blowup(clique_blowup(g, m), m), both of order m^2*n.
+    """
+    if kind == "dm":
+        return blowup(g, m, max_dim)
+    if kind == "dmstar":
+        return clique_blowup(g, m, max_dim)
+    if kind == "t2-left":
+        return clique_blowup(blowup(g, m, max_dim), m, max_dim)
+    if kind == "t2-right":
+        return blowup(clique_blowup(g, m, max_dim), m, max_dim)
+    raise ValueError(f"unknown construction kind: {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +306,5 @@ def cycle_graph(n: int) -> Graph:
 def graph_from_edges(n: int, edges) -> Graph:
     adj = np.zeros((n, n), dtype=np.int8)
     for u, v in edges:
-        if u == v:
-            raise ValueError("loops not supported by graph_from_edges")
         adj[u, v] = adj[v, u] = 1
     return Graph(adj)

@@ -7,7 +7,7 @@ unbalanced ones to yield non-equienergetic pairs ("refuted").  Per-line
 parse failures and dimension-cap skips are recorded, never fatal.  Output
 ordering follows input line numbers, so a scan is deterministic regardless
 of the worker count; the JSON rendering is canonical (sorted keys) and
-byte-identical across runs and parallelism settings.
+byte-identical across runs and worker counts.
 
 Accounting invariant, enforced by construction:
 
@@ -17,18 +17,18 @@ Accounting invariant, enforced by construction:
 import csv
 import io
 import json
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass, fields, is_dataclass
+from functools import cache, partial
 
-from .graphs import Graph6Error, graph_from_graph6
+from .graphs import DEFAULT_MAX_DIM, Graph6Error, graph_from_graph6
 from .spectral import ZERO_TOL, seidel_spectrum
 from .theory import Certificate, certify, hypothesis_from_spectrum
 
 __all__ = [
     "NUMERIC_MAX_ORDER",
     "ScanConfig",
-    "ScanTotals",
     "ScanEntry",
     "ScanFailure",
     "ScanSkip",
@@ -36,7 +36,7 @@ __all__ = [
     "scan_stream",
     "write_report",
     "report_to_json",
-    "report_from_json",
+    "to_plain",
 ]
 
 # Default cap on the order of constructed graphs during a scan.
@@ -45,20 +45,19 @@ NUMERIC_MAX_ORDER = 2_000
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Scan parameters.
+    """Scan parameters, echoed in the report.
 
     ``theorem`` selects the pair construction (1 = single blow-ups,
     2 = composed double blow-ups); ``max_order`` caps the order of the
-    constructed graphs; ``exact_verify`` turns on the exact eigenvector
-    check of the padding multiplicities; ``parallelism`` is the
-    worker count and never affects results.
+    constructed graphs, at most the construction cap ``DEFAULT_MAX_DIM``;
+    ``exact_verify`` turns on the exact eigenvector check of the padding
+    multiplicities.
     """
 
     m: int
     theorem: int = 1
     max_order: int = NUMERIC_MAX_ORDER
     exact_verify: bool = False
-    parallelism: int = 1
 
     def __post_init__(self):
         if self.m < 2:
@@ -67,56 +66,14 @@ class ScanConfig:
             raise ValueError("theorem must be 1 or 2")
         if self.max_order < 1:
             raise ValueError("max_order must be positive")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be positive")
+        if self.max_order > DEFAULT_MAX_DIM:
+            # a line at the construction cap would abort the whole scan
+            raise ValueError(f"max_order {self.max_order} exceeds the "
+                             f"construction cap {DEFAULT_MAX_DIM}")
 
     @property
     def order_factor(self) -> int:
         return self.m if self.theorem == 1 else self.m * self.m
-
-    def to_dict(self) -> dict:
-        # parallelism is a run-time knob, not part of the result identity
-        return {
-            "m": self.m,
-            "theorem": self.theorem,
-            "max_order": self.max_order,
-            "exact_verify": self.exact_verify,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScanConfig":
-        return cls(m=d["m"], theorem=d["theorem"], max_order=d["max_order"],
-                   exact_verify=d["exact_verify"])
-
-
-@dataclass(frozen=True)
-class ScanTotals:
-    scanned: int = 0
-    parse_failed: int = 0
-    skipped: int = 0
-    hypothesis_failed: int = 0
-    hypothesis_satisfied: int = 0
-    certified: int = 0
-    refuted: int = 0
-    boundary_flagged: int = 0
-    violations: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "scanned": self.scanned,
-            "parse_failed": self.parse_failed,
-            "skipped": self.skipped,
-            "hypothesis_failed": self.hypothesis_failed,
-            "hypothesis_satisfied": self.hypothesis_satisfied,
-            "certified": self.certified,
-            "refuted": self.refuted,
-            "boundary_flagged": self.boundary_flagged,
-            "violations": self.violations,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScanTotals":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -127,27 +84,11 @@ class ScanEntry:
     kind: str
     certificate: Certificate
 
-    def to_dict(self) -> dict:
-        return {"line": self.line, "kind": self.kind,
-                "certificate": self.certificate.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScanEntry":
-        return cls(line=d["line"], kind=d["kind"],
-                   certificate=Certificate.from_dict(d["certificate"]))
-
 
 @dataclass(frozen=True)
 class ScanFailure:
     line: int
     error: str
-
-    def to_dict(self) -> dict:
-        return {"line": self.line, "error": self.error}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScanFailure":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -156,45 +97,25 @@ class ScanSkip:
     order: int
     reason: str
 
-    def to_dict(self) -> dict:
-        return {"line": self.line, "order": self.order, "reason": self.reason}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScanSkip":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class PairReport:
-    """Result of one scan: config echo, totals, certificates, failures, skips."""
+    """Result of one scan: config echo, totals, certificates, failures, skips.
+
+    ``totals`` maps each count name (see the module docstring, plus
+    ``hypothesis_satisfied``, ``boundary_flagged`` and ``violations``) to
+    its value.
+    """
 
     config: ScanConfig
-    totals: ScanTotals
+    totals: dict
     certificates: tuple[ScanEntry, ...]
     failures: tuple[ScanFailure, ...]
     skipped: tuple[ScanSkip, ...]
 
     @property
     def has_violations(self) -> bool:
-        return self.totals.violations > 0
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "totals": self.totals.to_dict(),
-            "certificates": [e.to_dict() for e in self.certificates],
-            "failures": [f.to_dict() for f in self.failures],
-            "skipped": [s.to_dict() for s in self.skipped],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PairReport":
-        return cls(
-            config=ScanConfig.from_dict(d["config"]),
-            totals=ScanTotals.from_dict(d["totals"]),
-            certificates=tuple(ScanEntry.from_dict(e) for e in d["certificates"]),
-            failures=tuple(ScanFailure.from_dict(f) for f in d["failures"]),
-            skipped=tuple(ScanSkip.from_dict(s) for s in d["skipped"]))
+        return self.totals["violations"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +124,8 @@ class PairReport:
 
 
 def _scan_one(config: ScanConfig, task: tuple[int, str | bytes]):
-    """Process a single input line; returns a (tag, ...) record.
+    """Process a single input line; returns a (tag, line, ...) record whose
+    tag is the totals bucket of the line.
 
     Module-level so worker processes can unpickle it.
     """
@@ -211,76 +133,63 @@ def _scan_one(config: ScanConfig, task: tuple[int, str | bytes]):
     try:
         g = graph_from_graph6(text)
     except Graph6Error as exc:
-        return ("fail", line_no, str(exc))
+        return ("parse_failed", line_no, str(exc))
     order = config.order_factor * g.n
     if order > config.max_order:
-        return ("skip", line_no, order)
+        return ("skipped", line_no, order)
     sigma = seidel_spectrum(g)
     hyp = hypothesis_from_spectrum(sigma, config.m, config.theorem)
     if not hyp.bound_met(ZERO_TOL):
-        return ("hypfail", line_no)
+        return ("hypothesis_failed", line_no)
     cert = certify(g, config.m, config.theorem, exact=config.exact_verify,
                    sigma=sigma, hypothesis=hyp)
     kind = "certified" if cert.hypothesis.satisfied else "refuted"
-    return ("cert", line_no, kind, cert)
+    return (kind, line_no, cert)
 
 
-def scan_stream(lines, config: ScanConfig) -> PairReport:
+def scan_stream(lines, config: ScanConfig, jobs: int = 1) -> PairReport:
     """Scan an iterable of graph6 lines; returns an ordered :class:`PairReport`.
 
     Lines may be ``str`` or ``bytes``; bytes let a non-ASCII line fail
     to parse on its own instead of failing the read of the whole input.
     Blank lines are ignored (line numbering still counts them).  With
-    ``config.parallelism > 1`` the lines are certified in worker
-    processes and merged back in input order, so the report is identical
-    to a serial run.
+    ``jobs > 1`` the lines are certified in that many worker processes
+    and merged back in input order, so the report is identical to a
+    serial run.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
     tasks = [(i, line.strip()) for i, line in enumerate(lines, start=1)
              if line.strip()]
 
     worker = partial(_scan_one, config)
-    if config.parallelism > 1 and len(tasks) > 1:
+    if jobs > 1 and len(tasks) > 1:
         # about four chunks per worker: few enough that the per-chunk
         # pickling cost stays small next to sub-millisecond lines
-        chunksize = -(-len(tasks) // (4 * config.parallelism))
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
+        chunksize = -(-len(tasks) // (4 * jobs))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(worker, tasks, chunksize=chunksize))
     else:
         records = [worker(t) for t in tasks]
 
-    totals = ScanTotals(scanned=len(tasks))
-    entries = []
-    failures = []
-    skips = []
-    for record in records:
-        tag = record[0]
-        if tag == "fail":
-            failures.append(ScanFailure(line=record[1], error=record[2]))
-            totals = replace(totals, parse_failed=totals.parse_failed + 1)
-        elif tag == "skip":
-            skips.append(ScanSkip(line=record[1], order=record[2],
-                                  reason="constructed order exceeds max_order"))
-            totals = replace(totals, skipped=totals.skipped + 1)
-        elif tag == "hypfail":
-            totals = replace(totals,
-                             hypothesis_failed=totals.hypothesis_failed + 1)
-        else:
-            _, line_no, kind, cert = record
-            entries.append(ScanEntry(line=line_no, kind=kind, certificate=cert))
-            if kind == "certified":
-                totals = replace(totals, certified=totals.certified + 1,
-                                 hypothesis_satisfied=totals.hypothesis_satisfied + 1)
-            else:
-                totals = replace(totals, refuted=totals.refuted + 1)
-            if cert.hypothesis.boundary:
-                totals = replace(totals,
-                                 boundary_flagged=totals.boundary_flagged + 1)
-            if cert.theorem_violation:
-                totals = replace(totals, violations=totals.violations + 1)
-
+    tags = Counter(record[0] for record in records)
+    entries = [ScanEntry(line=r[1], kind=r[0], certificate=r[2])
+               for r in records if r[0] in ("certified", "refuted")]
+    totals = {tag: tags[tag] for tag in ("parse_failed", "skipped",
+                                         "hypothesis_failed", "certified",
+                                         "refuted")}
+    totals.update(
+        scanned=len(tasks), hypothesis_satisfied=tags["certified"],
+        boundary_flagged=sum(e.certificate.hypothesis.boundary for e in entries),
+        violations=sum(e.certificate.theorem_violation for e in entries))
+    failures = tuple(ScanFailure(line=r[1], error=r[2])
+                     for r in records if r[0] == "parse_failed")
+    skips = tuple(ScanSkip(line=r[1], order=r[2],
+                           reason="constructed order exceeds max_order")
+                  for r in records if r[0] == "skipped")
     return PairReport(config=config, totals=totals,
-                      certificates=tuple(entries), failures=tuple(failures),
-                      skipped=tuple(skips))
+                      certificates=tuple(entries), failures=failures,
+                      skipped=skips)
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +197,30 @@ def scan_stream(lines, config: ScanConfig) -> PairReport:
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _field_names(cls) -> tuple[str, ...] | None:
+    """Field names of a dataclass type, None for any other type."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+
+
+def to_plain(obj):
+    """JSON-ready form of a value: a dataclass becomes a dict over its
+    fields, a dict or a tuple of dataclasses is converted item by item, and
+    anything else (numbers, strings, tuples of numbers) is left to ``json``.
+    """
+    names = _field_names(type(obj))
+    if names is not None:
+        return {name: to_plain(getattr(obj, name)) for name in names}
+    if isinstance(obj, dict):
+        return {key: to_plain(value) for key, value in obj.items()}
+    if isinstance(obj, tuple) and obj and _field_names(type(obj[0])):
+        return [to_plain(item) for item in obj]
+    return obj
+
+
 def report_to_json(report: PairReport) -> str:
     """Canonical JSON rendering (sorted keys, fixed layout, trailing newline)."""
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-
-
-def report_from_json(text: str) -> PairReport:
-    return PairReport.from_dict(json.loads(text))
+    return json.dumps(to_plain(report), sort_keys=True, indent=2) + "\n"
 
 
 _CSV_FIELDS = [
@@ -345,11 +271,12 @@ def report_to_text(report: PairReport) -> str:
     lines = [
         f"scan: pair construction {cfg.theorem}, m={cfg.m}, "
         f"max_order={cfg.max_order}, exact_verify={cfg.exact_verify}",
-        f"scanned={t.scanned} certified={t.certified} refuted={t.refuted} "
-        f"hypothesis_failed={t.hypothesis_failed} parse_failed={t.parse_failed} "
-        f"skipped={t.skipped}",
-        f"hypothesis_satisfied={t.hypothesis_satisfied} "
-        f"boundary_flagged={t.boundary_flagged} violations={t.violations}",
+        f"scanned={t['scanned']} certified={t['certified']} "
+        f"refuted={t['refuted']} hypothesis_failed={t['hypothesis_failed']} "
+        f"parse_failed={t['parse_failed']} skipped={t['skipped']}",
+        f"hypothesis_satisfied={t['hypothesis_satisfied']} "
+        f"boundary_flagged={t['boundary_flagged']} "
+        f"violations={t['violations']}",
     ]
     for entry in report.certificates:
         cert = entry.certificate

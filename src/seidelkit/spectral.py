@@ -31,7 +31,6 @@ __all__ = [
     "Spectrum",
     "Inertia",
     "IntPolynomial",
-    "adjacency_matrix",
     "seidel_matrix",
     "sym_eigenvalues",
     "spectrum_from_values",
@@ -61,21 +60,14 @@ class ConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Exact 0/1 adjacency matrix (loops on the diagonal), as int64."""
-    return g.adj.astype(np.int64)
-
-
 def seidel_matrix(g: Graph) -> np.ndarray:
-    """Seidel matrix of a simple graph: J - I - 2A.
+    """Seidel matrix J - I - 2A of a graph, as int64.
 
     Zero diagonal; -1 for adjacent pairs, +1 for non-adjacent pairs.
     """
-    if not g.is_simple():
-        raise ValueError("Seidel matrix is only defined for loop-free graphs")
     n = g.n
     j = np.ones((n, n), dtype=np.int64)
-    return j - np.eye(n, dtype=np.int64) - 2 * adjacency_matrix(g)
+    return j - np.eye(n, dtype=np.int64) - 2 * g.adj.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -116,19 +108,6 @@ class Spectrum:
         if self.grouping_ambiguous:
             text += " [near-degenerate grouping]"
         return text
-
-    def to_dict(self) -> dict:
-        return {
-            "values": list(self.values),
-            "groups": [[v, m] for v, m in self.groups],
-            "grouping_ambiguous": self.grouping_ambiguous,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Spectrum":
-        return cls(values=tuple(d["values"]),
-                   groups=tuple((v, m) for v, m in d["groups"]),
-                   grouping_ambiguous=d["grouping_ambiguous"])
 
 
 def _fmt_value(v: float, digits: int = 12) -> str:
@@ -177,13 +156,6 @@ class Inertia:
     @property
     def balanced(self) -> bool:
         return self.n_pos == self.n_neg and self.n_zero == 0
-
-    def to_dict(self) -> dict:
-        return {"n_pos": self.n_pos, "n_zero": self.n_zero, "n_neg": self.n_neg}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Inertia":
-        return cls(d["n_pos"], d["n_zero"], d["n_neg"])
 
 
 def classify_inertia(values, zero_tol: float = ZERO_TOL) -> Inertia:

@@ -19,10 +19,10 @@ a constant of fixed sign:
     |m*s + (m-1)| - |m*s - (m-1)| = 2(m-1) * sign(s)
 
 so the pair is equienergetic exactly when G has equally many positive and
-negative Seidel eigenvalues and none at zero.  ``certify_blowup_pair`` and
-``certify_composed_pair`` check that equivalence instance by instance, in
-both directions, against numeric spectra, the closed forms above, and, at
-every order, exact integer eigenvectors of the padding eigenvalues.
+negative Seidel eigenvalues and none at zero.  ``certify`` checks that
+equivalence instance by instance, in both directions, against numeric
+spectra, the closed forms above, and, at every order, exact integer
+eigenvectors of the padding eigenvalues.
 """
 
 import math
@@ -30,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (DEFAULT_MAX_DIM, Graph, blowup, clique_blowup,
-                     graph_to_graph6)
+from .graphs import DEFAULT_MAX_DIM, Graph, construct, graph_to_graph6
 from .spectral import (GROUP_TOL, NUM_TOL, ZERO_TOL, Inertia, Spectrum,
                        classify_inertia, seidel_matrix, seidel_spectrum,
                        spectrum_from_values, sym_eigenvalues)
@@ -49,8 +48,6 @@ __all__ = [
     "compare_spectra",
     "check_hypothesis",
     "hypothesis_from_spectrum",
-    "certify_blowup_pair",
-    "certify_composed_pair",
     "certify",
 ]
 
@@ -103,20 +100,6 @@ class ClosedFormSpectrum:
 
     def format_grouped(self, digits: int = 12) -> str:
         return self.as_spectrum().format_grouped(digits)
-
-    def to_dict(self) -> dict:
-        return {
-            "mapped": list(self.mapped),
-            "padding": [[v, m] for v, m in self.padding],
-            "m": self.m,
-            "order": self.order,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClosedFormSpectrum":
-        return cls(mapped=tuple(d["mapped"]),
-                   padding=tuple((v, m) for v, m in d["padding"]),
-                   m=d["m"], order=d["order"])
 
 
 def _check_closed_form_args(sigma: Spectrum, m: int, n: int) -> None:
@@ -237,27 +220,6 @@ class HypothesisReport:
     def bound_met(self, zero_tol: float = ZERO_TOL) -> bool:
         return self.margin >= -zero_tol
 
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "bound": self.bound,
-            "min_abs_eigenvalue": self.min_abs_eigenvalue,
-            "balanced": self.balanced,
-            "inertia": self.inertia.to_dict(),
-            "satisfied": self.satisfied,
-            "margin": self.margin,
-            "boundary": self.boundary,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HypothesisReport":
-        return cls(m=d["m"], bound=d["bound"],
-                   min_abs_eigenvalue=d["min_abs_eigenvalue"],
-                   balanced=d["balanced"],
-                   inertia=Inertia.from_dict(d["inertia"]),
-                   satisfied=d["satisfied"], margin=d["margin"],
-                   boundary=d["boundary"])
-
 
 def hypothesis_from_spectrum(sigma: Spectrum, m: int, power: int = 1,
                              zero_tol: float = ZERO_TOL) -> HypothesisReport:
@@ -315,42 +277,6 @@ class Certificate:
     closed_form_agrees: bool
     exact_multiplicities_verified: bool | None
     theorem_violation: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "graph6": self.graph6,
-            "m": self.m,
-            "hypothesis": self.hypothesis.to_dict(),
-            "spectrum_a": self.spectrum_a.to_dict(),
-            "spectrum_b": self.spectrum_b.to_dict(),
-            "closed_a": self.closed_a.to_dict(),
-            "closed_b": self.closed_b.to_dict(),
-            "energy_a": self.energy_a,
-            "energy_b": self.energy_b,
-            "energy_delta": self.energy_delta,
-            "equienergetic": self.equienergetic,
-            "cospectral": self.cospectral,
-            "closed_form_agrees": self.closed_form_agrees,
-            "exact_multiplicities_verified": self.exact_multiplicities_verified,
-            "theorem_violation": self.theorem_violation,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Certificate":
-        return cls(
-            theorem=d["theorem"], graph6=d["graph6"], m=d["m"],
-            hypothesis=HypothesisReport.from_dict(d["hypothesis"]),
-            spectrum_a=Spectrum.from_dict(d["spectrum_a"]),
-            spectrum_b=Spectrum.from_dict(d["spectrum_b"]),
-            closed_a=ClosedFormSpectrum.from_dict(d["closed_a"]),
-            closed_b=ClosedFormSpectrum.from_dict(d["closed_b"]),
-            energy_a=d["energy_a"], energy_b=d["energy_b"],
-            energy_delta=d["energy_delta"],
-            equienergetic=d["equienergetic"], cospectral=d["cospectral"],
-            closed_form_agrees=d["closed_form_agrees"],
-            exact_multiplicities_verified=d["exact_multiplicities_verified"],
-            theorem_violation=d["theorem_violation"])
 
     def render_text(self) -> str:
         hyp = self.hypothesis
@@ -427,40 +353,50 @@ def _solve_member(graph: Graph, padding, vectors):
     return spectrum, vectors is not None and _exact_padding_ok(s, padding, vectors)
 
 
-def _certify(g: Graph, m: int, power: int, num_tol: float = NUM_TOL,
-             zero_tol: float = ZERO_TOL, energy_tol: float = ENERGY_TOL,
-             exact: bool = True, max_dim: int = DEFAULT_MAX_DIM,
-             sigma: Spectrum | None = None,
-             hypothesis: HypothesisReport | None = None) -> Certificate:
-    # a caller that already holds the base spectrum and the hypothesis
-    # report for (m, power, zero_tol) passes them in to avoid a re-solve
+# construction kinds (see graphs.construct) of the two members, per theorem
+_MEMBERS = {1: ("dm", "dmstar"), 2: ("t2-left", "t2-right")}
+
+
+def certify(g: Graph, m: int, theorem: int, exact: bool = True,
+            max_dim: int = DEFAULT_MAX_DIM, sigma: Spectrum | None = None,
+            hypothesis: HypothesisReport | None = None) -> Certificate:
+    """Certify the single (theorem=1) or composed (theorem=2) pair of g.
+
+    Theorem 1 compares blowup(g, m) against clique_blowup(g, m) (order
+    m*n each), theorem 2 the two mixed double blow-ups (order m^2*n each).
+    Numeric spectra of both members are checked against their closed
+    forms; when ``exact`` is set, the padding multiplicities are certified
+    exactly by explicit integer eigenvectors.  A caller that already holds
+    the base spectrum ``sigma`` and the hypothesis report at the same m
+    and theorem passes them in to avoid a re-solve.
+    """
+    if theorem not in (1, 2):
+        raise ValueError("theorem must be 1 or 2")
     if sigma is None:
         sigma = seidel_spectrum(g)
-    hyp = hypothesis or hypothesis_from_spectrum(sigma, m, power, zero_tol)
+    hyp = hypothesis or hypothesis_from_spectrum(sigma, m, theorem)
     n = g.n
 
-    if power == 1:
-        graph_a = blowup(g, m, max_dim=max_dim)
-        graph_b = clique_blowup(g, m, max_dim=max_dim)
+    if theorem == 1:
         closed_a = blowup_seidel_spectrum(sigma, m, n)
         closed_b = clique_blowup_seidel_spectrum(sigma, m, n)
     else:
-        graph_a = clique_blowup(blowup(g, m, max_dim=max_dim), m, max_dim=max_dim)
-        graph_b = blowup(clique_blowup(g, m, max_dim=max_dim), m, max_dim=max_dim)
         closed_a, closed_b = composed_blowup_seidel_spectra(sigma, m, n)
 
-    vectors = _padding_eigenvectors(n, m, power) if exact else None
-    spec_a, exact_a = _solve_member(graph_a, closed_a.padding, vectors)
-    spec_b, exact_b = _solve_member(graph_b, closed_b.padding, vectors)
+    kind_a, kind_b = _MEMBERS[theorem]
+    vectors = _padding_eigenvectors(n, m, theorem) if exact else None
+    spec_a, exact_a = _solve_member(construct(g, m, kind_a, max_dim),
+                                    closed_a.padding, vectors)
+    spec_b, exact_b = _solve_member(construct(g, m, kind_b, max_dim),
+                                    closed_b.padding, vectors)
     exact_ok = (exact_a and exact_b) if exact else None
-    equienergetic, delta, cospectral = compare_spectra(spec_a, spec_b,
-                                                       energy_tol, num_tol)
-    agrees = (_values_close(spec_a.values, closed_a.values(), num_tol)
-              and _values_close(spec_b.values, closed_b.values(), num_tol))
+    equienergetic, delta, cospectral = compare_spectra(spec_a, spec_b)
+    agrees = (_values_close(spec_a.values, closed_a.values(), NUM_TOL)
+              and _values_close(spec_b.values, closed_b.values(), NUM_TOL))
 
     if hyp.satisfied:
         violation = not equienergetic
-    elif hyp.bound_met(zero_tol):
+    elif hyp.bound_met():
         # bound holds but signs are unbalanced: the pair must NOT be
         # equienergetic
         violation = equienergetic
@@ -468,7 +404,7 @@ def _certify(g: Graph, m: int, power: int, num_tol: float = NUM_TOL,
         violation = False
 
     return Certificate(
-        theorem=power, graph6=graph_to_graph6(g), m=m, hypothesis=hyp,
+        theorem=theorem, graph6=graph_to_graph6(g), m=m, hypothesis=hyp,
         spectrum_a=spec_a, spectrum_b=spec_b,
         closed_a=closed_a, closed_b=closed_b,
         energy_a=spec_a.energy(), energy_b=spec_b.energy(),
@@ -477,38 +413,3 @@ def _certify(g: Graph, m: int, power: int, num_tol: float = NUM_TOL,
         closed_form_agrees=agrees,
         exact_multiplicities_verified=exact_ok,
         theorem_violation=violation)
-
-
-def certify_blowup_pair(g: Graph, m: int, num_tol: float = NUM_TOL,
-                        zero_tol: float = ZERO_TOL,
-                        energy_tol: float = ENERGY_TOL, exact: bool = True,
-                        max_dim: int = DEFAULT_MAX_DIM) -> Certificate:
-    """Certify blowup(g, m) vs clique_blowup(g, m) (order m*n each).
-
-    Numeric spectra of both constructions are checked against their
-    closed forms; when ``exact`` is set, the padding multiplicities (-1
-    and +1, each at least mn - n) are certified exactly by explicit
-    integer eigenvectors.
-    """
-    return _certify(g, m, 1, num_tol, zero_tol, energy_tol, exact, max_dim)
-
-
-def certify_composed_pair(g: Graph, m: int, num_tol: float = NUM_TOL,
-                          zero_tol: float = ZERO_TOL,
-                          energy_tol: float = ENERGY_TOL, exact: bool = True,
-                          max_dim: int = DEFAULT_MAX_DIM) -> Certificate:
-    """Certify the two mixed double blow-ups of g (order m^2 * n each)."""
-    return _certify(g, m, 2, num_tol, zero_tol, energy_tol, exact, max_dim)
-
-
-def certify(g: Graph, m: int, theorem: int, **kwargs) -> Certificate:
-    """Certify the single (theorem=1) or composed (theorem=2) pair.
-
-    Takes the keyword arguments of :func:`certify_blowup_pair`, plus
-    ``sigma`` and ``hypothesis``: the base spectrum and the hypothesis
-    report at the same m, theorem and ``zero_tol``, when the caller
-    already has them.
-    """
-    if theorem not in (1, 2):
-        raise ValueError("theorem must be 1 or 2")
-    return _certify(g, m, theorem, **kwargs)

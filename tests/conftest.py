@@ -117,3 +117,45 @@ def random_simple_graph(rng, n, p=0.5):
             if rng.random() < p:
                 adj[i, j] = adj[j, i] = 1
     return Graph(adj)
+
+
+# Key sets of the report and certificate JSON, as README "Formats" lists them.
+REPORT_KEYS = {"config", "totals", "certificates", "failures", "skipped"}
+CONFIG_KEYS = {"m", "theorem", "max_order", "exact_verify"}
+TOTALS_KEYS = {"scanned", "certified", "refuted", "hypothesis_failed",
+               "parse_failed", "skipped", "hypothesis_satisfied",
+               "boundary_flagged", "violations"}
+ENTRY_KEYS = {"line", "kind", "certificate"}
+FAILURE_KEYS = {"line", "error"}
+SKIP_KEYS = {"line", "order", "reason"}
+CERTIFICATE_KEYS = {"theorem", "graph6", "m", "hypothesis", "spectrum_a",
+                    "spectrum_b", "closed_a", "closed_b", "energy_a",
+                    "energy_b", "energy_delta", "equienergetic", "cospectral",
+                    "closed_form_agrees", "exact_multiplicities_verified",
+                    "theorem_violation"}
+HYPOTHESIS_KEYS = {"m", "bound", "min_abs_eigenvalue", "balanced", "inertia",
+                   "satisfied", "margin", "boundary"}
+INERTIA_KEYS = {"n_pos", "n_zero", "n_neg"}
+SPECTRUM_KEYS = {"values", "groups", "grouping_ambiguous"}
+CLOSED_FORM_KEYS = {"mapped", "padding", "m", "order"}
+NESTED = {"hypothesis": HYPOTHESIS_KEYS, "inertia": INERTIA_KEYS,
+          "spectrum_a": SPECTRUM_KEYS, "spectrum_b": SPECTRUM_KEYS,
+          "closed_a": CLOSED_FORM_KEYS, "closed_b": CLOSED_FORM_KEYS,
+          "certificate": CERTIFICATE_KEYS}
+
+
+def _as_json(value):
+    """A field value as ``json`` decodes it: tuples come back as lists."""
+    if isinstance(value, tuple):
+        return [_as_json(v) for v in value]
+    return value
+
+
+def check_json_object(doc, obj, keys):
+    """Assert ``doc`` has exactly ``keys`` and each value decodes ``obj``'s field."""
+    assert set(doc) == keys
+    for key in keys:
+        if key in NESTED:
+            check_json_object(doc[key], getattr(obj, key), NESTED[key])
+        else:
+            assert doc[key] == _as_json(getattr(obj, key)), key

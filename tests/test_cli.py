@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from seidelkit import spectral
+from seidelkit import (blowup, clique_blowup, graph_from_graph6,
+                       graph_to_graph6, spectral)
 from seidelkit.cli import run
 
 
@@ -65,6 +66,18 @@ def test_construct_dmstar_k2_is_k4(capsys):
     assert run(["construct", "--dmstar", "--m", "2", "A_"]) == 0
     out, _ = _out(capsys)
     assert out == "C~"
+
+
+@pytest.mark.parametrize("kind, order", [
+    ("dm", 6), ("dmstar", 6), ("t2-left", 12), ("t2-right", 12)])
+def test_construct_kinds(capsys, kind, order):
+    g = graph_from_graph6("Bo")
+    expected = {"dm": blowup(g, 2), "dmstar": clique_blowup(g, 2),
+                "t2-left": clique_blowup(blowup(g, 2), 2),
+                "t2-right": blowup(clique_blowup(g, 2), 2)}[kind]
+    assert run(["construct", f"--{kind}", "--m", "2", "--json", "Bo"]) == 0
+    doc = json.loads(_out(capsys)[0])
+    assert doc == {"graph6": graph_to_graph6(expected), "order": order}
 
 
 def test_construct_pipes_into_spectrum_matching_closed_form(capsys):
@@ -179,6 +192,25 @@ def test_scan_stdin_and_output_file(tmp_path, capsys, monkeypatch):
     out, _ = _out(capsys)
     assert out == ""  # written to the file instead
     assert out_path.read_text().startswith("line,kind,graph6")
+
+
+class _UnreadableInput(io.RawIOBase):
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        raise AssertionError("scan read its input")
+
+
+def test_scan_rejects_max_order_above_cap_before_reading(capsys, monkeypatch):
+    # at the construction cap, one line would abort the whole scan
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+        io.BufferedReader(_UnreadableInput())))
+    assert run(["scan", "--theorem", "2", "--m", "100",
+                "--max-order", "20000"]) == 2
+    out, err = _out(capsys)
+    assert out == ""
+    assert "max_order 20000" in err
 
 
 def test_stdin_single_graph(capsys, monkeypatch):

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from seidelkit import (Graph, Graph6Error, add_loops, blowup, clique_blowup,
-                       complement, complete_graph, cycle_graph, empty_graph,
+from seidelkit import (Graph, Graph6Error, blowup, clique_blowup, complement,
+                       complete_graph, construct, cycle_graph, empty_graph,
                        graph_from_edges, graph_from_graph6, graph_to_graph6,
-                       kronecker, path_graph, remove_loops)
+                       path_graph)
 from conftest import jacobi_desc, random_simple_graph
 
 
@@ -20,9 +20,21 @@ def test_graph_rejects_bad_matrices():
     with pytest.raises(ValueError):
         Graph(np.array([[0, 2], [2, 0]]))  # entries not 0/1
     with pytest.raises(ValueError):
-        Graph(np.array([[1]]))  # loop without loops_allowed
+        Graph(np.array([[1]]))  # loop
     with pytest.raises(ValueError):
         Graph(np.zeros((0, 0), dtype=int))
+
+
+def test_graph_rejects_loops():
+    # simplicity is enforced by the type: any diagonal entry is refused
+    for n in (1, 4):
+        for v in range(n):
+            adj = np.ones((n, n), dtype=int) - np.eye(n, dtype=int)
+            adj[v, v] = 1
+            with pytest.raises(ValueError):
+                Graph(adj)
+    with pytest.raises(ValueError):
+        graph_from_edges(3, [(0, 1), (2, 2)])
 
 
 def test_graph_is_immutable_and_hashable():
@@ -98,13 +110,7 @@ def test_codec_errors_carry_offsets(text, offset):
     assert err.value.offset == offset
 
 
-def test_codec_rejects_loops():
-    looped = add_loops(complete_graph(2))
-    with pytest.raises(ValueError):
-        graph_to_graph6(looped)
-
-
-# -- complement and loop operators -------------------------------------------
+# -- complement -----------------------------------------------------------------
 
 def test_complement_of_complete_is_empty():
     for n in (1, 2, 5, 9):
@@ -125,66 +131,43 @@ def test_complement_c5_is_pentagram():
     assert complement(cycle_graph(5)) == pentagram
 
 
-def test_complement_rejects_loops():
-    with pytest.raises(ValueError):
-        complement(add_loops(empty_graph(2)))
-
-
-def test_loop_operators():
-    g = cycle_graph(5)
-    looped = add_loops(g)
-    assert looped.loops_allowed
-    assert np.array_equal(looped.adj, g.adj + np.eye(5, dtype=np.int8))
-    assert remove_loops(looped) == g
-    assert remove_loops(g) == g
-    # loop-completed complete graph has the all-ones adjacency matrix
-    for m in (1, 2, 4):
-        assert np.array_equal(add_loops(complete_graph(m)).adj,
-                              np.ones((m, m), dtype=np.int8))
-    assert remove_loops(add_loops(complete_graph(3))) == complete_graph(3)
-
-
-# -- Kronecker product --------------------------------------------------------
-
-def test_kronecker_identity_factor_gives_block_diagonal():
-    m = np.array([[1, 2], [2, 3]])
-    out = kronecker(np.eye(2, dtype=int), m)
-    assert np.array_equal(out[:2, :2], m)
-    assert np.array_equal(out[2:, 2:], m)
-    assert not out[:2, 2:].any() and not out[2:, :2].any()
-
+# -- the blow-ups as Kronecker products ----------------------------------------
 
 def test_kronecker_j2_k2_is_c4():
-    # written out by hand: J_2 (x) A(K_2) interleaves the two copies
+    # written out by hand: blowup(K_2, 2) = J_2 (x) A(K_2) interleaves the
+    # two copies
     expected = np.array([[0, 1, 0, 1],
                          [1, 0, 1, 0],
                          [0, 1, 0, 1],
                          [1, 0, 1, 0]])
-    out = kronecker(np.ones((2, 2), dtype=int), complete_graph(2).adj)
-    assert np.array_equal(out, expected)
-    assert Graph(out) == cycle_graph(4)
+    out = blowup(complete_graph(2), 2)
+    assert np.array_equal(out.adj, expected)
+    assert out == cycle_graph(4)
 
 
 def test_kronecker_eigenvalues_are_pairwise_products():
-    rng = np.random.default_rng(5)
-    a = rng.integers(-2, 3, size=(3, 3))
-    a = a + a.T
-    b = rng.integers(-2, 3, size=(4, 4))
-    b = b + b.T
-    product = np.sort([x * y for x in jacobi_desc(a) for y in jacobi_desc(b)])
-    direct = np.sort(jacobi_desc(kronecker(a, b)))
-    assert np.allclose(product, direct, atol=1e-9)
+    # blowup is J_m (x) A and clique_blowup J_m (x) (A + I) - I, so their
+    # adjacency eigenvalues are pairwise products of the factors' (minus 1)
+    g = random_simple_graph(np.random.default_rng(5), 4)
+    m = 3
+    ones = jacobi_desc(np.ones((m, m)))
+    for built, factor, shift in [
+            (blowup(g, m), g.adj, 0),
+            (clique_blowup(g, m), g.adj + np.eye(4, dtype=int), 1)]:
+        product = np.sort([x * y - shift for x in ones
+                           for y in jacobi_desc(factor)])
+        direct = np.sort(jacobi_desc(built.adj))
+        assert np.allclose(product, direct, atol=1e-9)
 
 
 def test_kronecker_dimension_cap():
-    big = np.zeros((101, 101), dtype=int)
+    big = empty_graph(101)
+    for build in (blowup, clique_blowup):
+        with pytest.raises(ValueError):
+            build(big, 100, max_dim=10_000)
+        assert build(complete_graph(2), 3, max_dim=6).n == 6
     with pytest.raises(ValueError):
-        kronecker(big, big, max_dim=10_000)
-
-
-def test_kronecker_rejects_float_matrices():
-    with pytest.raises(ValueError):
-        kronecker(np.eye(2), np.eye(2, dtype=int))
+        construct(complete_graph(2), 2, "t2-left", max_dim=7)
 
 
 # -- blow-up constructions ----------------------------------------------------
@@ -205,14 +188,14 @@ def test_blowup_matches_kron_formula():
         m = int(rng.integers(2, 5))
         g = random_simple_graph(rng, n)
         result = blowup(g, m)
-        assert result.n == m * n and result.is_simple()
+        assert result.n == m * n and not result.adj.diagonal().any()
         expected = np.kron(np.ones((m, m), dtype=int), g.adj)
         assert np.array_equal(result.adj, expected)
 
 
 def test_blowup_c5_structure():
     g = blowup(cycle_graph(5), 2)
-    assert g.n == 10 and g.is_simple()
+    assert g.n == 10 and not g.adj.diagonal().any()
     # every original edge becomes a complete bipartite block on the twins
     for u, v in [(i, (i + 1) % 5) for i in range(5)]:
         for i in range(2):
@@ -237,7 +220,7 @@ def test_clique_blowup_matches_formula():
         m = int(rng.integers(2, 5))
         g = random_simple_graph(rng, n)
         result = clique_blowup(g, m)
-        assert result.n == m * n and result.is_simple()
+        assert result.n == m * n and not result.adj.diagonal().any()
         expected = (np.kron(np.ones((m, m), dtype=int),
                             g.adj + np.eye(n, dtype=int))
                     - np.eye(m * n, dtype=int))
@@ -252,8 +235,16 @@ def test_blowup_argument_errors():
         clique_blowup(g, 0)
     with pytest.raises(ValueError):
         blowup(g, 2, max_dim=3)
+
+
+def test_construct_kinds():
+    g = path_graph(3)
+    assert construct(g, 2, "dm") == blowup(g, 2)
+    assert construct(g, 2, "dmstar") == clique_blowup(g, 2)
+    assert construct(g, 2, "t2-left") == clique_blowup(blowup(g, 2), 2)
+    assert construct(g, 2, "t2-right") == blowup(clique_blowup(g, 2), 2)
     with pytest.raises(ValueError):
-        blowup(add_loops(g), 2)
+        construct(g, 2, "t2")
 
 
 # -- named builders ------------------------------------------------------------

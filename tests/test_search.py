@@ -5,11 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from seidelkit import (PairReport, ScanConfig, complete_graph,
-                       graph_from_graph6, graph_to_graph6, report_from_json,
+from seidelkit import (DEFAULT_MAX_DIM, ScanConfig, graph_from_graph6,
                        report_to_json, scan_stream, write_report)
 from seidelkit.search import report_to_csv, report_to_text
-from conftest import jacobi_desc, seidel_of
+from conftest import (CONFIG_KEYS, ENTRY_KEYS, FAILURE_KEYS, REPORT_KEYS,
+                      SKIP_KEYS, TOTALS_KEYS, check_json_object, jacobi_desc,
+                      seidel_of)
 
 
 def test_config_validation():
@@ -18,22 +19,25 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ScanConfig(m=2, theorem=3)
     with pytest.raises(ValueError):
-        ScanConfig(m=2, parallelism=0)
+        ScanConfig(m=2, max_order=DEFAULT_MAX_DIM + 1)  # past the construction cap
+    assert ScanConfig(m=2, max_order=DEFAULT_MAX_DIM).max_order == DEFAULT_MAX_DIM
+    with pytest.raises(ValueError):
+        scan_stream(["A_"], ScanConfig(m=2), jobs=0)
     assert ScanConfig(m=2, theorem=2).order_factor == 4
 
 
 def test_empty_stream():
     report = scan_stream([], ScanConfig(m=2))
     totals = report.totals
-    assert totals.scanned == 0
+    assert totals["scanned"] == 0
     assert report.certificates == () and report.failures == ()
     assert not report.has_violations
 
 
 def test_single_k2_line_m3():
     report = scan_stream(["A_"], ScanConfig(m=3))
-    assert report.totals.scanned == 1
-    assert report.totals.certified == 1
+    assert report.totals["scanned"] == 1
+    assert report.totals["certified"] == 1
     [entry] = report.certificates
     assert entry.line == 1 and entry.kind == "certified"
     cert = entry.certificate
@@ -47,7 +51,7 @@ def test_scan_four_vertex_catalog(catalog_graphs, catalog_lines):
     assert len(lines) == 11
     config = ScanConfig(m=2, theorem=1)
     report = scan_stream(lines, config)
-    assert report.totals.scanned == 11
+    assert report.totals["scanned"] == 11
 
     # independent brute-force pass: Jacobi eigensolve on each Seidel matrix
     expected_satisfied = set()
@@ -76,15 +80,16 @@ def test_accounting_is_exact():
     ]
     report = scan_stream(lines, ScanConfig(m=2, max_order=6))
     t = report.totals
-    assert t.scanned == 6  # blank line not counted
-    assert t.parse_failed == 1
-    assert t.skipped == 1
-    assert t.hypothesis_failed == 1
-    assert t.certified == 2
-    assert t.refuted == 1
-    assert t.scanned == (t.certified + t.refuted + t.hypothesis_failed
-                         + t.parse_failed + t.skipped)
-    assert t.violations == 0
+    assert t["scanned"] == 6  # blank line not counted
+    assert t["parse_failed"] == 1
+    assert t["skipped"] == 1
+    assert t["hypothesis_failed"] == 1
+    assert t["certified"] == 2
+    assert t["refuted"] == 1
+    assert t["scanned"] == (t["certified"] + t["refuted"]
+                            + t["hypothesis_failed"] + t["parse_failed"]
+                            + t["skipped"])
+    assert t["violations"] == 0
     [failure] = report.failures
     assert failure.line == 2 and failure.error
     [skip] = report.skipped
@@ -95,17 +100,29 @@ def test_accounting_is_exact():
 
 def test_scan_deterministic_across_parallelism(catalog_lines):
     lines = catalog_lines[:60]
-    serial = scan_stream(lines, ScanConfig(m=2, parallelism=1))
-    parallel = scan_stream(lines, ScanConfig(m=2, parallelism=3))
+    serial = scan_stream(lines, ScanConfig(m=2), jobs=1)
+    parallel = scan_stream(lines, ScanConfig(m=2), jobs=3)
     assert report_to_json(serial) == report_to_json(parallel)
-    again = scan_stream(lines, ScanConfig(m=2, parallelism=1))
+    again = scan_stream(lines, ScanConfig(m=2), jobs=1)
     assert report_to_json(serial) == report_to_json(again)
 
 
 def test_report_json_round_trip():
-    report = scan_stream(["A_", "junk", "Bw"], ScanConfig(m=2, exact_verify=True))
-    restored = report_from_json(report_to_json(report))
-    assert restored == report
+    lines = ["A_", "junk", "Bw", "C~"]
+    config = ScanConfig(m=2, max_order=6, exact_verify=True)
+    report = scan_stream(lines, config)
+    doc = json.loads(report_to_json(report))
+    assert set(doc) == REPORT_KEYS
+    check_json_object(doc["config"], config, CONFIG_KEYS)
+    assert set(doc["totals"]) == TOTALS_KEYS
+    assert doc["totals"] == report.totals
+    assert len(doc["certificates"]) == 2
+    for entry_doc, entry in zip(doc["certificates"], report.certificates):
+        check_json_object(entry_doc, entry, ENTRY_KEYS)
+    [failure_doc] = doc["failures"]
+    check_json_object(failure_doc, report.failures[0], FAILURE_KEYS)
+    [skip_doc] = doc["skipped"]
+    check_json_object(skip_doc, report.skipped[0], SKIP_KEYS)
 
 
 def test_report_json_shape_empty():
@@ -136,8 +153,8 @@ def test_report_text_format():
 def test_write_report_to_file(tmp_path):
     report = scan_stream(["A_"], ScanConfig(m=2))
     out = tmp_path / "report.json"
-    write_report(report, "json", out)
-    assert report_from_json(out.read_text()) == report
+    text = write_report(report, "json", out)
+    assert out.read_text() == text == report_to_json(report)
     with pytest.raises(ValueError):
         write_report(report, "yaml")
 

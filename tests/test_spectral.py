@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from seidelkit import (ConvergenceError, IntPolynomial, adjacency_matrix,
-                       add_loops, charpoly_exact, classify_inertia,
-                       complement, complete_graph, cycle_graph, empty_graph,
-                       path_graph, seidel_energy, seidel_inertia,
-                       seidel_matrix, seidel_spectrum, spectrum_from_values,
-                       sym_eigenvalues)
+from seidelkit import (ConvergenceError, IntPolynomial, charpoly_exact,
+                       classify_inertia, complement, complete_graph,
+                       cycle_graph, empty_graph, path_graph, seidel_energy,
+                       seidel_inertia, seidel_matrix, seidel_spectrum,
+                       spectrum_from_values, sym_eigenvalues)
 from seidelkit.cli import run
 from seidelkit.spectral import integer_root_multiplicity
 from conftest import (JacobiConvergenceError, jacobi_desc, poly_mul,
@@ -20,12 +19,8 @@ from conftest import (JacobiConvergenceError, jacobi_desc, poly_mul,
 # -- matrices ------------------------------------------------------------------
 
 def test_adjacency_matrix_basics():
-    assert np.array_equal(adjacency_matrix(complete_graph(2)),
-                          np.array([[0, 1], [1, 0]]))
-    assert not adjacency_matrix(empty_graph(4)).any()
-    # loop-completed complete graph -> all-ones matrix
-    assert np.array_equal(adjacency_matrix(add_loops(complete_graph(3))),
-                          np.ones((3, 3), dtype=np.int64))
+    assert np.array_equal(complete_graph(2).adj, np.array([[0, 1], [1, 0]]))
+    assert not empty_graph(4).adj.any()
 
 
 def test_seidel_matrix_identity():
@@ -34,7 +29,7 @@ def test_seidel_matrix_identity():
         g = random_simple_graph(rng, int(rng.integers(1, 12)))
         n = g.n
         expected = (np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
-                    - 2 * adjacency_matrix(g))
+                    - 2 * g.adj.astype(np.int64))
         s = seidel_matrix(g)
         assert np.array_equal(s, expected)
         assert not s.diagonal().any()
@@ -55,11 +50,6 @@ def test_seidel_matrix_negates_under_complement():
     for _ in range(15):
         g = random_simple_graph(rng, int(rng.integers(2, 12)))
         assert np.array_equal(seidel_matrix(complement(g)), -seidel_matrix(g))
-
-
-def test_seidel_matrix_rejects_loops():
-    with pytest.raises(ValueError):
-        seidel_matrix(add_loops(empty_graph(2)))
 
 
 # -- eigensolver ----------------------------------------------------------------

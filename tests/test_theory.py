@@ -6,18 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from seidelkit import (Certificate, ClosedFormSpectrum, blowup,
-                       blowup_seidel_spectrum, certify, certify_blowup_pair,
-                       certify_composed_pair, check_cospectral,
-                       charpoly_exact, check_equienergetic, check_hypothesis,
+from seidelkit import (ClosedFormSpectrum, blowup, blowup_seidel_spectrum,
+                       certify, check_cospectral, charpoly_exact,
+                       check_equienergetic, check_hypothesis,
                        clique_blowup, clique_blowup_seidel_spectrum,
                        complement, complete_graph,
                        composed_blowup_seidel_spectra, cycle_graph,
                        empty_graph, hypothesis_from_spectrum, path_graph,
-                       seidel_matrix, seidel_spectrum, spectrum_from_values)
+                       seidel_matrix, seidel_spectrum, spectrum_from_values,
+                       to_plain)
+from seidelkit.cli import run
 from seidelkit.spectral import integer_root_multiplicity
 from seidelkit.theory import _exact_padding_ok, _padding_eigenvectors
-from conftest import random_simple_graph
+from conftest import CERTIFICATE_KEYS, check_json_object, random_simple_graph
 
 
 # -- closed-form spectra -------------------------------------------------------
@@ -206,7 +207,7 @@ def test_hypothesis_power_two_bound():
 
 def test_certify_k2_family():
     for m in range(2, 6):
-        cert = certify_blowup_pair(complete_graph(2), m)
+        cert = certify(complete_graph(2), m, 1)
         assert cert.hypothesis.satisfied
         assert cert.equienergetic and not cert.cospectral
         assert abs(cert.energy_a - (4 * m - 2)) < 1e-8
@@ -222,7 +223,7 @@ def test_certify_k2_family():
 
 
 def test_certify_k3_refutation_direction():
-    cert = certify_blowup_pair(complete_graph(3), 2)
+    cert = certify(complete_graph(3), 2, 1)
     assert cert.hypothesis.bound_met()
     assert not cert.hypothesis.balanced
     assert abs(cert.energy_a - 12.0) < 1e-8
@@ -234,14 +235,14 @@ def test_certify_k3_refutation_direction():
 
 
 def test_certify_k1_records_failed_hypothesis():
-    cert = certify_blowup_pair(empty_graph(1), 2)
+    cert = certify(empty_graph(1), 2, 1)
     assert not cert.hypothesis.satisfied
     assert not cert.hypothesis.bound_met()
     assert not cert.theorem_violation  # no assertion outside the hypothesis
 
 
 def test_certify_composed_k2():
-    cert = certify_composed_pair(complete_graph(2), 2)
+    cert = certify(complete_graph(2), 2, 2)
     assert cert.theorem == 2
     assert cert.spectrum_a.n == 8 == cert.spectrum_b.n
     assert abs(cert.energy_a - 18.0) < 1e-8
@@ -256,7 +257,7 @@ def test_certify_composed_k3():
     # substitution oracle: sigma = {1, 1, -2}, m = 2
     #   sum |4s + 1| = 5 + 5 + 7 = 17, padding 3*|1-2m| + 6*1 = 9 + 6
     #   sum |4s - 1| = 3 + 3 + 9 = 15, padding 3*|2m-1| + 6*1 = 9 + 6
-    cert = certify_composed_pair(complete_graph(3), 2)
+    cert = certify(complete_graph(3), 2, 2)
     assert abs(cert.energy_a - 32.0) < 1e-8
     assert abs(cert.energy_b - 30.0) < 1e-8
     assert not cert.equienergetic
@@ -275,7 +276,7 @@ def test_certify_dispatch():
 
 def test_certify_verifies_exact_multiplicities_at_order_400():
     g = random_simple_graph(np.random.default_rng(400), 200)
-    cert = certify_blowup_pair(g, 2)
+    cert = certify(g, 2, 1)
     assert cert.closed_form_agrees
     assert cert.exact_multiplicities_verified is True
 
@@ -352,14 +353,19 @@ def test_exact_padding_check_needs_enough_independent_vectors(power):
             assert not _exact_padding_ok(s, [(value, mult)], [doubled])
 
 
-def test_certificate_json_round_trip():
-    cert = certify_blowup_pair(complete_graph(3), 2)
-    restored = Certificate.from_dict(json.loads(json.dumps(cert.to_dict())))
-    assert restored == cert
+def test_certificate_json_round_trip(capsys):
+    cert = certify(complete_graph(3), 2, 1)
+    doc = json.loads(json.dumps(to_plain(cert)))
+    check_json_object(doc, cert, CERTIFICATE_KEYS)
+
+    # the certify command emits the same certificate format
+    assert run(["certify", "--theorem", "2", "--m", "2", "Bw"]) == 0
+    check_json_object(json.loads(capsys.readouterr().out),
+                      certify(complete_graph(3), 2, 2), CERTIFICATE_KEYS)
 
 
 def test_certificate_text_rendering():
-    cert = certify_blowup_pair(complete_graph(2), 2)
+    cert = certify(complete_graph(2), 2, 1)
     text = cert.render_text()
     assert "equienergetic=True" in text
     assert "A_" in text
@@ -386,7 +392,7 @@ def test_equivalence_both_directions_on_catalog(catalog_graphs):
         rep = check_hypothesis(g, m)
         if not rep.bound_met():
             continue
-        cert = certify_blowup_pair(g, m, exact=False)
+        cert = certify(g, m, 1, exact=False)
         assert not cert.theorem_violation
         if rep.satisfied:
             assert cert.equienergetic
