@@ -12,18 +12,17 @@ plus the :mod:`seidelkit.cli` front end (``seidelkit`` console script).
 
 __version__ = "0.1.0"
 
-from .graphs import (DEFAULT_MAX_DIM, Graph, Graph6Error, blowup,
+from .graphs import (DEFAULT_MAX_DIM, KINDS, Graph, Graph6Error, blowup,
                      clique_blowup, complement, complete_graph, construct,
                      cycle_graph, empty_graph, graph_from_edges,
                      graph_from_graph6, graph_to_graph6, path_graph)
 from .spectral import (GROUP_TOL, NUM_TOL, ZERO_TOL, ConvergenceError,
                        Inertia, IntPolynomial, Spectrum, charpoly_exact,
-                       classify_inertia, format_values_grouped, seidel_energy,
-                       seidel_inertia, seidel_matrix, seidel_spectrum,
-                       spectrum_from_values, sym_eigenvalues)
+                       classify_inertia, seidel_energy, seidel_inertia,
+                       seidel_matrix, seidel_spectrum, spectrum_from_values,
+                       sym_eigenvalues)
 from .theory import (ENERGY_TOL, Certificate, ClosedFormSpectrum,
                      HypothesisReport, blowup_seidel_spectrum, certify,
-                     check_cospectral, check_equienergetic, check_hypothesis,
                      clique_blowup_seidel_spectrum, compare_spectra,
                      composed_blowup_seidel_spectra, hypothesis_from_spectrum)
 from .search import (NUMERIC_MAX_ORDER, PairReport, ScanConfig, ScanEntry,

@@ -16,8 +16,8 @@ import os
 import sys
 
 from . import __version__
-from .graphs import (DEFAULT_MAX_DIM, Graph6Error, complement, construct,
-                     graph_from_graph6, graph_to_graph6)
+from .graphs import (DEFAULT_MAX_DIM, KINDS, Graph6Error, complement,
+                     construct, graph_from_graph6, graph_to_graph6)
 from .spectral import (ConvergenceError, charpoly_exact, seidel_inertia,
                        seidel_matrix, seidel_spectrum)
 from .search import (NUMERIC_MAX_ORDER, ScanConfig, scan_stream, to_plain,
@@ -77,13 +77,14 @@ def _build_parser() -> _Parser:
 
     p = graph_command("construct", "build a blow-up graph, print its graph6")
     which = p.add_mutually_exclusive_group(required=True)
-    for kind, help_text in [
-            ("dm", "independent blow-up (order m*n)"),
-            ("dmstar", "clique blow-up (order m*n)"),
-            ("t2-left", "clique blow-up of the independent blow-up (order m^2*n)"),
-            ("t2-right", "independent blow-up of the clique blow-up (order m^2*n)")]:
+    for kind, steps in KINDS.items():
+        # e.g. "clique blow-up of the independent blow-up (order m^2*n)"
+        names = [("clique" if clique else "independent") + " blow-up"
+                 for clique in reversed(steps)]
+        order = "m*n" if len(steps) == 1 else f"m^{len(steps)}*n"
         which.add_argument(f"--{kind}", dest="kind", action="store_const",
-                           const=kind, help=help_text)
+                           const=kind,
+                           help=f"{' of the '.join(names)} (order {order})")
     p.add_argument("--m", type=int, required=True, help="multiplicity, >= 2")
 
     p = graph_command("closed-form", "predicted blow-up spectrum from the input spectrum")

@@ -11,8 +11,9 @@ The two product constructions replace every vertex by m "twin" copies:
 * ``clique_blowup(g, m)`` -- twins form cliques; the adjacency matrix is
                              J_m (x) (A + I) - I.
 
-Both return simple graphs on m*n vertices.  ``construct(g, m, kind)`` builds
-either of them or one of the two composed double blow-ups by name.
+Both return simple graphs on m*n vertices.  ``KINDS`` names the four
+constructions the certificates compare, each a sequence of these twin
+steps, and ``construct(g, m, kind)`` builds one of them by name.
 """
 
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ __all__ = [
     "complement",
     "blowup",
     "clique_blowup",
+    "KINDS",
     "construct",
     "empty_graph",
     "complete_graph",
@@ -261,23 +263,30 @@ def clique_blowup(g: Graph, m: int, max_dim: int = DEFAULT_MAX_DIM) -> Graph:
     return Graph(adj - np.eye(m * g.n, dtype=np.int8))
 
 
+# Twin steps of each construction kind, innermost first: False adds
+# independent twins (blowup), True clique twins (clique_blowup).
+KINDS = {
+    "dm": (False,),
+    "dmstar": (True,),
+    "t2-left": (False, True),
+    "t2-right": (True, False),
+}
+
+
 def construct(g: Graph, m: int, kind: str,
               max_dim: int = DEFAULT_MAX_DIM) -> Graph:
     """Build one blow-up construction of g, selected by ``kind``.
 
-    "dm" is blowup(g, m) and "dmstar" clique_blowup(g, m), both of order
+    Applies the twin steps ``KINDS[kind]`` in order, each at multiplicity
+    m: "dm" is blowup(g, m) and "dmstar" clique_blowup(g, m), both of order
     m*n; "t2-left" is clique_blowup(blowup(g, m), m) and "t2-right"
     blowup(clique_blowup(g, m), m), both of order m^2*n.
     """
-    if kind == "dm":
-        return blowup(g, m, max_dim)
-    if kind == "dmstar":
-        return clique_blowup(g, m, max_dim)
-    if kind == "t2-left":
-        return clique_blowup(blowup(g, m, max_dim), m, max_dim)
-    if kind == "t2-right":
-        return blowup(clique_blowup(g, m, max_dim), m, max_dim)
-    raise ValueError(f"unknown construction kind: {kind!r}")
+    if kind not in KINDS:
+        raise ValueError(f"unknown construction kind: {kind!r}")
+    for clique in KINDS[kind]:
+        g = (clique_blowup if clique else blowup)(g, m, max_dim)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -306,5 +315,7 @@ def cycle_graph(n: int) -> Graph:
 def graph_from_edges(n: int, edges) -> Graph:
     adj = np.zeros((n, n), dtype=np.int8)
     for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) has a vertex outside 0..{n - 1}")
         adj[u, v] = adj[v, u] = 1
     return Graph(adj)

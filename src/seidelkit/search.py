@@ -17,6 +17,7 @@ Accounting invariant, enforced by construction:
 import csv
 import io
 import json
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
@@ -163,7 +164,9 @@ def scan_stream(lines, config: ScanConfig, jobs: int = 1) -> PairReport:
              if line.strip()]
 
     worker = partial(_scan_one, config)
-    if jobs > 1 and len(tasks) > 1:
+    # every worker starts up front, so start no more than can be kept busy
+    jobs = min(jobs, len(tasks), os.cpu_count() or 1)
+    if jobs > 1:
         # about four chunks per worker: few enough that the per-chunk
         # pickling cost stays small next to sub-millisecond lines
         chunksize = -(-len(tasks) // (4 * jobs))

@@ -39,7 +39,6 @@ __all__ = [
     "seidel_inertia",
     "classify_inertia",
     "charpoly_exact",
-    "format_values_grouped",
 ]
 
 NUM_TOL = 1e-9
@@ -114,12 +113,6 @@ def _fmt_value(v: float, digits: int = 12) -> str:
     if abs(v - round(v)) <= NUM_TOL * max(1.0, abs(v)):
         return str(int(round(v)))
     return f"{v:.{digits}g}"
-
-
-def format_values_grouped(values, group_tol: float = GROUP_TOL,
-                          digits: int = 12) -> str:
-    """Render any eigenvalue list in multiplicity-power notation."""
-    return spectrum_from_values(values, group_tol).format_grouped(digits)
 
 
 def _cluster(values_desc: np.ndarray, group_tol: float):
@@ -222,13 +215,6 @@ class IntPolynomial:
         acc = self.coefficients[0]
         for c in self.coefficients[1:]:
             acc = acc * x + c
-        return acc
-
-    def derivative_at(self, x):
-        n = self.degree
-        acc = 0
-        for k, c in enumerate(self.coefficients[:-1]):
-            acc = acc * x + (n - k) * c
         return acc
 
     def format_text(self, var: str = "x") -> str:

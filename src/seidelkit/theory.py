@@ -1,15 +1,10 @@
 """Closed-form Seidel spectra of the blow-up families and pair certification.
 
-For a graph G with Seidel eigenvalues s_1..s_n the two blow-ups have fully
-explicit Seidel spectra:
-
-* independent blow-up (order mn):   {m*s_i + (m-1)}  union  {-1 ^ (mn-n)}
-* clique blow-up      (order mn):   {m*s_i - (m-1)}  union  {+1 ^ (mn-n)}
-
-and composing one construction with the other (order m^2 n):
-
-* clique_blowup(blowup(G,m),m):   {m^2*s_i + (m-1)^2} u {(1-2m)^(mn-n)} u {1^(m^2 n - mn)}
-* blowup(clique_blowup(G,m),m):   {m^2*s_i - (m-1)^2} u {(2m-1)^(mn-n)} u {-1^(m^2 n - mn)}
+Each construction in ``graphs.KINDS`` is a sequence of twin steps.  A step
+at multiplicity m maps every Seidel eigenvalue s to m*s + (m-1) for
+independent twins, padding with -1, or to m*s - (m-1) for clique twins,
+padding with +1 (``_closed_form`` composes the steps; README.md tabulates
+the four results).
 
 Both members of each pair share the same spectrum sum, and whenever every
 |s_i| clears the bound ((m-1)/m for the single constructions, its square
@@ -21,7 +16,7 @@ a constant of fixed sign:
 so the pair is equienergetic exactly when G has equally many positive and
 negative Seidel eigenvalues and none at zero.  ``certify`` checks that
 equivalence instance by instance, in both directions, against numeric
-spectra, the closed forms above, and, at every order, exact integer
+spectra, their closed forms, and, at every order, exact integer
 eigenvectors of the padding eigenvalues.
 """
 
@@ -30,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DEFAULT_MAX_DIM, Graph, construct, graph_to_graph6
+from .graphs import DEFAULT_MAX_DIM, KINDS, Graph, construct, graph_to_graph6
 from .spectral import (GROUP_TOL, NUM_TOL, ZERO_TOL, Inertia, Spectrum,
                        classify_inertia, seidel_matrix, seidel_spectrum,
                        spectrum_from_values, sym_eigenvalues)
@@ -43,10 +38,7 @@ __all__ = [
     "blowup_seidel_spectrum",
     "clique_blowup_seidel_spectrum",
     "composed_blowup_seidel_spectra",
-    "check_equienergetic",
-    "check_cospectral",
     "compare_spectra",
-    "check_hypothesis",
     "hypothesis_from_spectrum",
     "certify",
 ]
@@ -102,55 +94,44 @@ class ClosedFormSpectrum:
         return self.as_spectrum().format_grouped(digits)
 
 
-def _check_closed_form_args(sigma: Spectrum, m: int, n: int) -> None:
+def _closed_form(sigma: Spectrum, m: int, n: int, kind: str) -> ClosedFormSpectrum:
+    """Closed form of construct(G, m, kind) from the spectrum of G.
+
+    Each twin step maps S to J_m (x) (S + eps I) - eps I, with eps = +1 for
+    independent and -1 for clique twins: every eigenvalue v, mapped or
+    padding, becomes m*v + eps(m-1), and the step adds -eps with
+    multiplicity (m-1) times the order before it.  The affine maps compose
+    into one integer scale and shift, applied once per source eigenvalue.
+    """
     if sigma.n != n:
         raise ValueError(f"spectrum has {sigma.n} values, expected {n}")
     if m < 2:
         raise ValueError(f"blow-up multiplicity must be >= 2, got {m}")
+    scale, shift, padding, order = 1, 0, [], n
+    for clique in KINDS[kind]:
+        eps = -1 if clique else 1
+        padding = [(m * v + eps * (m - 1), mult) for v, mult in padding]
+        padding.append((-eps, (m - 1) * order))
+        scale, shift, order = m * scale, m * shift + eps * (m - 1), m * order
+    return ClosedFormSpectrum(tuple(scale * s + shift for s in sigma.values),
+                              tuple(padding), m, order)
 
 
 def blowup_seidel_spectrum(sigma: Spectrum, m: int, n: int) -> ClosedFormSpectrum:
-    """Seidel spectrum of blowup(G, m) from the spectrum of G.
-
-    Each source eigenvalue s maps to m*s + (m-1); the remaining mn - n
-    eigenvalues are all -1.
-    """
-    _check_closed_form_args(sigma, m, n)
-    mapped = tuple(m * s + (m - 1) for s in sigma.values)
-    return ClosedFormSpectrum(mapped, ((-1, m * n - n),), m, m * n)
+    """Seidel spectrum of blowup(G, m): s -> m*s + (m-1), padded with -1."""
+    return _closed_form(sigma, m, n, "dm")
 
 
 def clique_blowup_seidel_spectrum(sigma: Spectrum, m: int, n: int) -> ClosedFormSpectrum:
-    """Seidel spectrum of clique_blowup(G, m): s -> m*s - (m-1), padded with +1.
-
-    The padding multiplicity is mn - n, forced by the dimension count
-    (n mapped values plus padding must total mn).
-    """
-    _check_closed_form_args(sigma, m, n)
-    mapped = tuple(m * s - (m - 1) for s in sigma.values)
-    return ClosedFormSpectrum(mapped, ((1, m * n - n),), m, m * n)
+    """Seidel spectrum of clique_blowup(G, m): s -> m*s - (m-1), padded with +1."""
+    return _closed_form(sigma, m, n, "dmstar")
 
 
 def composed_blowup_seidel_spectra(sigma: Spectrum, m: int,
                                    n: int) -> tuple[ClosedFormSpectrum, ClosedFormSpectrum]:
-    """Closed forms for the two mixed double blow-ups of order m^2 n.
-
-    Returns (clique_blowup(blowup(G,m),m), blowup(clique_blowup(G,m),m)):
-    the first maps s -> m^2 s + (m-1)^2 with padding {(1-2m)^(mn-n),
-    1^(m^2 n - mn)}, the second mirrors every sign.
-    """
-    _check_closed_form_args(sigma, m, n)
-    shift = (m - 1) ** 2
-    inner_pad = m * n - n
-    outer_pad = m * m * n - m * n
-    order = m * m * n
-    first = ClosedFormSpectrum(
-        tuple(m * m * s + shift for s in sigma.values),
-        ((1 - 2 * m, inner_pad), (1, outer_pad)), m, order)
-    second = ClosedFormSpectrum(
-        tuple(m * m * s - shift for s in sigma.values),
-        ((2 * m - 1, inner_pad), (-1, outer_pad)), m, order)
-    return first, second
+    """Closed forms of clique_blowup(blowup(G,m),m) and blowup(clique_blowup(G,m),m)."""
+    return (_closed_form(sigma, m, n, "t2-left"),
+            _closed_form(sigma, m, n, "t2-right"))
 
 
 # ---------------------------------------------------------------------------
@@ -169,22 +150,6 @@ def compare_spectra(s1: Spectrum, s2: Spectrum, energy_tol: float = ENERGY_TOL,
     delta = abs(e1 - s2.energy())
     return (delta <= energy_tol * max(1.0, e1), delta,
             _values_close(s1.values, s2.values, num_tol))
-
-
-def check_equienergetic(g1: Graph, g2: Graph,
-                        energy_tol: float = ENERGY_TOL) -> tuple[bool, float]:
-    """Compare Seidel energies; returns (verdict, absolute difference)."""
-    equal, delta, _ = compare_spectra(seidel_spectrum(g1), seidel_spectrum(g2),
-                                      energy_tol)
-    return equal, delta
-
-
-def check_cospectral(g1: Graph, g2: Graph, num_tol: float = NUM_TOL) -> bool:
-    """True when both Seidel spectra agree elementwise after sorting."""
-    if g1.n != g2.n:
-        return False
-    return compare_spectra(seidel_spectrum(g1), seidel_spectrum(g2),
-                           num_tol=num_tol)[2]
 
 
 def _values_close(a, b, tol: float) -> bool:
@@ -237,12 +202,6 @@ def hypothesis_from_spectrum(sigma: Spectrum, m: int, power: int = 1,
         m=m, bound=bound, min_abs_eigenvalue=min_abs,
         balanced=inertia.balanced, inertia=inertia, satisfied=satisfied,
         margin=margin, boundary=abs(margin) <= zero_tol)
-
-
-def check_hypothesis(g: Graph, m: int, power: int = 1,
-                     zero_tol: float = ZERO_TOL) -> HypothesisReport:
-    """Hypothesis report for a graph: bound ((m-1)/m)**power plus balance."""
-    return hypothesis_from_spectrum(seidel_spectrum(g), m, power, zero_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -302,26 +261,28 @@ class Certificate:
         return "\n".join(lines)
 
 
-def _padding_eigenvectors(n: int, m: int, power: int):
-    """Explicit integer eigenvectors of each closed-form padding block.
+def _padding_eigenvectors(n: int, m: int, steps: int):
+    """Explicit integer eigenvectors of each padding block of a construction
+    of ``steps`` twin steps on G of order n, in the closed form's block order.
 
-    In np.kron(J_m, X) vertex k*n + v is copy k of vertex v, so the twin
-    differences e_v - e_{kn+v} are eigenvectors for -1 (blowup) or +1
-    (clique_blowup).  The composed pairs take the outer twin differences
-    for their +-1 block, and lift the inner ones to 1_m (x) (e_v - e_{kn+v})
-    for the (1-2m) and (2m-1) blocks.  Each block is (supports, signs): row
-    j of supports lists the coordinates of vector j, and signs its entries.
+    Vertex k*N + v of a twin step's result is copy k of vertex v of its
+    order-N input (np.kron(J_m, X)).  Each step lifts the earlier blocks'
+    vectors x to 1_m (x) x and adds its twin differences e_v - e_{kN+v},
+    eigenvectors for -1 (independent) or +1 (clique twins).  The vectors do
+    not depend on the twin type, so both members of a pair share them.  A
+    block is (supports, signs): row j of supports lists the coordinates of
+    vector j, and signs its entries.
     """
-    def twins(order):
-        return np.stack([np.tile(np.arange(order), m - 1),
-                         np.arange(order, m * order)], axis=1)
-
-    signs = np.array([1, -1])
-    if power == 1:
-        return [(twins(n), signs)]
-    lifted = twins(n)[:, None, :] + m * n * np.arange(m)[:, None]
-    return [(lifted.reshape(m * n - n, -1), np.tile(signs, m)),
-            (twins(m * n), signs)]
+    blocks, order = [], n
+    for _ in range(steps):
+        copies = order * np.arange(m)[:, None]
+        blocks = [((supports[:, None, :] + copies).reshape(len(supports), -1),
+                   np.tile(signs, m)) for supports, signs in blocks]
+        blocks.append((np.stack([np.tile(np.arange(order), m - 1),
+                                 np.arange(order, m * order)], axis=1),
+                       np.array([1, -1])))
+        order *= m
+    return blocks
 
 
 def _exact_padding_ok(s: np.ndarray, padding, vectors) -> bool:
@@ -353,8 +314,9 @@ def _solve_member(graph: Graph, padding, vectors):
     return spectrum, vectors is not None and _exact_padding_ok(s, padding, vectors)
 
 
-# construction kinds (see graphs.construct) of the two members, per theorem
-_MEMBERS = {1: ("dm", "dmstar"), 2: ("t2-left", "t2-right")}
+# the two members of pair theorem t: the construction kinds of t twin steps
+_MEMBERS = {t: tuple(kind for kind, steps in KINDS.items() if len(steps) == t)
+            for t in (1, 2)}
 
 
 def certify(g: Graph, m: int, theorem: int, exact: bool = True,
@@ -370,26 +332,22 @@ def certify(g: Graph, m: int, theorem: int, exact: bool = True,
     the base spectrum ``sigma`` and the hypothesis report at the same m
     and theorem passes them in to avoid a re-solve.
     """
-    if theorem not in (1, 2):
+    if theorem not in _MEMBERS:
         raise ValueError("theorem must be 1 or 2")
     if sigma is None:
         sigma = seidel_spectrum(g)
     hyp = hypothesis or hypothesis_from_spectrum(sigma, m, theorem)
-    n = g.n
 
-    if theorem == 1:
-        closed_a = blowup_seidel_spectrum(sigma, m, n)
-        closed_b = clique_blowup_seidel_spectrum(sigma, m, n)
-    else:
-        closed_a, closed_b = composed_blowup_seidel_spectra(sigma, m, n)
-
-    kind_a, kind_b = _MEMBERS[theorem]
-    vectors = _padding_eigenvectors(n, m, theorem) if exact else None
-    spec_a, exact_a = _solve_member(construct(g, m, kind_a, max_dim),
-                                    closed_a.padding, vectors)
-    spec_b, exact_b = _solve_member(construct(g, m, kind_b, max_dim),
-                                    closed_b.padding, vectors)
-    exact_ok = (exact_a and exact_b) if exact else None
+    vectors = _padding_eigenvectors(g.n, m, theorem) if exact else None
+    closed, spectra, exact_ok = [], [], exact or None
+    for kind in _MEMBERS[theorem]:
+        cf = _closed_form(sigma, m, g.n, kind)
+        spectrum, member_ok = _solve_member(construct(g, m, kind, max_dim),
+                                            cf.padding, vectors)
+        closed.append(cf)
+        spectra.append(spectrum)
+        exact_ok = exact_ok and member_ok
+    (closed_a, closed_b), (spec_a, spec_b) = closed, spectra
     equienergetic, delta, cospectral = compare_spectra(spec_a, spec_b)
     agrees = (_values_close(spec_a.values, closed_a.values(), NUM_TOL)
               and _values_close(spec_b.values, closed_b.values(), NUM_TOL))

@@ -249,6 +249,14 @@ def test_construct_kinds():
 
 # -- named builders ------------------------------------------------------------
 
+def test_graph_from_edges_rejects_out_of_range_vertices():
+    # a negative index would otherwise wrap around to a real vertex
+    for edge in [(0, -1), (-3, 1), (0, 3), (3, 3)]:
+        with pytest.raises(ValueError):
+            graph_from_edges(3, [edge])
+    assert graph_from_edges(3, [(0, 2)]).edge_count == 1
+
+
 def test_named_builders():
     assert path_graph(3).edge_count == 2
     assert cycle_graph(4).edge_count == 4

@@ -1,12 +1,14 @@
 """Catalog scanning, accounting, determinism, and report format tests."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 from seidelkit import (DEFAULT_MAX_DIM, ScanConfig, graph_from_graph6,
                        report_to_json, scan_stream, write_report)
+from seidelkit import search
 from seidelkit.search import report_to_csv, report_to_text
 from conftest import (CONFIG_KEYS, ENTRY_KEYS, FAILURE_KEYS, REPORT_KEYS,
                       SKIP_KEYS, TOTALS_KEYS, check_json_object, jacobi_desc,
@@ -105,6 +107,37 @@ def test_scan_deterministic_across_parallelism(catalog_lines):
     assert report_to_json(serial) == report_to_json(parallel)
     again = scan_stream(lines, ScanConfig(m=2), jobs=1)
     assert report_to_json(serial) == report_to_json(again)
+
+
+def test_scan_starts_no_more_workers_than_cpus_or_lines(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor; runs the work in-process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    lines = ["A_", "Bw", "junk", "C~", "Bo", "@"]
+    serial = report_to_json(scan_stream(lines, ScanConfig(m=2)))
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    report = scan_stream(lines, ScanConfig(m=2), jobs=100_000)
+    assert report_to_json(report) == serial
+    scan_stream(lines[:3], ScanConfig(m=2), jobs=100_000)
+    assert started == [4, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: serial
+    assert report_to_json(scan_stream(lines, ScanConfig(m=2), jobs=8)) == serial
+    assert started == [4, 3]
 
 
 def test_report_json_round_trip():

@@ -6,19 +6,21 @@ import math
 import numpy as np
 import pytest
 
-from seidelkit import (ClosedFormSpectrum, blowup, blowup_seidel_spectrum,
-                       certify, check_cospectral, charpoly_exact,
-                       check_equienergetic, check_hypothesis,
+from hypothesis import given, settings, strategies as st
+
+from seidelkit import (KINDS, ClosedFormSpectrum, Graph, blowup,
+                       blowup_seidel_spectrum, certify, charpoly_exact,
                        clique_blowup, clique_blowup_seidel_spectrum,
-                       complement, complete_graph,
-                       composed_blowup_seidel_spectra, cycle_graph,
+                       compare_spectra, complement, complete_graph,
+                       composed_blowup_seidel_spectra, construct, cycle_graph,
                        empty_graph, hypothesis_from_spectrum, path_graph,
                        seidel_matrix, seidel_spectrum, spectrum_from_values,
                        to_plain)
 from seidelkit.cli import run
 from seidelkit.spectral import integer_root_multiplicity
 from seidelkit.theory import _exact_padding_ok, _padding_eigenvectors
-from conftest import CERTIFICATE_KEYS, check_json_object, random_simple_graph
+from conftest import (CERTIFICATE_KEYS, check_json_object, jacobi_desc,
+                      random_simple_graph)
 
 
 # -- closed-form spectra -------------------------------------------------------
@@ -118,6 +120,49 @@ def test_composed_spectra_multiplicity_telescope():
             assert total == m * m * n == cf.order
 
 
+# README "The constructions", written out by hand: kind -> (s -> mapped
+# value, padding blocks) for a source graph of order n
+def _readme_table(m, n):
+    return {
+        "dm": (lambda s: m * s + (m - 1), ((-1, m * n - n),)),
+        "dmstar": (lambda s: m * s - (m - 1), ((1, m * n - n),)),
+        "t2-left": (lambda s: m * m * s + (m - 1) ** 2,
+                    ((1 - 2 * m, m * n - n), (1, m * m * n - m * n))),
+        "t2-right": (lambda s: m * m * s - (m - 1) ** 2,
+                     ((2 * m - 1, m * n - n), (-1, m * m * n - m * n))),
+    }
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 5))
+    bits = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                         max_size=n * (n - 1) // 2))
+    adj = np.zeros((n, n), dtype=np.int8)
+    adj[np.triu_indices(n, 1)] = bits
+    return Graph(adj | adj.T)
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(small_graphs())
+def test_closed_forms_match_readme_table_and_jacobi(g):
+    sigma = seidel_spectrum(g)
+    for m in (2, 3):
+        left, right = composed_blowup_seidel_spectra(sigma, m, g.n)
+        closed = {"dm": blowup_seidel_spectrum(sigma, m, g.n),
+                  "dmstar": clique_blowup_seidel_spectrum(sigma, m, g.n),
+                  "t2-left": left, "t2-right": right}
+        table = _readme_table(m, g.n)
+        assert set(closed) == set(table) == set(KINDS)
+        for kind, cf in closed.items():
+            mapped, padding = table[kind]
+            assert cf.mapped == tuple(mapped(s) for s in sigma.values)
+            assert cf.padding == padding
+            # the independent path: Jacobi on the constructed graph
+            oracle = jacobi_desc(seidel_matrix(construct(g, m, kind)))
+            assert np.allclose(cf.values(), oracle, atol=1e-8)
+
+
 def test_spectrum_sums_agree_between_constructions():
     # both single blow-ups share the spectrum sum m * sum(sigma)
     rng = np.random.default_rng(43)
@@ -137,7 +182,8 @@ def test_spectrum_sums_agree_between_constructions():
 # -- pairwise checks -------------------------------------------------------------
 
 def test_equienergetic_k3_p3():
-    equal, delta = check_equienergetic(complete_graph(3), path_graph(3))
+    equal, delta, _ = compare_spectra(seidel_spectrum(complete_graph(3)),
+                                      seidel_spectrum(path_graph(3)))
     assert equal and delta < 1e-9
 
 
@@ -145,29 +191,34 @@ def test_equienergetic_with_complement():
     rng = np.random.default_rng(47)
     for _ in range(8):
         g = random_simple_graph(rng, int(rng.integers(2, 10)))
-        equal, delta = check_equienergetic(g, complement(g))
+        equal, delta, _ = compare_spectra(seidel_spectrum(g),
+                                          seidel_spectrum(complement(g)))
         assert equal and delta < 1e-8
 
 
 def test_not_equienergetic_k2_k3():
-    equal, delta = check_equienergetic(complete_graph(2), complete_graph(3))
+    equal, delta, _ = compare_spectra(seidel_spectrum(complete_graph(2)),
+                                      seidel_spectrum(complete_graph(3)))
     assert not equal
     assert abs(delta - 2.0) < 1e-9
 
 
 def test_cospectral_checks():
+    def cospectral(g1, g2):
+        return compare_spectra(seidel_spectrum(g1), seidel_spectrum(g2))[2]
+
     g = cycle_graph(5)
-    assert check_cospectral(g, g)
-    assert not check_cospectral(complete_graph(3), path_graph(3))
-    assert not check_cospectral(blowup(complete_graph(2), 2),
-                                clique_blowup(complete_graph(2), 2))
-    assert not check_cospectral(complete_graph(2), complete_graph(3))
+    assert cospectral(g, g)
+    assert not cospectral(complete_graph(3), path_graph(3))
+    assert not cospectral(blowup(complete_graph(2), 2),
+                          clique_blowup(complete_graph(2), 2))
+    assert not cospectral(complete_graph(2), complete_graph(3))
 
 
 # -- hypothesis reports -----------------------------------------------------------
 
 def test_hypothesis_k2():
-    rep = check_hypothesis(complete_graph(2), 2)
+    rep = hypothesis_from_spectrum(seidel_spectrum(complete_graph(2)), 2)
     assert rep.bound == 0.5
     assert abs(rep.min_abs_eigenvalue - 1.0) < 1e-9
     assert rep.balanced and rep.satisfied and not rep.boundary
@@ -176,14 +227,14 @@ def test_hypothesis_k2():
 
 
 def test_hypothesis_fails_on_zero_eigenvalue():
-    rep = check_hypothesis(cycle_graph(5), 2)
+    rep = hypothesis_from_spectrum(seidel_spectrum(cycle_graph(5)), 2)
     assert rep.min_abs_eigenvalue < 1e-9
     assert not rep.satisfied and not rep.balanced
     assert not rep.bound_met()
 
 
 def test_hypothesis_k3_bound_met_but_unbalanced():
-    rep = check_hypothesis(complete_graph(3), 2)
+    rep = hypothesis_from_spectrum(seidel_spectrum(complete_graph(3)), 2)
     assert rep.bound_met()
     assert not rep.balanced
     assert not rep.satisfied
@@ -309,10 +360,11 @@ def _members_with_padding(g, m, power):
     return [(seidel_matrix(h), c.padding) for h, c in zip(members, closed)]
 
 
-@pytest.mark.parametrize("power, m", [(1, 2), (1, 3), (2, 2)])
+@pytest.mark.parametrize("power, m", [(1, 2), (1, 3), (2, 2), (2, 3)])
 def test_exact_padding_check_agrees_with_charpoly(catalog_graphs, power, m):
     for g in catalog_graphs:
-        if g.n > 5:
+        # order <= 27 keeps each big-integer charpoly under a tenth of a second
+        if g.n > 5 or m ** power * g.n > 27:
             continue
         vectors = _padding_eigenvectors(g.n, m, power)
         for s, padding in _members_with_padding(g, m, power):
@@ -389,7 +441,7 @@ def test_equivalence_both_directions_on_catalog(catalog_graphs):
     m = 2
     checked_pos = checked_neg = 0
     for g in catalog_graphs:
-        rep = check_hypothesis(g, m)
+        rep = hypothesis_from_spectrum(seidel_spectrum(g), m)
         if not rep.bound_met():
             continue
         cert = certify(g, m, 1, exact=False)
