@@ -104,8 +104,6 @@ def _build_parser() -> _Parser:
                       json_flag=False)
     p.add_argument("--theorem", type=int, choices=(1, 2), required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--no-exact", action="store_true",
-                   help="skip the exact check of the padding multiplicities")
     p.add_argument("--text", action="store_true",
                    help="human-readable rendering instead of JSON")
 
@@ -116,8 +114,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--out", default=None, help="write the report to this path")
-    p.add_argument("--exact", action="store_true",
-                   help="check the padding multiplicities exactly")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--max-order", type=int, default=NUMERIC_MAX_ORDER,
                    help="skip graphs whose constructed order exceeds this")
@@ -162,8 +158,14 @@ def _load_graph_token(token: str):
     return graph_from_graph6(token)
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(to_plain(obj), sort_keys=True, indent=2))
+def _json(obj) -> str:
+    return json.dumps(to_plain(obj), sort_keys=True, indent=2)
+
+
+def _emit(args, obj, text: str) -> int:
+    """Print ``obj`` as JSON under ``--json``, else ``text``; exit code 0."""
+    print(_json(obj) if args.json else text)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -173,58 +175,34 @@ def _emit_json(obj) -> None:
 
 def _cmd_spectrum(args) -> int:
     spec = seidel_spectrum(_load_graph(args))
-    if args.json:
-        _emit_json(spec)
-    else:
-        print(spec.format_grouped())
-    return 0
+    return _emit(args, spec, spec.format_grouped())
 
 
 def _cmd_energy(args) -> int:
     energy = seidel_spectrum(_load_graph(args)).energy()
-    if args.json:
-        _emit_json({"energy": energy})
-    else:
-        print(_fmt(energy))
-    return 0
+    return _emit(args, {"energy": energy}, _fmt(energy))
 
 
 def _cmd_inertia(args) -> int:
     inertia = seidel_inertia(_load_graph(args))
-    if args.json:
-        _emit_json(inertia)
-    else:
-        print(f"({inertia.n_pos}, {inertia.n_zero}, {inertia.n_neg})")
-    return 0
+    return _emit(args, inertia,
+                 f"({inertia.n_pos}, {inertia.n_zero}, {inertia.n_neg})")
 
 
 def _cmd_charpoly(args) -> int:
     poly = charpoly_exact(seidel_matrix(_load_graph(args)))
-    if args.json:
-        _emit_json({"coefficients": poly.to_list()})
-    else:
-        print(poly.format_text())
-    return 0
+    return _emit(args, {"coefficients": poly.to_list()}, poly.format_text())
 
 
 def _cmd_complement(args) -> int:
     line = graph_to_graph6(complement(_load_graph(args)))
-    if args.json:
-        _emit_json({"graph6": line})
-    else:
-        print(line)
-    return 0
+    return _emit(args, {"graph6": line}, line)
 
 
 def _cmd_construct(args) -> int:
-    g = _load_graph(args)
-    result = construct(g, args.m, args.kind, max_dim=_max_dim())
+    result = construct(_load_graph(args), args.m, args.kind, max_dim=_max_dim())
     line = graph_to_graph6(result)
-    if args.json:
-        _emit_json({"graph6": line, "order": result.n})
-    else:
-        print(line)
-    return 0
+    return _emit(args, {"graph6": line, "order": result.n}, line)
 
 
 def _cmd_closed_form(args) -> int:
@@ -237,13 +215,9 @@ def _cmd_closed_form(args) -> int:
     else:
         left, right = composed_blowup_seidel_spectra(sigma, args.m, g.n)
         forms = {"spectrum_a": left, "spectrum_b": right}
-    if args.json:
-        _emit_json(forms)
-    else:
-        for key, cf in forms.items():
-            prefix = "" if len(forms) == 1 else f"{key}: "
-            print(f"{prefix}{cf.format_grouped()}")
-    return 0
+    return _emit(args, forms, "\n".join(
+        ("" if len(forms) == 1 else f"{key}: ") + cf.format_grouped()
+        for key, cf in forms.items()))
 
 
 def _cmd_compare(args) -> int:
@@ -251,29 +225,21 @@ def _cmd_compare(args) -> int:
     g2 = _load_graph_token(args.graph2)
     equal, delta, cospectral = compare_spectra(seidel_spectrum(g1),
                                                seidel_spectrum(g2))
-    if args.json:
-        _emit_json({"equienergetic": equal, "energy_delta": delta,
-                    "cospectral": cospectral})
-    else:
-        print(f"equienergetic={equal} delta={_fmt(delta)} "
-              f"cospectral={cospectral}")
-    return 0
+    return _emit(args, {"equienergetic": equal, "energy_delta": delta,
+                        "cospectral": cospectral},
+                 f"equienergetic={equal} delta={_fmt(delta)} "
+                 f"cospectral={cospectral}")
 
 
 def _cmd_certify(args) -> int:
-    g = _load_graph(args)
-    cert = certify(g, args.m, args.theorem, exact=not args.no_exact,
-                   max_dim=_max_dim())
-    if args.text:
-        print(cert.render_text())
-    else:
-        _emit_json(cert)
+    cert = certify(_load_graph(args), args.m, args.theorem, max_dim=_max_dim())
+    print(cert.render_text() if args.text else _json(cert))
     return 3 if cert.theorem_violation else 0
 
 
 def _cmd_scan(args) -> int:
     config = ScanConfig(m=args.m, theorem=args.theorem,
-                        max_order=args.max_order, exact_verify=args.exact)
+                        max_order=args.max_order)
     # read bytes: a non-ASCII line then fails to parse on its own
     if args.input == "-":
         report = scan_stream(sys.stdin.buffer, config, jobs=args.jobs)

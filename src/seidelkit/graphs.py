@@ -91,6 +91,14 @@ class Graph:
     def edge_count(self) -> int:
         return int(self.adj.sum()) // 2
 
+    @classmethod
+    def _trusted(cls, adj: np.ndarray) -> "Graph":
+        """Wrap a valid int8 adjacency matrix without checking or copying it."""
+        g = object.__new__(cls)
+        adj.setflags(write=False)
+        object.__setattr__(g, "adj", adj)
+        return g
+
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
@@ -247,7 +255,8 @@ def blowup(g: Graph, m: int, max_dim: int = DEFAULT_MAX_DIM) -> Graph:
     classes themselves stay independent.  Simple, on m*n vertices.
     """
     _check_blowup_args(g, m, max_dim)
-    return Graph(np.kron(np.ones((m, m), dtype=np.int8), g.adj))
+    # J_m (x) A as m x m copies of A, a valid adjacency since A is one
+    return Graph._trusted(np.tile(g.adj, (m, m)))
 
 
 def clique_blowup(g: Graph, m: int, max_dim: int = DEFAULT_MAX_DIM) -> Graph:
@@ -258,9 +267,8 @@ def clique_blowup(g: Graph, m: int, max_dim: int = DEFAULT_MAX_DIM) -> Graph:
     on m*n vertices.
     """
     _check_blowup_args(g, m, max_dim)
-    closed = g.adj + np.eye(g.n, dtype=np.int8)
-    adj = np.kron(np.ones((m, m), dtype=np.int8), closed)
-    return Graph(adj - np.eye(m * g.n, dtype=np.int8))
+    adj = np.tile(g.adj + np.eye(g.n, dtype=np.int8), (m, m))
+    return Graph._trusted(adj - np.eye(m * g.n, dtype=np.int8))
 
 
 # Twin steps of each construction kind, innermost first: False adds
@@ -315,7 +323,10 @@ def cycle_graph(n: int) -> Graph:
 def graph_from_edges(n: int, edges) -> Graph:
     adj = np.zeros((n, n), dtype=np.int8)
     for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) has a vertex outside 0..{n - 1}")
+        # bool is an int subclass, and numpy would index with it as a mask
+        if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+                   and 0 <= x < n for x in (u, v)):
+            raise ValueError(f"edge ({u!r}, {v!r}) needs integer vertices "
+                             f"in 0..{n - 1}")
         adj[u, v] = adj[v, u] = 1
     return Graph(adj)

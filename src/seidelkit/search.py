@@ -50,15 +50,12 @@ class ScanConfig:
 
     ``theorem`` selects the pair construction (1 = single blow-ups,
     2 = composed double blow-ups); ``max_order`` caps the order of the
-    constructed graphs, at most the construction cap ``DEFAULT_MAX_DIM``;
-    ``exact_verify`` turns on the exact eigenvector check of the padding
-    multiplicities.
+    constructed graphs, at most the construction cap ``DEFAULT_MAX_DIM``.
     """
 
     m: int
     theorem: int = 1
     max_order: int = NUMERIC_MAX_ORDER
-    exact_verify: bool = False
 
     def __post_init__(self):
         if self.m < 2:
@@ -142,8 +139,7 @@ def _scan_one(config: ScanConfig, task: tuple[int, str | bytes]):
     hyp = hypothesis_from_spectrum(sigma, config.m, config.theorem)
     if not hyp.bound_met(ZERO_TOL):
         return ("hypothesis_failed", line_no)
-    cert = certify(g, config.m, config.theorem, exact=config.exact_verify,
-                   sigma=sigma, hypothesis=hyp)
+    cert = certify(g, config.m, config.theorem, sigma=sigma, hypothesis=hyp)
     kind = "certified" if cert.hypothesis.satisfied else "refuted"
     return (kind, line_no, cert)
 
@@ -240,31 +236,16 @@ def _sig(x: float) -> str:
 
 def report_to_csv(report: PairReport) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, lineterminator="\n",
+                            extrasaction="ignore")
     writer.writeheader()
     for entry in report.certificates:
         cert = entry.certificate
-        hyp = cert.hypothesis
-        writer.writerow({
-            "line": entry.line,
-            "kind": entry.kind,
-            "graph6": cert.graph6,
-            "theorem": cert.theorem,
-            "m": cert.m,
-            "hypothesis_satisfied": hyp.satisfied,
-            "balanced": hyp.balanced,
-            "boundary": hyp.boundary,
-            "min_abs_eigenvalue": _sig(hyp.min_abs_eigenvalue),
-            "bound": _sig(hyp.bound),
-            "energy_a": _sig(cert.energy_a),
-            "energy_b": _sig(cert.energy_b),
-            "energy_delta": _sig(cert.energy_delta),
-            "equienergetic": cert.equienergetic,
-            "cospectral": cert.cospectral,
-            "closed_form_agrees": cert.closed_form_agrees,
-            "exact_multiplicities_verified": cert.exact_multiplicities_verified,
-            "theorem_violation": cert.theorem_violation,
-        })
+        row = {**vars(cert.hypothesis), **vars(cert), "line": entry.line,
+               "kind": entry.kind,
+               "hypothesis_satisfied": cert.hypothesis.satisfied}
+        writer.writerow({key: _sig(value) if isinstance(value, float) else value
+                         for key, value in row.items()})
     return buf.getvalue()
 
 
@@ -273,7 +254,7 @@ def report_to_text(report: PairReport) -> str:
     cfg = report.config
     lines = [
         f"scan: pair construction {cfg.theorem}, m={cfg.m}, "
-        f"max_order={cfg.max_order}, exact_verify={cfg.exact_verify}",
+        f"max_order={cfg.max_order}",
         f"scanned={t['scanned']} certified={t['certified']} "
         f"refuted={t['refuted']} hypothesis_failed={t['hypothesis_failed']} "
         f"parse_failed={t['parse_failed']} skipped={t['skipped']}",

@@ -15,9 +15,9 @@ a constant of fixed sign:
 
 so the pair is equienergetic exactly when G has equally many positive and
 negative Seidel eigenvalues and none at zero.  ``certify`` checks that
-equivalence instance by instance, in both directions, against numeric
-spectra, their closed forms, and, at every order, exact integer
-eigenvectors of the padding eigenvalues.
+equivalence instance by instance, in both directions.  It solves only the
+base Seidel matrix and proves each member's closed form exactly: by its
+equitable quotient and by explicit integer padding eigenvectors.
 """
 
 import math
@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DEFAULT_MAX_DIM, KINDS, Graph, construct, graph_to_graph6
-from .spectral import (GROUP_TOL, NUM_TOL, ZERO_TOL, Inertia, Spectrum,
-                       classify_inertia, seidel_matrix, seidel_spectrum,
-                       spectrum_from_values, sym_eigenvalues)
+from .spectral import (NUM_TOL, ZERO_TOL, Inertia, Spectrum, classify_inertia,
+                       seidel_matrix, spectrum_from_values, sym_eigenvalues)
 
 __all__ = [
     "ENERGY_TOL",
@@ -83,19 +82,14 @@ class ClosedFormSpectrum:
         return (math.fsum(abs(v) for v in self.mapped)
                 + sum(abs(value) * mult for value, mult in self.padding))
 
-    def total(self) -> float:
-        return (math.fsum(self.mapped)
-                + sum(value * mult for value, mult in self.padding))
-
-    def as_spectrum(self, group_tol: float = GROUP_TOL) -> Spectrum:
-        return spectrum_from_values(self.values(), group_tol)
-
     def format_grouped(self, digits: int = 12) -> str:
-        return self.as_spectrum().format_grouped(digits)
+        return spectrum_from_values(self.values()).format_grouped(digits)
 
 
-def _closed_form(sigma: Spectrum, m: int, n: int, kind: str) -> ClosedFormSpectrum:
-    """Closed form of construct(G, m, kind) from the spectrum of G.
+def _closed_form(sigma: Spectrum, m: int, n: int,
+                 kind: str) -> tuple[ClosedFormSpectrum, int, int]:
+    """Closed form of construct(G, m, kind) from the spectrum of G, with
+    the integer scale and shift that map each eigenvalue of G.
 
     Each twin step maps S to J_m (x) (S + eps I) - eps I, with eps = +1 for
     independent and -1 for clique twins: every eigenvalue v, mapped or
@@ -113,25 +107,26 @@ def _closed_form(sigma: Spectrum, m: int, n: int, kind: str) -> ClosedFormSpectr
         padding = [(m * v + eps * (m - 1), mult) for v, mult in padding]
         padding.append((-eps, (m - 1) * order))
         scale, shift, order = m * scale, m * shift + eps * (m - 1), m * order
-    return ClosedFormSpectrum(tuple(scale * s + shift for s in sigma.values),
+    form = ClosedFormSpectrum(tuple(scale * s + shift for s in sigma.values),
                               tuple(padding), m, order)
+    return form, scale, shift
 
 
 def blowup_seidel_spectrum(sigma: Spectrum, m: int, n: int) -> ClosedFormSpectrum:
     """Seidel spectrum of blowup(G, m): s -> m*s + (m-1), padded with -1."""
-    return _closed_form(sigma, m, n, "dm")
+    return _closed_form(sigma, m, n, "dm")[0]
 
 
 def clique_blowup_seidel_spectrum(sigma: Spectrum, m: int, n: int) -> ClosedFormSpectrum:
     """Seidel spectrum of clique_blowup(G, m): s -> m*s - (m-1), padded with +1."""
-    return _closed_form(sigma, m, n, "dmstar")
+    return _closed_form(sigma, m, n, "dmstar")[0]
 
 
 def composed_blowup_seidel_spectra(sigma: Spectrum, m: int,
                                    n: int) -> tuple[ClosedFormSpectrum, ClosedFormSpectrum]:
     """Closed forms of clique_blowup(blowup(G,m),m) and blowup(clique_blowup(G,m),m)."""
-    return (_closed_form(sigma, m, n, "t2-left"),
-            _closed_form(sigma, m, n, "t2-right"))
+    return (_closed_form(sigma, m, n, "t2-left")[0],
+            _closed_form(sigma, m, n, "t2-right")[0])
 
 
 # ---------------------------------------------------------------------------
@@ -139,22 +134,19 @@ def composed_blowup_seidel_spectra(sigma: Spectrum, m: int,
 # ---------------------------------------------------------------------------
 
 
-def compare_spectra(s1: Spectrum, s2: Spectrum, energy_tol: float = ENERGY_TOL,
-                    num_tol: float = NUM_TOL) -> tuple[bool, float, bool]:
-    """Pair verdicts from two known Seidel spectra.
-
-    Returns (equienergetic, |SE1 - SE2|, cospectral).  The energy verdict
-    is relative: |SE1 - SE2| <= energy_tol * max(1, SE1).
-    """
-    e1 = s1.energy()
-    delta = abs(e1 - s2.energy())
-    return (delta <= energy_tol * max(1.0, e1), delta,
-            _values_close(s1.values, s2.values, num_tol))
+def compare_spectra(s1: Spectrum, s2: Spectrum) -> tuple[bool, float, bool]:
+    """Pair verdicts from two known Seidel spectra: (equienergetic,
+    |SE1 - SE2|, cospectral)."""
+    return _pair_verdicts(s1.energy(), s2.energy(), s1.values, s2.values)
 
 
-def _values_close(a, b, tol: float) -> bool:
-    return len(a) == len(b) and bool(
-        np.abs(np.subtract(a, b)).max(initial=0.0) <= tol)
+def _pair_verdicts(e1: float, e2: float, values1, values2):
+    """Verdicts from energies and sorted values.  The energy verdict is
+    relative: |e1 - e2| <= ENERGY_TOL * max(1, e1)."""
+    delta = abs(e1 - e2)
+    cospectral = len(values1) == len(values2) and bool(
+        np.abs(np.subtract(values1, values2)).max(initial=0.0) <= NUM_TOL)
+    return delta <= ENERGY_TOL * max(1.0, e1), delta, cospectral
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +207,21 @@ class Certificate:
 
     ``theorem`` selects the construction pair: 1 compares blowup(G, m)
     against clique_blowup(G, m); 2 compares the two mixed double blow-ups.
-    ``theorem_violation`` is true when the observed energies contradict
-    the predicted equivalence (either direction); any such certificate
-    means a solver bug or a genuine counterexample.
+    Energies and verdicts come from the closed forms.  ``closed_form_agrees``
+    means both members' equitable quotients were proven, and
+    ``exact_multiplicities_verified`` that their padding eigenvectors fill
+    the rest of the space: with both, each closed form is its member's
+    spectrum.  ``base_residual`` is the larger relative residual of the base
+    eigensolve against trace 0 and squared Frobenius norm n(n-1).
+    ``theorem_violation`` is true when the energies contradict the
+    predicted equivalence (either direction); any such certificate means
+    a bug or a genuine counterexample.
     """
 
     theorem: int
     graph6: str
     m: int
     hypothesis: HypothesisReport
-    spectrum_a: Spectrum
-    spectrum_b: Spectrum
     closed_a: ClosedFormSpectrum
     closed_b: ClosedFormSpectrum
     energy_a: float
@@ -234,7 +230,8 @@ class Certificate:
     equienergetic: bool
     cospectral: bool
     closed_form_agrees: bool
-    exact_multiplicities_verified: bool | None
+    exact_multiplicities_verified: bool
+    base_residual: float
     theorem_violation: bool
 
     def render_text(self) -> str:
@@ -247,13 +244,14 @@ class Certificate:
             + (" [boundary]" if hyp.boundary else ""),
             f"  inertia: ({hyp.inertia.n_pos}, {hyp.inertia.n_zero}, "
             f"{hyp.inertia.n_neg})",
-            f"  spectrum A: {self.spectrum_a.format_grouped()}",
-            f"  spectrum B: {self.spectrum_b.format_grouped()}",
+            f"  spectrum A: {self.closed_a.format_grouped()}",
+            f"  spectrum B: {self.closed_b.format_grouped()}",
             f"  energies: {self.energy_a:.12g} vs {self.energy_b:.12g} "
             f"(delta {self.energy_delta:.12g})",
             f"  equienergetic={self.equienergetic} cospectral={self.cospectral}",
             f"  closed_form_agrees={self.closed_form_agrees} "
-            f"exact_multiplicities_verified={self.exact_multiplicities_verified}",
+            f"exact_multiplicities_verified={self.exact_multiplicities_verified} "
+            f"base_residual={self.base_residual:.3g}",
         ]
         if self.theorem_violation:
             lines.append("  THEOREM VIOLATION: observed energies contradict "
@@ -306,12 +304,51 @@ def _exact_padding_ok(s: np.ndarray, padding, vectors) -> bool:
     return True
 
 
-def _solve_member(graph: Graph, padding, vectors):
-    """Spectrum of one constructed member and, given ``vectors``, its exact
-    padding verdict, both on one Seidel matrix, freed before the next."""
-    s = seidel_matrix(graph)
-    spectrum = sym_eigenvalues(s)
-    return spectrum, vectors is not None and _exact_padding_ok(s, padding, vectors)
+def _cells_balanced(n: int, vectors) -> bool:
+    """True when every padding vector sums to zero on every cell (the copies
+    i = v mod n of base vertex v), so is orthogonal to the cell indicators."""
+    for supports, signs in vectors:
+        # entry j*n + v: the sum of vector j over cell v
+        cells = np.arange(len(supports))[:, None] * n + supports % n
+        if np.bincount(cells.ravel(),
+                       np.broadcast_to(signs, supports.shape).ravel()).any():
+            return False
+    return True
+
+
+def _padding_proven(s: np.ndarray, n: int, padding, vectors) -> bool:
+    """True when the padding blocks, on cell-balanced vectors, span the
+    orthogonal complement of the cells, of dimension len(s) - n: each block
+    passes ``_exact_padding_ok``, the values are distinct (so the blocks are
+    orthogonal to each other) and the multiplicities add up to len(s) - n."""
+    values = [value for value, _ in padding]
+    return (len(vectors) == len(set(values)) == len(values)
+            and sum(mult for _, mult in padding) == len(s) - n
+            and _exact_padding_ok(s, padding, vectors))
+
+
+def _quotient_ok(s: np.ndarray, s_g: np.ndarray, scale: int, shift: int) -> bool:
+    """True when the cells i mod n are an equitable partition of the
+    symmetric matrix s with quotient Q = scale*S_G + shift*I: s P = P Q for
+    the cell indicator matrix P, so the eigenvalues of Q, scale*sigma + shift
+    over the spectrum sigma of G, are eigenvalues of s with multiplicity.
+    """
+    n = len(s_g)
+    q = scale * s_g
+    q.flat[::n + 1] += shift
+    # row c*n + v of the cell sums against row v of q, for every copy c
+    return bool((s.reshape(len(s), -1, n).sum(axis=1).reshape(-1, n, n)
+                 == q).all())
+
+
+def _prove_member(g: Graph, s_g: np.ndarray, sigma: Spectrum, m: int,
+                  kind: str, vectors, max_dim: int):
+    """Closed form of one member with its quotient and padding verdicts,
+    both on one Seidel matrix, freed before the next member is built."""
+    form, scale, shift = _closed_form(sigma, m, g.n, kind)
+    s = seidel_matrix(construct(g, m, kind, max_dim))
+    return (form, _quotient_ok(s, s_g, scale, shift),
+            _padding_proven(s, g.n, form.padding, vectors))
 
 
 # the two members of pair theorem t: the construction kinds of t twin steps
@@ -319,38 +356,39 @@ _MEMBERS = {t: tuple(kind for kind, steps in KINDS.items() if len(steps) == t)
             for t in (1, 2)}
 
 
-def certify(g: Graph, m: int, theorem: int, exact: bool = True,
-            max_dim: int = DEFAULT_MAX_DIM, sigma: Spectrum | None = None,
+def certify(g: Graph, m: int, theorem: int, max_dim: int = DEFAULT_MAX_DIM,
+            sigma: Spectrum | None = None,
             hypothesis: HypothesisReport | None = None) -> Certificate:
     """Certify the single (theorem=1) or composed (theorem=2) pair of g.
 
     Theorem 1 compares blowup(g, m) against clique_blowup(g, m) (order
     m*n each), theorem 2 the two mixed double blow-ups (order m^2*n each).
-    Numeric spectra of both members are checked against their closed
-    forms; when ``exact`` is set, the padding multiplicities are certified
-    exactly by explicit integer eigenvectors.  A caller that already holds
-    the base spectrum ``sigma`` and the hypothesis report at the same m
-    and theorem passes them in to avoid a re-solve.
+    Only the base Seidel matrix is solved.  Each member is built, and its
+    closed form is proven on its Seidel matrix in integer arithmetic, by
+    the equitable quotient and by the padding eigenvectors; energies and
+    verdicts come from the closed forms.  A caller that already holds the
+    base spectrum ``sigma`` and the hypothesis report at the same m and
+    theorem passes them in to avoid a re-solve.
     """
     if theorem not in _MEMBERS:
         raise ValueError("theorem must be 1 or 2")
+    s_g = seidel_matrix(g)
     if sigma is None:
-        sigma = seidel_spectrum(g)
+        sigma = sym_eigenvalues(s_g)
     hyp = hypothesis or hypothesis_from_spectrum(sigma, m, theorem)
 
-    vectors = _padding_eigenvectors(g.n, m, theorem) if exact else None
-    closed, spectra, exact_ok = [], [], exact or None
-    for kind in _MEMBERS[theorem]:
-        cf = _closed_form(sigma, m, g.n, kind)
-        spectrum, member_ok = _solve_member(construct(g, m, kind, max_dim),
-                                            cf.padding, vectors)
-        closed.append(cf)
-        spectra.append(spectrum)
-        exact_ok = exact_ok and member_ok
-    (closed_a, closed_b), (spec_a, spec_b) = closed, spectra
-    equienergetic, delta, cospectral = compare_spectra(spec_a, spec_b)
-    agrees = (_values_close(spec_a.values, closed_a.values(), NUM_TOL)
-              and _values_close(spec_b.values, closed_b.values(), NUM_TOL))
+    vectors = _padding_eigenvectors(g.n, m, theorem)
+    (closed_a, quotient_a, padding_a), (closed_b, quotient_b, padding_b) = (
+        _prove_member(g, s_g, sigma, m, kind, vectors, max_dim)
+        for kind in _MEMBERS[theorem])
+    energy_a, energy_b = closed_a.energy(), closed_b.energy()
+    equienergetic, delta, cospectral = _pair_verdicts(
+        energy_a, energy_b, closed_a.values(), closed_b.values())
+    # the base solve against the trace, 0, and the squared Frobenius norm
+    frobenius = g.n * (g.n - 1)
+    residual = max(abs(sigma.total()) / max(1.0, sigma.energy()),
+                   abs(math.fsum(v * v for v in sigma.values) - frobenius)
+                   / max(1, frobenius))
 
     if hyp.satisfied:
         violation = not equienergetic
@@ -363,11 +401,11 @@ def certify(g: Graph, m: int, theorem: int, exact: bool = True,
 
     return Certificate(
         theorem=theorem, graph6=graph_to_graph6(g), m=m, hypothesis=hyp,
-        spectrum_a=spec_a, spectrum_b=spec_b,
         closed_a=closed_a, closed_b=closed_b,
-        energy_a=spec_a.energy(), energy_b=spec_b.energy(),
-        energy_delta=delta,
+        energy_a=energy_a, energy_b=energy_b, energy_delta=delta,
         equienergetic=equienergetic, cospectral=cospectral,
-        closed_form_agrees=agrees,
-        exact_multiplicities_verified=exact_ok,
+        closed_form_agrees=quotient_a and quotient_b,
+        exact_multiplicities_verified=(_cells_balanced(g.n, vectors)
+                                       and padding_a and padding_b),
+        base_residual=residual,
         theorem_violation=violation)

@@ -22,7 +22,7 @@ from seidelkit import (ScanConfig, blowup, certify, charpoly_exact,
                        report_to_json, scan_stream, seidel_energy,
                        seidel_matrix, seidel_spectrum)
 from seidelkit.spectral import integer_root_multiplicity
-from conftest import jacobi_desc, random_simple_graph, seidel_of
+from conftest import jacobi_desc, jacobi_member, random_simple_graph, seidel_of
 
 
 @contextmanager
@@ -109,7 +109,12 @@ def test_criterion_5_composed_pairs():
     with criterion(5, "composed pairs: K_2 at m=2 gives 18 = 18 and distinct "
                       "spectra; K_3 at m=2 gives 32 vs 30"):
         cert = certify(complete_graph(2), 2, 2)
-        assert cert.spectrum_a.n == 8 == cert.spectrum_b.n
+        # independent oracle: Jacobi eigensolve of the two 8-vertex members
+        for kind, closed in zip(("t2-left", "t2-right"),
+                                (cert.closed_a, cert.closed_b)):
+            assert len(closed.values()) == 8
+            assert np.allclose(jacobi_member(complete_graph(2), 2, kind),
+                               closed.values(), atol=1e-9)
         assert abs(cert.energy_a - 18.0) <= 1e-8
         assert abs(cert.energy_b - 18.0) <= 1e-8
         assert cert.equienergetic and not cert.cospectral

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from seidelkit import (Graph, Graph6Error, blowup, clique_blowup, complement,
-                       complete_graph, construct, cycle_graph, empty_graph,
-                       graph_from_edges, graph_from_graph6, graph_to_graph6,
-                       path_graph)
+from seidelkit import (KINDS, Graph, Graph6Error, blowup, clique_blowup,
+                       complement, complete_graph, construct, cycle_graph,
+                       empty_graph, graph_from_edges, graph_from_graph6,
+                       graph_to_graph6, path_graph)
 from conftest import jacobi_desc, random_simple_graph
 
 
@@ -245,6 +245,11 @@ def test_construct_kinds():
     assert construct(g, 2, "t2-right") == blowup(clique_blowup(g, 2), 2)
     with pytest.raises(ValueError):
         construct(g, 2, "t2")
+    # the steps skip re-validation, so check that they build valid graphs
+    for kind in KINDS:
+        h = construct(random_simple_graph(np.random.default_rng(5), 6), 3, kind)
+        assert h.adj.dtype == np.int8 and not h.adj.flags.writeable
+        assert Graph(h.adj.copy()) == h
 
 
 # -- named builders ------------------------------------------------------------
@@ -255,6 +260,14 @@ def test_graph_from_edges_rejects_out_of_range_vertices():
         with pytest.raises(ValueError):
             graph_from_edges(3, [edge])
     assert graph_from_edges(3, [(0, 2)]).edge_count == 1
+
+
+def test_graph_from_edges_rejects_non_integer_vertices():
+    # a float used to reach numpy as an IndexError, a bool as a mask
+    for edge in [(0, 1.5), (0, True), (False, 1), ("0", 1), (0, np.bool_(1))]:
+        with pytest.raises(ValueError, match="integer vertices"):
+            graph_from_edges(3, [edge])
+    assert graph_from_edges(3, [(np.int64(0), 2)]).edge_count == 1
 
 
 def test_named_builders():

@@ -12,7 +12,7 @@ from seidelkit import search
 from seidelkit.search import report_to_csv, report_to_text
 from conftest import (CONFIG_KEYS, ENTRY_KEYS, FAILURE_KEYS, REPORT_KEYS,
                       SKIP_KEYS, TOTALS_KEYS, check_json_object, jacobi_desc,
-                      seidel_of)
+                      jacobi_member, seidel_of)
 
 
 def test_config_validation():
@@ -142,7 +142,7 @@ def test_scan_starts_no_more_workers_than_cpus_or_lines(monkeypatch):
 
 def test_report_json_round_trip():
     lines = ["A_", "junk", "Bw", "C~"]
-    config = ScanConfig(m=2, max_order=6, exact_verify=True)
+    config = ScanConfig(m=2, max_order=6)
     report = scan_stream(lines, config)
     doc = json.loads(report_to_json(report))
     assert set(doc) == REPORT_KEYS
@@ -192,15 +192,14 @@ def test_write_report_to_file(tmp_path):
         write_report(report, "yaml")
 
 
-def test_exact_verification_flag():
-    with_exact = scan_stream(["A_"], ScanConfig(m=2, exact_verify=True))
-    without = scan_stream(["A_"], ScanConfig(m=2, exact_verify=False))
-    assert with_exact.certificates[0].certificate.exact_multiplicities_verified is True
-    assert without.certificates[0].certificate.exact_multiplicities_verified is None
-
-
 def test_scan_theorem_two():
     report = scan_stream(["A_"], ScanConfig(m=2, theorem=2))
     [entry] = report.certificates
-    assert abs(entry.certificate.energy_a - 18.0) < 1e-8
-    assert entry.certificate.spectrum_a.n == 8
+    cert = entry.certificate
+    assert abs(cert.energy_a - 18.0) < 1e-8
+    # the scan proves every certificate's closed forms
+    assert cert.closed_form_agrees is True
+    assert cert.exact_multiplicities_verified is True
+    assert len(cert.closed_a.values()) == 8
+    assert np.allclose(jacobi_member(graph_from_graph6("A_"), 2, "t2-left"),
+                       cert.closed_a.values(), atol=1e-9)

@@ -16,11 +16,14 @@ from seidelkit import (KINDS, ClosedFormSpectrum, Graph, blowup,
                        empty_graph, hypothesis_from_spectrum, path_graph,
                        seidel_matrix, seidel_spectrum, spectrum_from_values,
                        to_plain)
+from seidelkit import spectral, theory
 from seidelkit.cli import run
 from seidelkit.spectral import integer_root_multiplicity
-from seidelkit.theory import _exact_padding_ok, _padding_eigenvectors
+from seidelkit.theory import (_cells_balanced, _closed_form, _exact_padding_ok,
+                              _padding_eigenvectors, _padding_proven,
+                              _quotient_ok)
 from conftest import (CERTIFICATE_KEYS, check_json_object, jacobi_desc,
-                      random_simple_graph)
+                      jacobi_member, random_simple_graph)
 
 
 # -- closed-form spectra -------------------------------------------------------
@@ -174,9 +177,10 @@ def test_spectrum_sums_agree_between_constructions():
         cf1 = blowup_seidel_spectrum(sigma, m, n)
         cf2 = clique_blowup_seidel_spectrum(sigma, m, n)
         target = m * sigma.total()
-        assert abs(cf1.total() - target) < 1e-9
-        assert abs(cf2.total() - target) < 1e-9
-        assert abs(cf1.total() - cf2.total()) < 1e-9
+        total1, total2 = math.fsum(cf1.values()), math.fsum(cf2.values())
+        assert abs(total1 - target) < 1e-9
+        assert abs(total2 - target) < 1e-9
+        assert abs(total1 - total2) < 1e-9
 
 
 # -- pairwise checks -------------------------------------------------------------
@@ -266,11 +270,15 @@ def test_certify_k2_family():
         assert cert.closed_form_agrees
         assert cert.exact_multiplicities_verified is True
         assert not cert.theorem_violation
-        # spectra are {2m-1, -1^(2m-1)} and {1^(2m-1), 1-2m}
-        assert np.allclose(cert.spectrum_a.values,
-                           [2 * m - 1] + [-1] * (2 * m - 1), atol=1e-9)
-        assert np.allclose(cert.spectrum_b.values,
-                           [1] * (2 * m - 1) + [1 - 2 * m], atol=1e-9)
+        # spectra are {2m-1, -1^(2m-1)} and {1^(2m-1), 1-2m}; the Jacobi
+        # oracle solves each member independently
+        want_a = [2 * m - 1] + [-1] * (2 * m - 1)
+        want_b = [1] * (2 * m - 1) + [1 - 2 * m]
+        for kind, closed, want in (("dm", cert.closed_a, want_a),
+                                   ("dmstar", cert.closed_b, want_b)):
+            assert np.allclose(closed.values(), want, atol=1e-9)
+            assert np.allclose(jacobi_member(complete_graph(2), m, kind),
+                               closed.values(), atol=1e-9)
 
 
 def test_certify_k3_refutation_direction():
@@ -295,7 +303,11 @@ def test_certify_k1_records_failed_hypothesis():
 def test_certify_composed_k2():
     cert = certify(complete_graph(2), 2, 2)
     assert cert.theorem == 2
-    assert cert.spectrum_a.n == 8 == cert.spectrum_b.n
+    for kind, closed in (("t2-left", cert.closed_a),
+                         ("t2-right", cert.closed_b)):
+        assert len(closed.values()) == 8
+        assert np.allclose(jacobi_member(complete_graph(2), 2, kind),
+                           closed.values(), atol=1e-9)
     assert abs(cert.energy_a - 18.0) < 1e-8
     assert abs(cert.energy_b - 18.0) < 1e-8
     assert cert.equienergetic and not cert.cospectral
@@ -405,6 +417,103 @@ def test_exact_padding_check_needs_enough_independent_vectors(power):
             assert not _exact_padding_ok(s, [(value, mult)], [doubled])
 
 
+# -- the proof of each member's closed form: mutations must break it ----------
+
+def _proof(s, g, m, kind):
+    """(quotient proven, padding proven) for a Seidel matrix s offered as
+    construct(g, m, kind)."""
+    form, scale, shift = _closed_form(seidel_spectrum(g), m, g.n, kind)
+    vectors = _padding_eigenvectors(g.n, m, len(KINDS[kind]))
+    return (_quotient_ok(s, seidel_matrix(g), scale, shift),
+            _cells_balanced(g.n, vectors)
+            and _padding_proven(s, g.n, form.padding, vectors))
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_member_proof_holds_and_breaks_under_mutation(kind):
+    g, m = path_graph(4), 2
+    s = seidel_matrix(construct(g, m, kind))
+    assert _proof(s, g, m, kind) == (True, True)
+
+    # every flipped symmetric off-diagonal pair breaks the quotient
+    for i, j in zip(*np.triu_indices(len(s), 1)):
+        bad = s.copy()
+        bad[i, j] = bad[j, i] = -s[i, j]
+        assert not _proof(bad, g, m, kind)[0]
+
+    # a wrong shift breaks the quotient
+    _, scale, shift = _closed_form(seidel_spectrum(g), m, g.n, kind)
+    for wrong in (shift - 1, shift + 1, -shift):
+        assert not _quotient_ok(s, seidel_matrix(g), scale, wrong)
+
+    # a permuted vertex layout breaks the proof: vertex-major copies
+    # (np.kron(X, J_m)) instead of copy-major ones, and a random relabelling
+    order = len(s)
+    shuffle = np.arange(order).reshape(-1, g.n).T.ravel()
+    for perm in (shuffle, np.random.default_rng(7).permutation(order)):
+        assert not np.array_equal(perm, np.arange(order))
+        assert not all(_proof(s[np.ix_(perm, perm)], g, m, kind))
+
+
+def test_padding_vector_off_the_cells_breaks_the_proof():
+    # vertices 0 and 2 of the path 0-1-2 are independent twins, so e_0 - e_2
+    # is an eigenvector of blowup(P_3, 2) for -1 with a private coordinate,
+    # but it does not sum to zero on cells 0 and 2
+    g, m = path_graph(3), 2
+    s = seidel_matrix(construct(g, m, "dm"))
+    form, _, _ = _closed_form(seidel_spectrum(g), m, g.n, "dm")
+    [(supports, signs)] = _padding_eigenvectors(g.n, m, 1)
+    assert supports[0].tolist() == [0, 3]
+    moved = supports.copy()
+    moved[0] = [0, 2]
+    vectors = [(moved, signs)]
+    assert _padding_proven(s, g.n, form.padding, vectors)
+    assert not _cells_balanced(g.n, vectors)
+    assert _cells_balanced(g.n, _padding_eigenvectors(g.n, m, 1))
+
+
+def test_padding_proof_needs_the_full_count():
+    g, m = cycle_graph(5), 3
+    s = seidel_matrix(construct(g, m, "t2-left"))
+    form, _, _ = _closed_form(seidel_spectrum(g), m, g.n, "t2-left")
+    vectors = _padding_eigenvectors(g.n, m, 2)
+    assert _padding_proven(s, g.n, form.padding, vectors)
+    # one block fewer, a block left without vectors, or a block short of
+    # order - n in total
+    assert not _padding_proven(s, g.n, form.padding[:1], vectors[:1])
+    assert not _padding_proven(s, g.n, form.padding, vectors[:1])
+    (value, mult), (other, rest) = form.padding
+    assert _exact_padding_ok(s, [(value, mult - 1)], vectors[:1])
+    assert not _padding_proven(s, g.n, ((value, mult - 1), (other, rest)),
+                               vectors)
+
+
+@pytest.mark.parametrize("theorem", [1, 2])
+def test_certify_solves_only_the_base_matrix(monkeypatch, theorem):
+    solved = []
+    original = spectral.sym_eigenvalues
+
+    def counting(mat, *args, **kwargs):
+        solved.append(np.asarray(mat).shape)
+        return original(mat, *args, **kwargs)
+
+    for module in (spectral, theory):
+        monkeypatch.setattr(module, "sym_eigenvalues", counting)
+    cert = certify(path_graph(4), 3, theorem)
+    assert cert.closed_form_agrees and cert.exact_multiplicities_verified
+    assert solved == [(4, 4)]
+
+
+def test_base_residual_measures_the_base_solve():
+    g = random_simple_graph(np.random.default_rng(11), 12)
+    cert = certify(g, 2, 1)
+    assert 0.0 <= cert.base_residual <= 1e-12
+    # an eigenvalue off by 1e-6 shows in the trace residual
+    sigma = seidel_spectrum(g)
+    shifted = spectrum_from_values([sigma.values[0] + 1e-6, *sigma.values[1:]])
+    assert certify(g, 2, 1, sigma=shifted).base_residual > 1e-8
+
+
 def test_certificate_json_round_trip(capsys):
     cert = certify(complete_graph(3), 2, 1)
     doc = json.loads(json.dumps(to_plain(cert)))
@@ -444,7 +553,7 @@ def test_equivalence_both_directions_on_catalog(catalog_graphs):
         rep = hypothesis_from_spectrum(seidel_spectrum(g), m)
         if not rep.bound_met():
             continue
-        cert = certify(g, m, 1, exact=False)
+        cert = certify(g, m, 1)
         assert not cert.theorem_violation
         if rep.satisfied:
             assert cert.equienergetic
