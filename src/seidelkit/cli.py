@@ -115,8 +115,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--out", default=None, help="write the report to this path")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p.add_argument("--max-order", type=int, default=NUMERIC_MAX_ORDER,
-                   help="skip graphs whose constructed order exceeds this")
+    p.add_argument("--max-order", type=int, default=None,
+                   help="skip graphs whose constructed order exceeds this "
+                        f"(default {NUMERIC_MAX_ORDER}, at most the "
+                        "dimension cap)")
     return parser
 
 
@@ -238,8 +240,13 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    config = ScanConfig(m=args.m, theorem=args.theorem,
-                        max_order=args.max_order)
+    cap = _max_dim()
+    max_order = (min(NUMERIC_MAX_ORDER, cap) if args.max_order is None
+                 else args.max_order)
+    if max_order > cap:
+        # checked before any line is read, as certify would refuse the line
+        raise ValueError(f"max_order {max_order} exceeds dimension cap {cap}")
+    config = ScanConfig(m=args.m, theorem=args.theorem, max_order=max_order)
     # read bytes: a non-ASCII line then fails to parse on its own
     if args.input == "-":
         report = scan_stream(sys.stdin.buffer, config, jobs=args.jobs)

@@ -194,36 +194,46 @@ def graph_from_graph6(text: str | bytes) -> Graph:
     n, start = _decode_order(data)
     if n == 0:
         raise Graph6Error("order-zero graph not supported", 0)
-    nbits = n * (n - 1) // 2
-    bits = _payload_bits(data, start, nbits)
+    bits = _payload_bits(data, start, n * (n - 1) // 2)
 
+    # symmetric, 0/1 and loop-free by construction: no re-validation
     adj = np.zeros((n, n), dtype=np.int8)
-    k = 0
-    for j in range(1, n):
-        adj[:j, j] = bits[k:k + j]
-        k += j
-    adj |= adj.T
-    return Graph(adj)
+    adj[_lower(n)] = bits
+    return Graph._trusted(adj | adj.T)
+
+
+_SHORT_LOWER = np.tri(62, k=-1, dtype=bool)
+
+
+def _lower(n: int) -> np.ndarray:
+    """Mask of the strict lower triangle of order n.  Its row-major order,
+    (1,0), (2,0), (2,1), (3,0), ..., is graph6's bit order transposed."""
+    return _SHORT_LOWER[:n, :n] if n <= 62 else np.tri(n, k=-1, dtype=bool)
 
 
 def graph_to_graph6(g: Graph) -> str:
     """Encode a graph as its canonical graph6 line (no trailing newline)."""
-    n = g.n
+    return _graph6_lines(g.adj)[0]
+
+
+def _graph6_lines(adj: np.ndarray) -> list[str]:
+    """Canonical graph6 lines of an adjacency matrix or of each matrix of a
+    (B, n, n) stack."""
+    n = adj.shape[-1]
     if n <= 62:
-        head = [n + 63]
+        head = bytes([n + 63])
     elif n <= _GRAPH6_MAX_ORDER:
-        head = [126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)]
+        head = bytes([126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)])
     else:
         raise ValueError(f"graph order {n} exceeds graph6 long form")
-    if n > 1:
-        bits = np.concatenate([g.adj[:j, j] for j in range(1, n)]).astype(np.uint8)
-    else:
-        bits = np.zeros(0, dtype=np.uint8)
-    pad = (-len(bits)) % 6
-    if pad:
-        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    chunks = bits.reshape(-1, 6) @ np.array([32, 16, 8, 4, 2, 1], dtype=np.int64)
-    return bytes(head + list((chunks + 63).astype(np.uint8))).decode("ascii")
+    adj = adj.reshape(-1, n, n)
+    nbits = n * (n - 1) // 2
+    bits = np.zeros((len(adj), nbits + (-nbits) % 6), dtype=np.uint8)
+    # adj[j, i] over the lower mask is adj[i, j] in graph6 order
+    bits[:, :nbits] = adj.swapaxes(1, 2)[:, _lower(n)]
+    chunks = bits.reshape(len(adj), -1, 6) @ np.array([32, 16, 8, 4, 2, 1],
+                                                      dtype=np.uint8)
+    return [(head + row.tobytes()).decode("ascii") for row in chunks + 63]
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +248,26 @@ def complement(g: Graph) -> Graph:
     return Graph(adj)
 
 
-def _check_blowup_args(g: Graph, m: int, max_dim: int) -> None:
+def _twin_steps(adj: np.ndarray, m: int, steps,
+                max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
+    """Apply twin steps at multiplicity m to an int8 adjacency matrix, or to
+    each matrix of a (B, n, n) stack: False adds independent twins, J_m (x)
+    A, and True clique twins, J_m (x) (A + I) - I.  Vertex k*N + v of a
+    step's result is copy k of vertex v of its order-N input."""
     if m < 2:
         raise ValueError(f"blow-up multiplicity must be >= 2, got {m}")
-    if m * g.n > max_dim:
-        raise ValueError(
-            f"blow-up order {m * g.n} exceeds dimension cap {max_dim}")
+    for clique in steps:
+        order = adj.shape[-1]
+        if m * order > max_dim:
+            raise ValueError(
+                f"blow-up order {m * order} exceeds dimension cap {max_dim}")
+        if clique:
+            adj = (np.tile(adj + np.eye(order, dtype=np.int8), (m, m))
+                   - np.eye(m * order, dtype=np.int8))
+        else:
+            # m x m copies of A, a valid adjacency since A is one
+            adj = np.tile(adj, (m, m))
+    return adj
 
 
 def blowup(g: Graph, m: int, max_dim: int = DEFAULT_MAX_DIM) -> Graph:
@@ -254,9 +278,7 @@ def blowup(g: Graph, m: int, max_dim: int = DEFAULT_MAX_DIM) -> Graph:
     into a complete bipartite block on the two twin classes and twin
     classes themselves stay independent.  Simple, on m*n vertices.
     """
-    _check_blowup_args(g, m, max_dim)
-    # J_m (x) A as m x m copies of A, a valid adjacency since A is one
-    return Graph._trusted(np.tile(g.adj, (m, m)))
+    return Graph._trusted(_twin_steps(g.adj, m, (False,), max_dim))
 
 
 def clique_blowup(g: Graph, m: int, max_dim: int = DEFAULT_MAX_DIM) -> Graph:
@@ -266,9 +288,7 @@ def clique_blowup(g: Graph, m: int, max_dim: int = DEFAULT_MAX_DIM) -> Graph:
     complete bipartite blocks and each twin class forms a clique.  Simple,
     on m*n vertices.
     """
-    _check_blowup_args(g, m, max_dim)
-    adj = np.tile(g.adj + np.eye(g.n, dtype=np.int8), (m, m))
-    return Graph._trusted(adj - np.eye(m * g.n, dtype=np.int8))
+    return Graph._trusted(_twin_steps(g.adj, m, (True,), max_dim))
 
 
 # Twin steps of each construction kind, innermost first: False adds
@@ -292,9 +312,7 @@ def construct(g: Graph, m: int, kind: str,
     """
     if kind not in KINDS:
         raise ValueError(f"unknown construction kind: {kind!r}")
-    for clique in KINDS[kind]:
-        g = (clique_blowup if clique else blowup)(g, m, max_dim)
-    return g
+    return Graph._trusted(_twin_steps(g.adj, m, KINDS[kind], max_dim))
 
 
 # ---------------------------------------------------------------------------

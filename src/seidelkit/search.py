@@ -4,10 +4,17 @@
 hypothesis on each graph, and certifies every graph that clears the bound:
 balanced instances are expected to yield equienergetic pairs ("certified"),
 unbalanced ones to yield non-equienergetic pairs ("refuted").  Per-line
-parse failures and dimension-cap skips are recorded, never fatal.  Output
-ordering follows input line numbers, so a scan is deterministic regardless
-of the worker count; the JSON rendering is canonical (sorted keys) and
-byte-identical across runs and worker counts.
+parse failures and dimension-cap skips are recorded, never fatal.
+
+Lines are read in chunks.  Each line of a chunk is decoded on its own, and
+the graphs that reach the solve are grouped by order into blocks, capped
+together at ``_BLOCK_BYTES`` of member matrices.  A block runs one stacked
+Seidel build, one eigensolve call, one hypothesis check, and one
+construction and proof per member (see :mod:`seidelkit.theory`).
+``--jobs`` workers take whole chunks.
+Output ordering follows input line numbers, so a scan is deterministic
+regardless of the chunk, block and worker counts; the JSON rendering is
+canonical (sorted keys) and byte-identical across all of them.
 
 Accounting invariant, enforced by construction:
 
@@ -18,14 +25,17 @@ import csv
 import io
 import json
 import os
-from collections import Counter
+from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cache, partial
+from itertools import islice
+
+import numpy as np
 
 from .graphs import DEFAULT_MAX_DIM, Graph6Error, graph_from_graph6
-from .spectral import ZERO_TOL, seidel_spectrum
-from .theory import Certificate, certify, hypothesis_from_spectrum
+from .spectral import ZERO_TOL, seidel_matrix, sym_eigenvalues
+from .theory import Certificate, _certify_block, _hypotheses
 
 __all__ = [
     "NUMERIC_MAX_ORDER",
@@ -42,6 +52,15 @@ __all__ = [
 
 # Default cap on the order of constructed graphs during a scan.
 NUMERIC_MAX_ORDER = 2_000
+
+# Lines per chunk: each chunk is decoded, then certified in equal-order
+# blocks.
+_CHUNK_LINES = 4096
+
+# Cap on B * N**2 * 8 bytes, the int64 Seidel matrices of one member for a
+# block of B graphs at constructed order N, summed over the blocks waiting
+# to run.  A line over the cap on its own runs as a block of one.
+_BLOCK_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -121,27 +140,68 @@ class PairReport:
 # ---------------------------------------------------------------------------
 
 
-def _scan_one(config: ScanConfig, task: tuple[int, str | bytes]):
-    """Process a single input line; returns a (tag, line, ...) record whose
-    tag is the totals bucket of the line.
+def _scan_chunk(config: ScanConfig, chunk) -> list[tuple]:
+    """Process (line number, text) pairs; returns one (tag, line, ...)
+    record per pair, in order, whose tag is the totals bucket of the line.
 
-    Module-level so worker processes can unpickle it.
+    Every line is decoded on its own.  The graphs that reach the solve wait
+    in equal-order blocks until their member matrices would pass
+    ``_BLOCK_BYTES``; then every waiting block runs.  Module-level so worker
+    processes can unpickle it.
     """
-    line_no, text = task
-    try:
-        g = graph_from_graph6(text)
-    except Graph6Error as exc:
-        return ("parse_failed", line_no, str(exc))
-    order = config.order_factor * g.n
-    if order > config.max_order:
-        return ("skipped", line_no, order)
-    sigma = seidel_spectrum(g)
-    hyp = hypothesis_from_spectrum(sigma, config.m, config.theorem)
-    if not hyp.bound_met(ZERO_TOL):
-        return ("hypothesis_failed", line_no)
-    cert = certify(g, config.m, config.theorem, sigma=sigma, hypothesis=hyp)
-    kind = "certified" if cert.hypothesis.satisfied else "refuted"
-    return (kind, line_no, cert)
+    records, waiting, held = {}, defaultdict(list), 0
+    for line_no, text in chunk:
+        try:
+            g = graph_from_graph6(text)
+        except Graph6Error as exc:
+            records[line_no] = ("parse_failed", line_no, str(exc))
+            continue
+        order = config.order_factor * g.n
+        if order > config.max_order:
+            records[line_no] = ("skipped", line_no, order)
+            continue
+        # the int64 Seidel matrix of one member of this line
+        cost = 8 * order * order
+        if held + cost > _BLOCK_BYTES:
+            _run_blocks(config, waiting, records)
+            held = 0
+        waiting[g.n].append((line_no, g))
+        held += cost
+    _run_blocks(config, waiting, records)
+    return [records[line_no] for line_no, _ in chunk]
+
+
+def _run_blocks(config: ScanConfig, waiting: dict, records: dict) -> None:
+    """Run each order's waiting lines as one block into ``records``."""
+    for block in waiting.values():
+        records.update(_scan_block(config, block))
+    waiting.clear()
+
+
+def _scan_block(config: ScanConfig, block) -> dict:
+    """Records, by line number, of (line number, graph) pairs of one order:
+    one stacked Seidel build, eigensolve and hypothesis check, then one
+    ``_certify_block`` of the lines that meet the bound."""
+    adj = np.stack([g.adj for _, g in block])
+    s_g = seidel_matrix(adj)
+    values = sym_eigenvalues(s_g)
+    hyps = _hypotheses(values, config.m, config.theorem)
+    records = {line_no: ("hypothesis_failed", line_no) for line_no, _ in block}
+    met = [k for k, hyp in enumerate(hyps) if hyp.bound_met(ZERO_TOL)]
+    if met:
+        certs = _certify_block(adj[met], s_g[met], values[met],
+                               [hyps[k] for k in met], config.m,
+                               config.theorem)
+        for k, cert in zip(met, certs):
+            kind = "certified" if cert.hypothesis.satisfied else "refuted"
+            records[block[k][0]] = (kind, block[k][0], cert)
+    return records
+
+
+def _chunks(tasks, size: int):
+    tasks = iter(tasks)
+    while chunk := list(islice(tasks, size)):
+        yield chunk
 
 
 def scan_stream(lines, config: ScanConfig, jobs: int = 1) -> PairReport:
@@ -149,27 +209,31 @@ def scan_stream(lines, config: ScanConfig, jobs: int = 1) -> PairReport:
 
     Lines may be ``str`` or ``bytes``; bytes let a non-ASCII line fail
     to parse on its own instead of failing the read of the whole input.
-    Blank lines are ignored (line numbering still counts them).  With
-    ``jobs > 1`` the lines are certified in that many worker processes
-    and merged back in input order, so the report is identical to a
-    serial run.
+    Blank lines are ignored (line numbering still counts them).  Lines are
+    read in chunks of ``_CHUNK_LINES``, and each chunk is certified in
+    equal-order blocks.  With ``jobs > 1`` the chunks go to that many
+    worker processes and are merged back in input order.  The report does
+    not depend on the chunk, block or worker count.
     """
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    tasks = [(i, line.strip()) for i, line in enumerate(lines, start=1)
-             if line.strip()]
+    tasks = ((i, line.strip()) for i, line in enumerate(lines, start=1)
+             if line.strip())
 
-    worker = partial(_scan_one, config)
-    # every worker starts up front, so start no more than can be kept busy
-    jobs = min(jobs, len(tasks), os.cpu_count() or 1)
+    worker = partial(_scan_chunk, config)
+    if jobs > 1:
+        tasks = list(tasks)
+        # every worker starts up front, so start no more than can be kept busy
+        jobs = min(jobs, len(tasks), os.cpu_count() or 1)
     if jobs > 1:
         # about four chunks per worker: few enough that the per-chunk
         # pickling cost stays small next to sub-millisecond lines
-        chunksize = -(-len(tasks) // (4 * jobs))
+        size = min(_CHUNK_LINES, -(-len(tasks) // (4 * jobs)))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(worker, tasks, chunksize=chunksize))
+            chunks = list(pool.map(worker, _chunks(tasks, size)))
     else:
-        records = [worker(t) for t in tasks]
+        chunks = map(worker, _chunks(tasks, _CHUNK_LINES))
+    records = [record for chunk in chunks for record in chunk]
 
     tags = Counter(record[0] for record in records)
     entries = [ScanEntry(line=r[1], kind=r[0], certificate=r[2])
@@ -178,7 +242,7 @@ def scan_stream(lines, config: ScanConfig, jobs: int = 1) -> PairReport:
                                          "hypothesis_failed", "certified",
                                          "refuted")}
     totals.update(
-        scanned=len(tasks), hypothesis_satisfied=tags["certified"],
+        scanned=len(records), hypothesis_satisfied=tags["certified"],
         boundary_flagged=sum(e.certificate.hypothesis.boundary for e in entries),
         violations=sum(e.certificate.theorem_violation for e in entries))
     failures = tuple(ScanFailure(line=r[1], error=r[2])

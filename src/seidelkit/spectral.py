@@ -59,14 +59,15 @@ class ConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def seidel_matrix(g: Graph) -> np.ndarray:
-    """Seidel matrix J - I - 2A of a graph, as int64.
+def seidel_matrix(g: Graph | np.ndarray) -> np.ndarray:
+    """Seidel matrix J - I - 2A of a graph, as int64; given an adjacency
+    array, of it or of each matrix of its (B, n, n) stack.
 
     Zero diagonal; -1 for adjacent pairs, +1 for non-adjacent pairs.
     """
-    n = g.n
-    j = np.ones((n, n), dtype=np.int64)
-    return j - np.eye(n, dtype=np.int64) - 2 * g.adj.astype(np.int64)
+    adj = g.adj if isinstance(g, Graph) else g
+    n = adj.shape[-1]
+    return (1 - np.eye(n, dtype=np.int64)) - 2 * adj.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +98,6 @@ class Spectrum:
 
     def total(self) -> float:
         return math.fsum(self.values)
-
-    def min_abs(self) -> float:
-        return min(abs(v) for v in self.values)
 
     def format_grouped(self, digits: int = 12) -> str:
         parts = [f"{_fmt_value(v, digits)}^{mult}" for v, mult in self.groups]
@@ -163,21 +161,26 @@ def classify_inertia(values, zero_tol: float = ZERO_TOL) -> Inertia:
 # ---------------------------------------------------------------------------
 
 
-def sym_eigenvalues(mat: np.ndarray, group_tol: float = GROUP_TOL) -> Spectrum:
-    """All eigenvalues of a symmetric matrix via LAPACK (``eigvalsh``).
+def sym_eigenvalues(mat: np.ndarray, group_tol: float = GROUP_TOL):
+    """All eigenvalues of a symmetric matrix via LAPACK (``eigvalsh``), as a
+    :class:`Spectrum`.  Given a (B, n, n) stack, all matrices are solved in
+    one call, and the result is a (B, n) array with each row sorted
+    descending, left ungrouped.
 
     A LAPACK convergence failure (``LinAlgError``) is raised as
     :class:`ConvergenceError`.
     """
     a = np.asarray(mat)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError("matrix must be square")
-    if not np.array_equal(a, a.T):
+    if not np.array_equal(a, a.swapaxes(-1, -2)):
         raise ValueError("matrix must be symmetric")
     try:
         values = np.linalg.eigvalsh(a.astype(np.float64))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
+    if a.ndim == 3:
+        return np.sort(values, axis=1)[:, ::-1]
     return spectrum_from_values(values, group_tol)
 
 

@@ -18,16 +18,21 @@ negative Seidel eigenvalues and none at zero.  ``certify`` checks that
 equivalence instance by instance, in both directions.  It solves only the
 base Seidel matrix and proves each member's closed form exactly: by its
 equitable quotient and by explicit integer padding eigenvectors.
+
+The hypothesis check and the proof run on blocks: stacks of graphs of one
+order, with one numpy call per stage for the whole block.  ``certify`` is
+a block of one; ``search.scan_stream`` passes whole blocks.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .graphs import DEFAULT_MAX_DIM, KINDS, Graph, construct, graph_to_graph6
-from .spectral import (NUM_TOL, ZERO_TOL, Inertia, Spectrum, classify_inertia,
-                       seidel_matrix, spectrum_from_values, sym_eigenvalues)
+from .graphs import DEFAULT_MAX_DIM, KINDS, Graph, _graph6_lines, _twin_steps
+from .spectral import (NUM_TOL, ZERO_TOL, Inertia, Spectrum, seidel_matrix,
+                       spectrum_from_values, sym_eigenvalues)
 
 __all__ = [
     "ENERGY_TOL",
@@ -86,10 +91,11 @@ class ClosedFormSpectrum:
         return spectrum_from_values(self.values()).format_grouped(digits)
 
 
-def _closed_form(sigma: Spectrum, m: int, n: int,
-                 kind: str) -> tuple[ClosedFormSpectrum, int, int]:
-    """Closed form of construct(G, m, kind) from the spectrum of G, with
-    the integer scale and shift that map each eigenvalue of G.
+def _closed_forms(values: np.ndarray, m: int,
+                  kind: str) -> tuple[list[ClosedFormSpectrum], int, int]:
+    """Closed forms of construct(G, m, kind) for graphs G of one order, from
+    their spectra, the rows of ``values``; with the integer scale and shift
+    that map each eigenvalue of G.
 
     Each twin step maps S to J_m (x) (S + eps I) - eps I, with eps = +1 for
     independent and -1 for clique twins: every eigenvalue v, mapped or
@@ -97,19 +103,27 @@ def _closed_form(sigma: Spectrum, m: int, n: int,
     multiplicity (m-1) times the order before it.  The affine maps compose
     into one integer scale and shift, applied once per source eigenvalue.
     """
-    if sigma.n != n:
-        raise ValueError(f"spectrum has {sigma.n} values, expected {n}")
     if m < 2:
         raise ValueError(f"blow-up multiplicity must be >= 2, got {m}")
-    scale, shift, padding, order = 1, 0, [], n
+    scale, shift, padding, order = 1, 0, [], values.shape[1]
     for clique in KINDS[kind]:
         eps = -1 if clique else 1
         padding = [(m * v + eps * (m - 1), mult) for v, mult in padding]
         padding.append((-eps, (m - 1) * order))
         scale, shift, order = m * scale, m * shift + eps * (m - 1), m * order
-    form = ClosedFormSpectrum(tuple(scale * s + shift for s in sigma.values),
-                              tuple(padding), m, order)
-    return form, scale, shift
+    padding = tuple(padding)
+    forms = [ClosedFormSpectrum(tuple(row), padding, m, order)
+             for row in (scale * values + shift).tolist()]
+    return forms, scale, shift
+
+
+def _closed_form(sigma: Spectrum, m: int, n: int,
+                 kind: str) -> tuple[ClosedFormSpectrum, int, int]:
+    """``_closed_forms`` of one graph G of order n, from its spectrum."""
+    if sigma.n != n:
+        raise ValueError(f"spectrum has {sigma.n} values, expected {n}")
+    forms, scale, shift = _closed_forms(np.array([sigma.values]), m, kind)
+    return forms[0], scale, shift
 
 
 def blowup_seidel_spectrum(sigma: Spectrum, m: int, n: int) -> ClosedFormSpectrum:
@@ -137,16 +151,22 @@ def composed_blowup_seidel_spectra(sigma: Spectrum, m: int,
 def compare_spectra(s1: Spectrum, s2: Spectrum) -> tuple[bool, float, bool]:
     """Pair verdicts from two known Seidel spectra: (equienergetic,
     |SE1 - SE2|, cospectral)."""
-    return _pair_verdicts(s1.energy(), s2.energy(), s1.values, s2.values)
+    verdicts = _pair_verdicts(np.array([s1.energy()]), np.array([s2.energy()]),
+                              np.array([s1.values]), np.array([s2.values]))
+    return tuple(v.item() for v in verdicts)
 
 
-def _pair_verdicts(e1: float, e2: float, values1, values2):
-    """Verdicts from energies and sorted values.  The energy verdict is
-    relative: |e1 - e2| <= ENERGY_TOL * max(1, e1)."""
-    delta = abs(e1 - e2)
-    cospectral = len(values1) == len(values2) and bool(
-        np.abs(np.subtract(values1, values2)).max(initial=0.0) <= NUM_TOL)
-    return delta <= ENERGY_TOL * max(1.0, e1), delta, cospectral
+def _pair_verdicts(e1: np.ndarray, e2: np.ndarray, values1: np.ndarray,
+                   values2: np.ndarray):
+    """Verdicts of B pairs from their energies and sorted values, one pair
+    per row: (equienergetic, |e1 - e2|, cospectral) arrays.  The energy
+    verdict is relative: |e1 - e2| <= ENERGY_TOL * max(1, e1)."""
+    delta = np.abs(e1 - e2)
+    if values1.shape == values2.shape:
+        cospectral = np.abs(values1 - values2).max(axis=1, initial=0.0) <= NUM_TOL
+    else:
+        cospectral = np.zeros(len(e1), dtype=bool)
+    return delta <= ENERGY_TOL * np.maximum(1.0, e1), delta, cospectral
 
 
 # ---------------------------------------------------------------------------
@@ -181,19 +201,30 @@ class HypothesisReport:
 def hypothesis_from_spectrum(sigma: Spectrum, m: int, power: int = 1,
                              zero_tol: float = ZERO_TOL) -> HypothesisReport:
     """Evaluate the magnitude bound and sign balance on a known spectrum."""
+    return _hypotheses(np.array([sigma.values]), m, power, zero_tol)[0]
+
+
+def _hypotheses(values: np.ndarray, m: int, power: int = 1,
+                zero_tol: float = ZERO_TOL) -> list[HypothesisReport]:
+    """``hypothesis_from_spectrum`` of each spectrum of a block of graphs of
+    one order, given as the rows of ``values``."""
     if m < 2:
         raise ValueError(f"blow-up multiplicity must be >= 2, got {m}")
     if power not in (1, 2):
         raise ValueError("power must be 1 or 2")
     bound = ((m - 1) / m) ** power
-    min_abs = sigma.min_abs()
-    margin = min_abs - bound
-    inertia = classify_inertia(sigma.values, zero_tol)
-    satisfied = inertia.balanced and margin >= -zero_tol
-    return HypothesisReport(
-        m=m, bound=bound, min_abs_eigenvalue=min_abs,
-        balanced=inertia.balanced, inertia=inertia, satisfied=satisfied,
-        margin=margin, boundary=abs(margin) <= zero_tol)
+    reports = []
+    for low, pos, neg in zip(np.abs(values).min(axis=1).tolist(),
+                             np.count_nonzero(values > zero_tol, axis=1).tolist(),
+                             np.count_nonzero(values < -zero_tol, axis=1).tolist()):
+        inertia = Inertia(pos, values.shape[1] - pos - neg, neg)
+        margin = low - bound
+        reports.append(HypothesisReport(
+            m=m, bound=bound, min_abs_eigenvalue=low,
+            balanced=inertia.balanced, inertia=inertia,
+            satisfied=inertia.balanced and margin >= -zero_tol, margin=margin,
+            boundary=abs(margin) <= zero_tol))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +314,20 @@ def _padding_eigenvectors(n: int, m: int, steps: int):
     return blocks
 
 
-def _exact_padding_ok(s: np.ndarray, padding, vectors) -> bool:
-    """True when each block (value, mult) has mult vectors with x s = value x.
+@lru_cache(maxsize=64)
+def _padding_basis(n: int, m: int, steps: int):
+    """``_padding_eigenvectors``, read-only, and whether they are
+    cell-balanced; cached, as both depend only on (n, m, steps)."""
+    vectors = _padding_eigenvectors(n, m, steps)
+    for block in vectors:
+        for array in block:
+            array.setflags(write=False)
+    return vectors, _cells_balanced(n, vectors)
+
+
+def _exact_padding_ok(s: np.ndarray, padding, vectors) -> np.ndarray:
+    """For each matrix of the (B, N, N) stack s, True when each block
+    (value, mult) has mult vectors with x s = value x.
 
     The test gathers the support rows of s and runs in integer arithmetic.
     Only vectors with a private coordinate, which no other vector of the
@@ -292,16 +335,18 @@ def _exact_padding_ok(s: np.ndarray, padding, vectors) -> bool:
     As s and its transpose share the characteristic polynomial, that proves
     value is a root of it of multiplicity at least mult.
     """
+    ok = np.ones(len(s), dtype=bool)
     for (value, mult), (supports, signs) in zip(padding, vectors):
-        # row j: x_j s - value x_j
-        residual = sum(sign * s[supports[:, t]] for t, sign in enumerate(signs))
-        np.subtract.at(residual, (np.arange(len(supports))[:, None], supports),
-                       value * signs)
-        uses = np.bincount(supports.ravel(), minlength=len(s))
-        passed = ~residual.any(axis=1) & (uses[supports] == 1).any(axis=1)
-        if np.count_nonzero(passed) < mult:
-            return False
-    return True
+        target = np.zeros((len(supports), s.shape[-1]), dtype=np.int64)
+        np.add.at(target, (np.arange(len(supports))[:, None], supports),
+                  value * signs)
+        uses = np.bincount(supports.ravel(), minlength=s.shape[-1])
+        private = (uses[supports] == 1).any(axis=1)
+        # row j of matrix b: x_j s_b against value x_j
+        eigen = (np.einsum("t,bjtc->bjc", signs, s[:, supports])
+                 == target).all(axis=2)
+        ok &= np.count_nonzero(eigen & private, axis=1) >= mult
+    return ok
 
 
 def _cells_balanced(n: int, vectors) -> bool:
@@ -316,39 +361,32 @@ def _cells_balanced(n: int, vectors) -> bool:
     return True
 
 
-def _padding_proven(s: np.ndarray, n: int, padding, vectors) -> bool:
-    """True when the padding blocks, on cell-balanced vectors, span the
-    orthogonal complement of the cells, of dimension len(s) - n: each block
-    passes ``_exact_padding_ok``, the values are distinct (so the blocks are
-    orthogonal to each other) and the multiplicities add up to len(s) - n."""
+def _padding_proven(s: np.ndarray, n: int, padding, vectors) -> np.ndarray:
+    """For each matrix of the (B, N, N) stack s, True when the padding
+    blocks, on cell-balanced vectors, span the orthogonal complement of the
+    cells, of dimension N - n: each block passes ``_exact_padding_ok``, the
+    values are distinct (so the blocks are orthogonal to each other) and the
+    multiplicities add up to N - n."""
     values = [value for value, _ in padding]
-    return (len(vectors) == len(set(values)) == len(values)
-            and sum(mult for _, mult in padding) == len(s) - n
-            and _exact_padding_ok(s, padding, vectors))
+    counted = (len(vectors) == len(set(values)) == len(values)
+               and sum(mult for _, mult in padding) == s.shape[-1] - n)
+    return counted & _exact_padding_ok(s, padding, vectors)
 
 
-def _quotient_ok(s: np.ndarray, s_g: np.ndarray, scale: int, shift: int) -> bool:
-    """True when the cells i mod n are an equitable partition of the
-    symmetric matrix s with quotient Q = scale*S_G + shift*I: s P = P Q for
-    the cell indicator matrix P, so the eigenvalues of Q, scale*sigma + shift
+def _quotient_ok(s: np.ndarray, s_g: np.ndarray, scale: int,
+                 shift: int) -> np.ndarray:
+    """For each matrix of the (B, N, N) stack s, True when the cells i mod n
+    are an equitable partition of it with quotient Q = scale*S_G + shift*I,
+    S_G the matching matrix of the (B, n, n) stack s_g: s P = P Q for the
+    cell indicator matrix P, so the eigenvalues of Q, scale*sigma + shift
     over the spectrum sigma of G, are eigenvalues of s with multiplicity.
     """
-    n = len(s_g)
+    b, order, n = len(s), s.shape[-1], s_g.shape[-1]
     q = scale * s_g
-    q.flat[::n + 1] += shift
+    q.reshape(b, -1)[:, ::n + 1] += shift
     # row c*n + v of the cell sums against row v of q, for every copy c
-    return bool((s.reshape(len(s), -1, n).sum(axis=1).reshape(-1, n, n)
-                 == q).all())
-
-
-def _prove_member(g: Graph, s_g: np.ndarray, sigma: Spectrum, m: int,
-                  kind: str, vectors, max_dim: int):
-    """Closed form of one member with its quotient and padding verdicts,
-    both on one Seidel matrix, freed before the next member is built."""
-    form, scale, shift = _closed_form(sigma, m, g.n, kind)
-    s = seidel_matrix(construct(g, m, kind, max_dim))
-    return (form, _quotient_ok(s, s_g, scale, shift),
-            _padding_proven(s, g.n, form.padding, vectors))
+    cells = s.reshape(b, order, -1, n).sum(axis=2).reshape(b, -1, n, n)
+    return (cells == q[:, None]).reshape(b, -1).all(axis=1)
 
 
 # the two members of pair theorem t: the construction kinds of t twin steps
@@ -357,55 +395,85 @@ _MEMBERS = {t: tuple(kind for kind, steps in KINDS.items() if len(steps) == t)
 
 
 def certify(g: Graph, m: int, theorem: int, max_dim: int = DEFAULT_MAX_DIM,
-            sigma: Spectrum | None = None,
-            hypothesis: HypothesisReport | None = None) -> Certificate:
+            sigma: Spectrum | None = None) -> Certificate:
     """Certify the single (theorem=1) or composed (theorem=2) pair of g.
 
     Theorem 1 compares blowup(g, m) against clique_blowup(g, m) (order
     m*n each), theorem 2 the two mixed double blow-ups (order m^2*n each).
-    Only the base Seidel matrix is solved.  Each member is built, and its
-    closed form is proven on its Seidel matrix in integer arithmetic, by
-    the equitable quotient and by the padding eigenvectors; energies and
-    verdicts come from the closed forms.  A caller that already holds the
-    base spectrum ``sigma`` and the hypothesis report at the same m and
-    theorem passes them in to avoid a re-solve.
+    Only the base Seidel matrix is solved, unless the caller passes its
+    spectrum ``sigma``.  The rest runs as a block of one: see
+    ``_certify_block``.
     """
     if theorem not in _MEMBERS:
         raise ValueError("theorem must be 1 or 2")
     s_g = seidel_matrix(g)
     if sigma is None:
         sigma = sym_eigenvalues(s_g)
-    hyp = hypothesis or hypothesis_from_spectrum(sigma, m, theorem)
+    hyp = hypothesis_from_spectrum(sigma, m, theorem)
+    return _certify_block(g.adj[None], s_g[None], np.array([sigma.values]),
+                          [hyp], m, theorem, max_dim)[0]
 
-    vectors = _padding_eigenvectors(g.n, m, theorem)
-    (closed_a, quotient_a, padding_a), (closed_b, quotient_b, padding_b) = (
-        _prove_member(g, s_g, sigma, m, kind, vectors, max_dim)
-        for kind in _MEMBERS[theorem])
-    energy_a, energy_b = closed_a.energy(), closed_b.energy()
-    equienergetic, delta, cospectral = _pair_verdicts(
-        energy_a, energy_b, closed_a.values(), closed_b.values())
+
+def _certify_block(adj: np.ndarray, s_g: np.ndarray, values: np.ndarray,
+                   hypotheses, m: int, theorem: int,
+                   max_dim: int = DEFAULT_MAX_DIM) -> list[Certificate]:
+    """Certificates of B graphs of one order n, given as their (B, n, n)
+    adjacency and Seidel stacks, their spectra (rows of ``values``, sorted
+    descending) and their hypothesis reports at m and theorem.
+
+    Each member is built for the whole block by one stacked construction.
+    Its closed form is proven on its Seidel matrices in integer arithmetic,
+    by the equitable quotient and by the padding eigenvectors, which depend
+    only on (n, m, theorem); one member's matrices are freed before the
+    next member is built.  Energies and verdicts come from the closed forms.
+    """
+    n = adj.shape[-1]
+    vectors, balanced = _padding_basis(n, m, theorem)
+    proven = np.full(len(adj), balanced)
+    agrees = np.ones(len(adj), dtype=bool)
+    forms, spectra = [], []
+    for kind in _MEMBERS[theorem]:
+        member, scale, shift = _closed_forms(values, m, kind)
+        padding = member[0].padding
+        s = seidel_matrix(_twin_steps(adj, m, KINDS[kind], max_dim))
+        agrees &= _quotient_ok(s, s_g, scale, shift)
+        proven &= _padding_proven(s, n, padding, vectors)
+        del s
+        # each member's whole closed spectrum, one sorted row per graph
+        spectrum = np.empty((len(adj), member[0].order))
+        spectrum[:, :n] = scale * values + shift
+        spectrum[:, n:] = np.repeat(*zip(*padding))
+        spectrum.sort(axis=1)
+        forms.append(member)
+        spectra.append(spectrum)
+    energies = [[form.energy() for form in member] for member in forms]
+    verdicts = _pair_verdicts(*map(np.array, energies), *spectra)
+
     # the base solve against the trace, 0, and the squared Frobenius norm
-    frobenius = g.n * (g.n - 1)
-    residual = max(abs(sigma.total()) / max(1.0, sigma.energy()),
-                   abs(math.fsum(v * v for v in sigma.values) - frobenius)
-                   / max(1, frobenius))
-
-    if hyp.satisfied:
-        violation = not equienergetic
-    elif hyp.bound_met():
-        # bound holds but signs are unbalanced: the pair must NOT be
-        # equienergetic
-        violation = equienergetic
-    else:
-        violation = False
-
-    return Certificate(
-        theorem=theorem, graph6=graph_to_graph6(g), m=m, hypothesis=hyp,
-        closed_a=closed_a, closed_b=closed_b,
-        energy_a=energy_a, energy_b=energy_b, energy_delta=delta,
-        equienergetic=equienergetic, cospectral=cospectral,
-        closed_form_agrees=quotient_a and quotient_b,
-        exact_multiplicities_verified=(_cells_balanced(g.n, vectors)
-                                       and padding_a and padding_b),
-        base_residual=residual,
-        theorem_violation=violation)
+    frobenius = n * (n - 1)
+    certs = []
+    for (row, hyp, graph6, closed_a, closed_b, energy_a, energy_b, same, gap,
+         cospectral, agree, exact) in zip(
+            values.tolist(), hypotheses, _graph6_lines(adj), *forms,
+            *energies, *(column.tolist() for column in (*verdicts, agrees,
+                                                        proven))):
+        residual = max(abs(math.fsum(row))
+                       / max(1.0, math.fsum(abs(v) for v in row)),
+                       abs(math.fsum(v * v for v in row) - frobenius)
+                       / max(1, frobenius))
+        if hyp.satisfied:
+            violation = not same
+        elif hyp.bound_met():
+            # bound holds but signs are unbalanced: the pair must NOT be
+            # equienergetic
+            violation = same
+        else:
+            violation = False
+        certs.append(Certificate(
+            theorem=theorem, graph6=graph6, m=m, hypothesis=hyp,
+            closed_a=closed_a, closed_b=closed_b,
+            energy_a=energy_a, energy_b=energy_b, energy_delta=gap,
+            equienergetic=same, cospectral=cospectral,
+            closed_form_agrees=agree, exact_multiplicities_verified=exact,
+            base_residual=residual, theorem_violation=violation))
+    return certs

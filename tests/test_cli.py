@@ -213,6 +213,29 @@ def test_scan_rejects_max_order_above_cap_before_reading(capsys, monkeypatch):
     assert "max_order 20000" in err
 
 
+def test_scan_max_order_follows_env_cap(tmp_path, capsys, monkeypatch):
+    # certify refuses C~ at m = 2 under a cap of 7 (order 8), so scan skips it
+    monkeypatch.setenv("SEIDELKIT_MAX_DIM", "7")
+    assert run(["certify", "C~", "--theorem", "1", "--m", "2"]) == 2
+    assert "exceeds dimension cap 7" in _out(capsys)[1]
+    catalog = tmp_path / "graphs.g6"
+    catalog.write_text("A_\nC~\n")
+    assert run(["scan", str(catalog), "--m", "2"]) == 0
+    doc = json.loads(_out(capsys)[0])
+    assert doc["config"]["max_order"] == 7
+    assert [e["line"] for e in doc["certificates"]] == [1]
+    assert doc["skipped"] == [{"line": 2, "order": 8,
+                               "reason": "constructed order exceeds max_order"}]
+    # an explicit --max-order above the cap is refused before any line is read
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+        io.BufferedReader(_UnreadableInput())))
+    assert run(["scan", "--m", "2", "--max-order", "8"]) == 2
+    out, err = _out(capsys)
+    assert out == ""
+    assert "max_order 8 exceeds dimension cap 7" in err
+    assert run(["scan", str(catalog), "--m", "2", "--max-order", "7"]) == 0
+
+
 def test_stdin_single_graph(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("C~\n"))
     assert run(["energy", "-"]) == 0

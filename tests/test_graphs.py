@@ -1,7 +1,10 @@
 """Graph container, graph6 codec, and blow-up construction tests."""
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from networkx.generators.atlas import graph_atlas_g
 
 from seidelkit import (KINDS, Graph, Graph6Error, blowup, clique_blowup,
                        complement, complete_graph, construct, cycle_graph,
@@ -74,6 +77,42 @@ def test_codec_round_trip_random():
         n = int(rng.integers(1, 63))
         g = random_simple_graph(rng, n, p=float(rng.random()))
         assert graph_from_graph6(graph_to_graph6(g)) == g
+
+
+def test_decoded_graph_is_valid_int8_and_read_only():
+    # the decoder skips Graph's validation and copy, so check its output
+    # against them: every atlas line with n <= 7 and seeded n = 10..40
+    rng = np.random.default_rng(15)
+    lines = [nx.to_graph6_bytes(g, header=False).strip()
+             for g in graph_atlas_g()[1:]]
+    lines += [graph_to_graph6(random_simple_graph(rng, n, p=float(rng.random())))
+              for n in range(10, 41) for _ in range(3)]
+    for line in lines:
+        g = graph_from_graph6(line)
+        assert g == Graph(g.adj)
+        assert g.adj.dtype == np.int8 and not g.adj.flags.writeable
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(1, 12))
+    bits = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                         max_size=n * (n - 1) // 2))
+    adj = np.zeros((n, n), dtype=np.int8)
+    adj[np.triu_indices(n, 1)] = bits
+    return Graph(adj | adj.T)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_graphs(), st.booleans())
+def test_codec_round_trip_property(g, header):
+    assert graph_from_graph6(graph_to_graph6(g)) == g
+    # a line from an independent encoder re-encodes to its own bytes
+    line = nx.to_graph6_bytes(nx.from_numpy_array(g.adj), header=header)
+    decoded = graph_from_graph6(line)
+    assert decoded == g
+    assert graph_to_graph6(decoded).encode() == line.removeprefix(
+        b">>graph6<<").rstrip(b"\n")
 
 
 def test_codec_long_form():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from seidelkit import (DEFAULT_MAX_DIM, ScanConfig, graph_from_graph6,
                        report_to_json, scan_stream, write_report)
 from seidelkit import search
+from seidelkit.cli import run
 from seidelkit.search import report_to_csv, report_to_text
 from conftest import (CONFIG_KEYS, ENTRY_KEYS, FAILURE_KEYS, REPORT_KEYS,
                       SKIP_KEYS, TOTALS_KEYS, check_json_object, jacobi_desc,
@@ -203,3 +205,60 @@ def test_scan_theorem_two():
     assert len(cert.closed_a.values()) == 8
     assert np.allclose(jacobi_member(graph_from_graph6("A_"), 2, "t2-left"),
                        cert.closed_a.values(), atol=1e-9)
+
+
+def _mixed_catalog(catalog_lines):
+    """The atlas with n <= 6, a prefixed line, malformed lines and an n = 7
+    line, shuffled."""
+    lines = list(catalog_lines) + [
+        ">>graph6<<Bw", "not graph6!!", "C~~", "", "F~~~w"]
+    random.Random(7).shuffle(lines)
+    return lines
+
+
+@pytest.mark.parametrize("theorem, m", [(1, 2), (1, 3), (2, 2)])
+def test_blocks_report_as_one_line_at_a_time(catalog_lines, monkeypatch,
+                                             theorem, m):
+    lines = _mixed_catalog(catalog_lines)
+    # n = 7 lines are over max_order, every other order is solved
+    config = ScanConfig(m=m, theorem=theorem, max_order=6 * m ** theorem)
+    blocks = scan_stream(lines, config)
+    assert blocks.totals["skipped"] == 1 and blocks.totals["parse_failed"] == 2
+    assert blocks.totals["certified"] and blocks.totals["refuted"]
+    text = report_to_json(blocks)
+    assert report_to_json(scan_stream(lines, config, jobs=2)) == text
+
+    sizes = []
+    scan_block = search._scan_block
+
+    def recording(config, block):
+        order = config.order_factor * block[0][1].n
+        sizes.append((len(block), 8 * order ** 2 * len(block)))
+        return scan_block(config, block)
+
+    monkeypatch.setattr(search, "_scan_block", recording)
+    # one line per block; then mixed blocks, at most three n = 6 lines
+    for budget, chunk in ((1, 4096), (3 * 8 * config.max_order ** 2, 7)):
+        monkeypatch.setattr(search, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(search, "_CHUNK_LINES", chunk)
+        sizes.clear()
+        assert report_to_json(scan_stream(lines, config)) == text
+        assert all(size == 1 or held <= budget for size, held in sizes)
+        assert (max(size for size, _ in sizes) > 1) == (budget > 1)
+
+
+def test_stacked_solve_failure_fails_the_scan(tmp_path, capsys, monkeypatch):
+    original = np.linalg.eigvalsh
+
+    def fail_on_stacks(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail_on_stacks)
+    catalog = tmp_path / "catalog.g6"
+    catalog.write_text("A_\nBw\nC~\n")
+    out = tmp_path / "report.json"
+    assert run(["scan", str(catalog), "--m", "2", "--out", str(out)]) == 2
+    assert "did not converge" in capsys.readouterr().err
+    assert not out.exists()

@@ -382,7 +382,7 @@ def test_exact_padding_check_agrees_with_charpoly(catalog_graphs, power, m):
         for s, padding in _members_with_padding(g, m, power):
             poly = charpoly_exact(s)
             for (value, mult), vecs in zip(padding, vectors):
-                assert (_exact_padding_ok(s, [(value, mult)], [vecs])
+                assert (_exact_padding_ok(s[None], [(value, mult)], [vecs])[0]
                         == (integer_root_multiplicity(poly, value) >= mult))
 
 
@@ -391,15 +391,17 @@ def test_exact_padding_check_rejects_corrupted_matrix(power):
     g, m = path_graph(4), 2
     vectors = _padding_eigenvectors(g.n, m, power)
     for s, padding in _members_with_padding(g, m, power):
-        assert _exact_padding_ok(s, padding, vectors)
+        assert _exact_padding_ok(s[None], padding, vectors).all()
         # every vertex lies on some vector of every block, so flipping any
         # symmetric off-diagonal pair, or setting a diagonal entry, must
-        # break every block
-        for i, j in zip(*np.triu_indices(len(s))):
-            bad = s.copy()
-            bad[i, j] = bad[j, i] = -s[i, j] if i != j else 1
-            for block, vecs in zip(padding, vectors):
-                assert not _exact_padding_ok(bad, [block], [vecs])
+        # break every block: one stacked matrix per mutation
+        rows, cols = np.triu_indices(len(s))
+        bad = np.repeat(s[None], len(rows), axis=0)
+        mutation = np.arange(len(rows))
+        bad[mutation, rows, cols] = np.where(rows != cols, -s[rows, cols], 1)
+        bad[mutation, cols, rows] = bad[mutation, rows, cols]
+        for block, vecs in zip(padding, vectors):
+            assert not _exact_padding_ok(bad, [block], [vecs]).any()
 
 
 @pytest.mark.parametrize("power", [1, 2])
@@ -409,24 +411,32 @@ def test_exact_padding_check_needs_enough_independent_vectors(power):
     for s, padding in _members_with_padding(g, m, power):
         for (value, mult), (supports, signs) in zip(padding, vectors):
             assert len(supports) == mult
-            assert _exact_padding_ok(s, [(value, mult)], [(supports, signs)])
-            assert not _exact_padding_ok(s, [(value, mult + 1)],
-                                         [(supports, signs)])
+            assert _exact_padding_ok(s[None], [(value, mult)],
+                                     [(supports, signs)])[0]
+            assert not _exact_padding_ok(s[None], [(value, mult + 1)],
+                                         [(supports, signs)])[0]
             # listing every vector twice adds no independent one
             doubled = (np.concatenate([supports, supports]), signs)
-            assert not _exact_padding_ok(s, [(value, mult)], [doubled])
+            assert not _exact_padding_ok(s[None], [(value, mult)], [doubled])[0]
 
 
 # -- the proof of each member's closed form: mutations must break it ----------
 
-def _proof(s, g, m, kind):
-    """(quotient proven, padding proven) for a Seidel matrix s offered as
-    construct(g, m, kind)."""
+def _proofs(s, g, m, kind):
+    """(quotient proven, padding proven) arrays for a stack s of Seidel
+    matrices, each offered as construct(g, m, kind)."""
     form, scale, shift = _closed_form(seidel_spectrum(g), m, g.n, kind)
     vectors = _padding_eigenvectors(g.n, m, len(KINDS[kind]))
-    return (_quotient_ok(s, seidel_matrix(g), scale, shift),
+    s_g = np.repeat(seidel_matrix(g)[None], len(s), axis=0)
+    return (_quotient_ok(s, s_g, scale, shift),
             _cells_balanced(g.n, vectors)
-            and _padding_proven(s, g.n, form.padding, vectors))
+            & _padding_proven(s, g.n, form.padding, vectors))
+
+
+def _proof(s, g, m, kind):
+    """(quotient proven, padding proven) for one Seidel matrix s."""
+    quotient, padding = _proofs(s[None], g, m, kind)
+    return bool(quotient[0]), bool(padding[0])
 
 
 @pytest.mark.parametrize("kind", list(KINDS))
@@ -435,16 +445,19 @@ def test_member_proof_holds_and_breaks_under_mutation(kind):
     s = seidel_matrix(construct(g, m, kind))
     assert _proof(s, g, m, kind) == (True, True)
 
-    # every flipped symmetric off-diagonal pair breaks the quotient
-    for i, j in zip(*np.triu_indices(len(s), 1)):
-        bad = s.copy()
-        bad[i, j] = bad[j, i] = -s[i, j]
-        assert not _proof(bad, g, m, kind)[0]
+    # every flipped symmetric off-diagonal pair breaks the quotient, one
+    # stacked matrix per flip
+    rows, cols = np.triu_indices(len(s), 1)
+    bad = np.repeat(s[None], len(rows), axis=0)
+    mutation = np.arange(len(rows))
+    bad[mutation, rows, cols] = bad[mutation, cols, rows] = -s[rows, cols]
+    assert not _proofs(bad, g, m, kind)[0].any()
 
     # a wrong shift breaks the quotient
     _, scale, shift = _closed_form(seidel_spectrum(g), m, g.n, kind)
     for wrong in (shift - 1, shift + 1, -shift):
-        assert not _quotient_ok(s, seidel_matrix(g), scale, wrong)
+        assert not _quotient_ok(s[None], seidel_matrix(g)[None], scale,
+                                wrong)[0]
 
     # a permuted vertex layout breaks the proof: vertex-major copies
     # (np.kron(X, J_m)) instead of copy-major ones, and a random relabelling
@@ -467,7 +480,7 @@ def test_padding_vector_off_the_cells_breaks_the_proof():
     moved = supports.copy()
     moved[0] = [0, 2]
     vectors = [(moved, signs)]
-    assert _padding_proven(s, g.n, form.padding, vectors)
+    assert _padding_proven(s[None], g.n, form.padding, vectors)[0]
     assert not _cells_balanced(g.n, vectors)
     assert _cells_balanced(g.n, _padding_eigenvectors(g.n, m, 1))
 
@@ -477,15 +490,48 @@ def test_padding_proof_needs_the_full_count():
     s = seidel_matrix(construct(g, m, "t2-left"))
     form, _, _ = _closed_form(seidel_spectrum(g), m, g.n, "t2-left")
     vectors = _padding_eigenvectors(g.n, m, 2)
-    assert _padding_proven(s, g.n, form.padding, vectors)
+    s = s[None]
+    assert _padding_proven(s, g.n, form.padding, vectors)[0]
     # one block fewer, a block left without vectors, or a block short of
     # order - n in total
-    assert not _padding_proven(s, g.n, form.padding[:1], vectors[:1])
-    assert not _padding_proven(s, g.n, form.padding, vectors[:1])
+    assert not _padding_proven(s, g.n, form.padding[:1], vectors[:1])[0]
+    assert not _padding_proven(s, g.n, form.padding, vectors[:1])[0]
     (value, mult), (other, rest) = form.padding
-    assert _exact_padding_ok(s, [(value, mult - 1)], vectors[:1])
+    assert _exact_padding_ok(s, [(value, mult - 1)], vectors[:1])[0]
     assert not _padding_proven(s, g.n, ((value, mult - 1), (other, rest)),
-                               vectors)
+                               vectors)[0]
+
+
+@pytest.mark.parametrize("theorem", [1, 2])
+def test_corrupted_member_fails_only_its_row_of_the_block(
+        catalog_graphs, monkeypatch, theorem):
+    graphs = [g for g in catalog_graphs if g.n == 5][:6]
+    adj = np.stack([g.adj for g in graphs])
+    s_g = seidel_matrix(adj)
+    values = spectral.sym_eigenvalues(s_g)
+    hyps = theory._hypotheses(values, 2, theorem)
+    clean = theory._certify_block(adj, s_g, values, hyps, 2, theorem)
+    assert [to_plain(c) for c in clean] == [
+        to_plain(certify(g, 2, theorem)) for g in graphs]
+    assert all(c.closed_form_agrees and c.exact_multiplicities_verified
+               for c in clean)
+
+    twin_steps = theory._twin_steps
+
+    def corrupt_row_3(a, *args):
+        members = twin_steps(a, *args).copy()
+        members[3, 0, 1] ^= 1  # one flipped edge, in row 3 only
+        members[3, 1, 0] ^= 1
+        return members
+
+    monkeypatch.setattr(theory, "_twin_steps", corrupt_row_3)
+    certs = theory._certify_block(adj, s_g, values, hyps, 2, theorem)
+    expected = [k != 3 for k in range(len(graphs))]
+    assert [c.closed_form_agrees for c in certs] == expected
+    assert [c.exact_multiplicities_verified for c in certs] == expected
+    for cert, before in zip(certs, clean):
+        assert cert.energy_a == before.energy_a
+        assert cert.equienergetic == before.equienergetic
 
 
 @pytest.mark.parametrize("theorem", [1, 2])
