@@ -27,4 +27,4 @@ from .theory import (ENERGY_TOL, Certificate, ClosedFormSpectrum,
                      composed_blowup_seidel_spectra, hypothesis_from_spectrum)
 from .search import (NUMERIC_MAX_ORDER, PairReport, ScanConfig, ScanEntry,
                      ScanFailure, ScanSkip, report_to_json, scan_stream,
-                     to_plain, write_report)
+                     to_json, write_report)

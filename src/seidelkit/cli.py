@@ -11,7 +11,6 @@ constructed matrix dimensions.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -20,7 +19,7 @@ from .graphs import (DEFAULT_MAX_DIM, KINDS, Graph6Error, complement,
                      construct, graph_from_graph6, graph_to_graph6)
 from .spectral import (ConvergenceError, charpoly_exact, seidel_inertia,
                        seidel_matrix, seidel_spectrum)
-from .search import (NUMERIC_MAX_ORDER, ScanConfig, scan_stream, to_plain,
+from .search import (NUMERIC_MAX_ORDER, ScanConfig, scan_stream, to_json,
                      write_report)
 from .theory import (blowup_seidel_spectrum, certify,
                      clique_blowup_seidel_spectrum, compare_spectra,
@@ -160,13 +159,9 @@ def _load_graph_token(token: str):
     return graph_from_graph6(token)
 
 
-def _json(obj) -> str:
-    return json.dumps(to_plain(obj), sort_keys=True, indent=2)
-
-
 def _emit(args, obj, text: str) -> int:
     """Print ``obj`` as JSON under ``--json``, else ``text``; exit code 0."""
-    print(_json(obj) if args.json else text)
+    print(to_json(obj) if args.json else text)
     return 0
 
 
@@ -235,7 +230,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_certify(args) -> int:
     cert = certify(_load_graph(args), args.m, args.theorem, max_dim=_max_dim())
-    print(cert.render_text() if args.text else _json(cert))
+    print(cert.render_text() if args.text else to_json(cert))
     return 3 if cert.theorem_violation else 0
 
 

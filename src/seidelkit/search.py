@@ -23,13 +23,13 @@ Accounting invariant, enforced by construction:
 
 import csv
 import io
-import json
 import os
 from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cache, partial
 from itertools import islice
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -47,7 +47,7 @@ __all__ = [
     "scan_stream",
     "write_report",
     "report_to_json",
-    "to_plain",
+    "to_json",
 ]
 
 # Default cap on the order of constructed graphs during a scan.
@@ -260,30 +260,125 @@ def scan_stream(lines, config: ScanConfig, jobs: int = 1) -> PairReport:
 # ---------------------------------------------------------------------------
 
 
-@cache
-def _field_names(cls) -> tuple[str, ...] | None:
-    """Field names of a dataclass type, None for any other type."""
-    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+def to_json(obj) -> str:
+    """Canonical JSON text of ``obj``: sorted keys, a 2-space indent, ASCII
+    escapes and no trailing newline.
 
-
-def to_plain(obj):
-    """JSON-ready form of a value: a dataclass becomes a dict over its
-    fields, a dict or a tuple of dataclasses is converted item by item, and
-    anything else (numbers, strings, tuples of numbers) is left to ``json``.
+    Dataclasses render as objects over their fields, tuples and lists as
+    arrays, and leaves as ``json`` renders them: ``NaN`` and ``Infinity``
+    for special floats, the ``float``/``int`` repr for their subclasses.
+    Dict keys must be strings.  The text is byte for byte
+    ``json.dumps(x, sort_keys=True, indent=2)`` of the same value with each
+    dataclass replaced by a dict of its fields.  Any other type raises
+    ``TypeError``.
     """
-    names = _field_names(type(obj))
-    if names is not None:
-        return {name: to_plain(getattr(obj, name)) for name in names}
-    if isinstance(obj, dict):
-        return {key: to_plain(value) for key, value in obj.items()}
-    if isinstance(obj, tuple) and obj and _field_names(type(obj[0])):
-        return [to_plain(item) for item in obj]
-    return obj
+    return _render(obj, "\n")
+
+
+def _render(obj, nl: str) -> str:
+    """``obj`` as JSON, nested under ``nl``: a newline and the indent of
+    the line that holds ``obj``."""
+    cls = type(obj)
+    leaf = _LEAVES.get(cls)
+    if leaf is not None:
+        return leaf(obj)
+    nested = _NESTED.get(cls)
+    if nested is None:
+        _register(cls)
+        return _render(obj, nl)
+    return nested(obj, nl)
+
+
+def _items(values, nl: str) -> list[str]:
+    """Each of ``values`` rendered under ``nl``, leaves without a call of
+    ``_render``."""
+    return [leaf(value) if (leaf := _LEAVES.get(type(value))) else
+            _render(value, nl) for value in values]
+
+
+_SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(x: float) -> str:
+    text = float.__repr__(x)
+    return _SPECIAL_FLOATS.get(text, text)
+
+
+def _array(seq, nl: str) -> str:
+    if not seq:
+        return "[]"
+    inner = nl + "  "
+    sep = "," + inner
+    kinds = set(map(type, seq))
+    if kinds == {float}:
+        text = sep.join(map(float.__repr__, seq))
+        if "n" in text:  # only nan and inf spell an "n"
+            text = sep.join(map(_float, seq))
+    elif kinds == {int}:
+        text = sep.join(map(int.__repr__, seq))
+    else:
+        text = sep.join(_items(seq, inner))
+    return "[" + inner + text + nl + "]"
+
+
+def _object(mapping: dict, nl: str) -> str:
+    if not mapping:
+        return "{}"
+    inner = nl + "  "
+    items = []
+    for key, value in sorted(mapping.items()):
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        items.append(_quote(key) + ": " + _render(value, inner))
+    return "{" + inner + ("," + inner).join(items) + nl + "}"
+
+
+@cache
+def _layout(cls, nl: str) -> tuple[str, tuple[str, ...]]:
+    """A dataclass's ``%`` template at indent ``nl``, with its keys sorted
+    and rendered, and its field names in that order."""
+    names = tuple(sorted(f.name for f in fields(cls)))
+    if not names:
+        return "{}", names
+    inner = nl + "  "
+    items = ("," + inner).join(_quote(name).replace("%", "%%") + ": %s"
+                               for name in names)
+    return "{" + inner + items + nl + "}", names
+
+
+def _dataclass(obj, nl: str) -> str:
+    template, names = _layout(type(obj), nl)
+    return template % tuple(_items([getattr(obj, name) for name in names],
+                                   nl + "  "))
+
+
+_LEAVES = {
+    str: _quote,
+    int: int.__repr__,
+    float: _float,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+_NESTED = {tuple: _array, list: _array, dict: _object}
+
+
+def _register(cls) -> None:
+    """File ``cls``, a type in neither table, under its writer: a dataclass,
+    or a subclass of a JSON type, tried in ``json``'s order."""
+    if is_dataclass(cls):
+        _NESTED[cls] = _dataclass
+        return
+    for base in (str, int, float, tuple, list, dict):
+        if issubclass(cls, base):
+            table = _LEAVES if base in _LEAVES else _NESTED
+            table[cls] = table[base]
+            return
+    raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
 
 
 def report_to_json(report: PairReport) -> str:
     """Canonical JSON rendering (sorted keys, fixed layout, trailing newline)."""
-    return json.dumps(to_plain(report), sort_keys=True, indent=2) + "\n"
+    return to_json(report) + "\n"
 
 
 _CSV_FIELDS = [

@@ -406,12 +406,12 @@ def certify(g: Graph, m: int, theorem: int, max_dim: int = DEFAULT_MAX_DIM,
     """
     if theorem not in _MEMBERS:
         raise ValueError("theorem must be 1 or 2")
-    s_g = seidel_matrix(g)
-    if sigma is None:
-        sigma = sym_eigenvalues(s_g)
-    hyp = hypothesis_from_spectrum(sigma, m, theorem)
-    return _certify_block(g.adj[None], s_g[None], np.array([sigma.values]),
-                          [hyp], m, theorem, max_dim)[0]
+    s_g = seidel_matrix(g)[None]
+    values = (sym_eigenvalues(s_g) if sigma is None
+              else np.array([sigma.values]))
+    return _certify_block(g.adj[None], s_g, values,
+                          _hypotheses(values, m, theorem), m, theorem,
+                          max_dim)[0]
 
 
 def _certify_block(adj: np.ndarray, s_g: np.ndarray, values: np.ndarray,

@@ -4,9 +4,12 @@ The catalog of all simple graphs on up to 6 vertices (208 isomorphism
 classes) comes from the networkx graph atlas, an external source that the
 library under test never touches.  ``jacobi_desc`` is a cyclic Jacobi
 eigensolver in plain Python, an oracle independent of the package's LAPACK
-(``eigvalsh``) path.
+(``eigvalsh``) path, and ``to_plain`` with ``json.dumps`` is the reference
+for the package's own JSON writer.
 """
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -145,6 +148,24 @@ CLOSED_FORM_KEYS = {"mapped", "padding", "m", "order"}
 NESTED = {"hypothesis": HYPOTHESIS_KEYS, "inertia": INERTIA_KEYS,
           "closed_a": CLOSED_FORM_KEYS, "closed_b": CLOSED_FORM_KEYS,
           "certificate": CERTIFICATE_KEYS}
+
+
+def to_plain(obj):
+    """``obj`` with each dataclass made a dict over its fields and each
+    tuple a list, ready for ``json.dumps``."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: to_plain(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {key: to_plain(value) for key, value in obj.items()}
+    if isinstance(obj, (tuple, list)):
+        return [to_plain(item) for item in obj]
+    return obj
+
+
+def reference_json(obj) -> str:
+    """The canonical JSON text of ``obj`` as the standard library writes it."""
+    return json.dumps(to_plain(obj), sort_keys=True, indent=2)
 
 
 def _as_json(value):

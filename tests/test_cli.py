@@ -6,9 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from seidelkit import (blowup, clique_blowup, graph_from_graph6,
-                       graph_to_graph6, spectral)
+from seidelkit import (blowup, blowup_seidel_spectrum, certify,
+                       charpoly_exact, clique_blowup,
+                       clique_blowup_seidel_spectrum, compare_spectra,
+                       complement, composed_blowup_seidel_spectra, construct,
+                       graph_from_graph6, graph_to_graph6, seidel_inertia,
+                       seidel_matrix, seidel_spectrum, spectral)
 from seidelkit.cli import run
+from conftest import reference_json
 
 
 def _out(capsys):
@@ -152,6 +157,56 @@ def test_certify_text_rendering(capsys):
     out, _ = _out(capsys)
     assert out.startswith("certificate (pair 2, m=2)")
     assert "equienergetic=True" in out
+
+
+# -- JSON output ---------------------------------------------------------------
+
+_G = "D]w"  # Seidel spectrum with irrational values and a repeated one
+
+
+def _compare(first, second):
+    equal, delta, cospectral = compare_spectra(seidel_spectrum(first),
+                                               seidel_spectrum(second))
+    return {"equienergetic": equal, "energy_delta": delta,
+            "cospectral": cospectral}
+
+
+def _closed_form(g, m, lemma):
+    sigma = seidel_spectrum(g)
+    if lemma == 1:
+        return {"spectrum": blowup_seidel_spectrum(sigma, m, g.n)}
+    if lemma == 2:
+        return {"spectrum": clique_blowup_seidel_spectrum(sigma, m, g.n)}
+    left, right = composed_blowup_seidel_spectra(sigma, m, g.n)
+    return {"spectrum_a": left, "spectrum_b": right}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["spectrum", "--json"], seidel_spectrum),
+    (["energy", "--json"], lambda g: {"energy": seidel_spectrum(g).energy()}),
+    (["inertia", "--json"], seidel_inertia),
+    (["charpoly", "--json"], lambda g: {
+        "coefficients": charpoly_exact(seidel_matrix(g)).to_list()}),
+    (["complement", "--json"],
+     lambda g: {"graph6": graph_to_graph6(complement(g))}),
+    (["construct", "--t2-left", "--m", "2", "--json"], lambda g: {
+        "graph6": graph_to_graph6(construct(g, 2, "t2-left")),
+        "order": 4 * g.n}),
+    (["closed-form", "--lemma", "1", "--m", "3", "--json"],
+     lambda g: _closed_form(g, 3, 1)),
+    (["closed-form", "--lemma", "2", "--m", "3", "--json"],
+     lambda g: _closed_form(g, 3, 2)),
+    (["closed-form", "--theorem", "2", "--m", "2", "--json"],
+     lambda g: _closed_form(g, 2, 3)),
+    (["compare", "--json", "Bw"], lambda g: _compare(g, graph_from_graph6("Bw"))),
+    (["certify", "--theorem", "1", "--m", "2"], lambda g: certify(g, 2, 1)),
+    (["certify", "--theorem", "2", "--m", "3"], lambda g: certify(g, 3, 2)),
+])
+def test_json_output_is_the_reference_rendering(capsys, argv, expected):
+    assert run([argv[0], _G, *argv[1:]]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == reference_json(expected(graph_from_graph6(_G))) + "\n"
 
 
 # -- scan -------------------------------------------------------------------------

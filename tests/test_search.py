@@ -1,20 +1,25 @@
 """Catalog scanning, accounting, determinism, and report format tests."""
 
+import hashlib
 import json
+import math
 import os
 import random
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from seidelkit import (DEFAULT_MAX_DIM, ScanConfig, graph_from_graph6,
-                       report_to_json, scan_stream, write_report)
+                       report_to_json, scan_stream, to_json, write_report)
 from seidelkit import search
 from seidelkit.cli import run
 from seidelkit.search import report_to_csv, report_to_text
 from conftest import (CONFIG_KEYS, ENTRY_KEYS, FAILURE_KEYS, REPORT_KEYS,
                       SKIP_KEYS, TOTALS_KEYS, check_json_object, jacobi_desc,
-                      jacobi_member, seidel_of)
+                      jacobi_member, reference_json, seidel_of)
 
 
 def test_config_validation():
@@ -167,6 +172,93 @@ def test_report_json_shape_empty():
     assert all(v == 0 for v in doc["totals"].values())
     assert doc["config"]["m"] == 2
     assert "parallelism" not in doc["config"]
+
+
+# -- the canonical JSON writer ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Pair:
+    zeta: object
+    alpha: object
+
+
+@dataclass
+class _Triple:
+    mid: object
+    b: object
+    a: object
+
+
+@dataclass(frozen=True)
+class _Empty:
+    pass
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16,
+                     1e-5, 0.1]),
+    st.floats().map(np.float64))
+_INTS = st.one_of(st.integers(), st.integers(min_value=2 ** 64))
+_TEXTS = st.one_of(
+    st.text(max_size=8),
+    st.text(alphabet='[]{}\\"\x00\x1f\x7f\u00e9\u2028\U0001f600 ?~_%',
+            max_size=8),
+    st.sampled_from(["Bw", "C~", "D[{", "E{}w", "~?@c", "\\", '"']))
+_LEAVES = st.one_of(st.none(), st.booleans(), _INTS, _FLOATS, _TEXTS)
+# homogeneous tuples take the writer's one-join path; bools among ints,
+# float subclasses among floats and pairs of ints take the other
+_ROWS = st.one_of(
+    st.lists(_FLOATS, max_size=6).map(tuple),
+    st.lists(st.floats(), max_size=6).map(tuple),
+    st.lists(st.one_of(st.integers(), st.booleans()), max_size=6).map(tuple),
+    st.lists(st.tuples(st.integers(), st.integers()), max_size=4).map(tuple),
+    st.just(()), st.just({}), st.just(_Empty()))
+
+
+def _nested(children):
+    return st.one_of(
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=3),
+        st.dictionaries(_TEXTS, children, max_size=4),
+        st.builds(_Pair, children, children),
+        st.builds(_Triple, children, children, children))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.recursive(st.one_of(_LEAVES, _ROWS), _nested, max_leaves=24))
+def test_to_json_matches_the_standard_library(value):
+    assert to_json(value) == reference_json(value)
+
+
+def test_to_json_refuses_what_json_refuses_and_non_str_keys():
+    for bad in ({"a": {1, 2}}, (np.int64(1),), object(), _Pair(1, b"bytes"),
+                {"a": 1, 2: "b"}, _Pair, np.ones(2)):
+        with pytest.raises(TypeError):
+            reference_json(bad)
+        with pytest.raises(TypeError):
+            to_json(bad)
+    with pytest.raises(TypeError, match="keys must be str"):
+        to_json(_Triple(0, 1, {"x": {2: 3}}))
+
+
+# digests of the canonical reports on the n <= 6 atlas and three bad lines
+_GOLDEN_REPORTS = {
+    (1, 2): "feeb98cba2a392074febdbf48412867094b60364764e9778c4e5f7b1352ee4db",
+    (1, 3): "c257b710a037a873c9fc27d5a12f9a9f33bb7f5e1e687ef89f98634cf7f72585",
+    (2, 2): "83a8d544094ee1aae871e08fde5b40194858847f293f03b7ae20e2d639a4f86c",
+}
+
+
+@pytest.mark.parametrize("theorem, m", sorted(_GOLDEN_REPORTS))
+def test_report_json_is_byte_for_byte_pinned(catalog_lines, theorem, m):
+    lines = [*catalog_lines, "garbage!", "A", "\u00e9"]
+    report = scan_stream(lines, ScanConfig(m=m, theorem=theorem))
+    text = report_to_json(report)
+    assert text == reference_json(report) + "\n"
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == _GOLDEN_REPORTS[theorem, m])
 
 
 def test_report_csv_format():

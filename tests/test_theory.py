@@ -15,7 +15,7 @@ from seidelkit import (KINDS, ClosedFormSpectrum, Graph, blowup,
                        composed_blowup_seidel_spectra, construct, cycle_graph,
                        empty_graph, hypothesis_from_spectrum, path_graph,
                        seidel_matrix, seidel_spectrum, spectrum_from_values,
-                       to_plain)
+                       to_json)
 from seidelkit import spectral, theory
 from seidelkit.cli import run
 from seidelkit.spectral import integer_root_multiplicity
@@ -511,8 +511,7 @@ def test_corrupted_member_fails_only_its_row_of_the_block(
     values = spectral.sym_eigenvalues(s_g)
     hyps = theory._hypotheses(values, 2, theorem)
     clean = theory._certify_block(adj, s_g, values, hyps, 2, theorem)
-    assert [to_plain(c) for c in clean] == [
-        to_plain(certify(g, 2, theorem)) for g in graphs]
+    assert clean == [certify(g, 2, theorem) for g in graphs]
     assert all(c.closed_form_agrees and c.exact_multiplicities_verified
                for c in clean)
 
@@ -547,7 +546,8 @@ def test_certify_solves_only_the_base_matrix(monkeypatch, theorem):
         monkeypatch.setattr(module, "sym_eigenvalues", counting)
     cert = certify(path_graph(4), 3, theorem)
     assert cert.closed_form_agrees and cert.exact_multiplicities_verified
-    assert solved == [(4, 4)]
+    # one stacked solve of the base matrix alone: no Spectrum is built
+    assert solved == [(1, 4, 4)]
 
 
 def test_base_residual_measures_the_base_solve():
@@ -562,7 +562,7 @@ def test_base_residual_measures_the_base_solve():
 
 def test_certificate_json_round_trip(capsys):
     cert = certify(complete_graph(3), 2, 1)
-    doc = json.loads(json.dumps(to_plain(cert)))
+    doc = json.loads(to_json(cert))
     check_json_object(doc, cert, CERTIFICATE_KEYS)
 
     # the certify command emits the same certificate format
