@@ -19,14 +19,11 @@ from .graphs import (DEFAULT_MAX_DIM, KINDS, Graph6Error, complement,
                      construct, graph_from_graph6, graph_to_graph6)
 from .spectral import (ConvergenceError, charpoly_exact, seidel_inertia,
                        seidel_matrix, seidel_spectrum)
-from .search import (NUMERIC_MAX_ORDER, ScanConfig, scan_stream, to_json,
-                     write_report)
+from .search import (NUMERIC_MAX_ORDER, ScanConfig, _sig, scan_stream,
+                     to_json, write_report)
 from .theory import (blowup_seidel_spectrum, certify,
                      clique_blowup_seidel_spectrum, compare_spectra,
                      composed_blowup_seidel_spectra)
-
-_fmt = "{:.12g}".format
-
 
 class _UsageError(Exception):
     pass
@@ -57,8 +54,9 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def graph_command(name, help_text, json_flag=True):
+    def graph_command(name, handler, help_text, json_flag=True):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("graph", nargs="?", default=None,
                        help="graph6 string, or - for stdin")
         p.add_argument("--file", default=None,
@@ -68,13 +66,14 @@ def _build_parser() -> _Parser:
                            help="emit JSON instead of text")
         return p
 
-    graph_command("spectrum", "Seidel spectrum in multiplicity notation")
-    graph_command("energy", "Seidel energy (sum of absolute eigenvalues)")
-    graph_command("inertia", "positive/zero/negative Seidel eigenvalue counts")
-    graph_command("charpoly", "exact characteristic polynomial of the Seidel matrix")
-    graph_command("complement", "graph6 of the edge complement")
+    graph_command("spectrum", _cmd_spectrum, "Seidel spectrum in multiplicity notation")
+    graph_command("energy", _cmd_energy, "Seidel energy (sum of absolute eigenvalues)")
+    graph_command("inertia", _cmd_inertia, "positive/zero/negative Seidel eigenvalue counts")
+    graph_command("charpoly", _cmd_charpoly,
+                  "exact characteristic polynomial of the Seidel matrix")
+    graph_command("complement", _cmd_complement, "graph6 of the edge complement")
 
-    p = graph_command("construct", "build a blow-up graph, print its graph6")
+    p = graph_command("construct", _cmd_construct, "build a blow-up graph, print its graph6")
     which = p.add_mutually_exclusive_group(required=True)
     for kind, steps in KINDS.items():
         # e.g. "clique blow-up of the independent blow-up (order m^2*n)"
@@ -86,7 +85,8 @@ def _build_parser() -> _Parser:
                            help=f"{' of the '.join(names)} (order {order})")
     p.add_argument("--m", type=int, required=True, help="multiplicity, >= 2")
 
-    p = graph_command("closed-form", "predicted blow-up spectrum from the input spectrum")
+    p = graph_command("closed-form", _cmd_closed_form,
+                      "predicted blow-up spectrum from the input spectrum")
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--lemma", type=int, choices=(1, 2),
                        help="1: independent blow-up, 2: clique blow-up")
@@ -95,34 +95,33 @@ def _build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True)
 
     p = sub.add_parser("compare", help="equienergetic/cospectral verdict for two graphs")
+    p.set_defaults(handler=_cmd_compare)
     p.add_argument("graph1", help="graph6 string, or - for stdin")
     p.add_argument("graph2", help="graph6 string, or - for stdin")
     p.add_argument("--json", action="store_true")
 
-    p = graph_command("certify", "full certificate for one blow-up pair",
-                      json_flag=False)
+    p = graph_command("certify", _cmd_certify,
+                      "full certificate for one blow-up pair", json_flag=False)
     p.add_argument("--theorem", type=int, choices=(1, 2), required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--text", action="store_true",
                    help="human-readable rendering instead of JSON")
 
     p = sub.add_parser("scan", help="scan a graph6 catalog and report certified pairs")
+    p.set_defaults(handler=_cmd_scan)
     p.add_argument("input", nargs="?", default="-",
                    help="catalog file, or - for stdin (default)")
     p.add_argument("--theorem", type=int, choices=(1, 2), default=1)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--out", default=None, help="write the report to this path")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes on "
+                   "one BLAS thread each, for catalogs over 64 MiB of matrices")
     p.add_argument("--max-order", type=int, default=None,
                    help="skip graphs whose constructed order exceeds this "
                         f"(default {NUMERIC_MAX_ORDER}, at most the "
                         "dimension cap)")
     return parser
-
-
-# built once per process: parse_args leaves the parser unchanged
-_PARSER = _build_parser()
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +176,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_energy(args) -> int:
     energy = seidel_spectrum(_load_graph(args)).energy()
-    return _emit(args, {"energy": energy}, _fmt(energy))
+    return _emit(args, {"energy": energy}, _sig(energy))
 
 
 def _cmd_inertia(args) -> int:
@@ -224,7 +223,7 @@ def _cmd_compare(args) -> int:
                                                seidel_spectrum(g2))
     return _emit(args, {"equienergetic": equal, "energy_delta": delta,
                         "cospectral": cospectral},
-                 f"equienergetic={equal} delta={_fmt(delta)} "
+                 f"equienergetic={equal} delta={_sig(delta)} "
                  f"cospectral={cospectral}")
 
 
@@ -254,18 +253,8 @@ def _cmd_scan(args) -> int:
     return 3 if report.has_violations else 0
 
 
-_DISPATCH = {
-    "spectrum": _cmd_spectrum,
-    "energy": _cmd_energy,
-    "inertia": _cmd_inertia,
-    "charpoly": _cmd_charpoly,
-    "complement": _cmd_complement,
-    "construct": _cmd_construct,
-    "closed-form": _cmd_closed_form,
-    "compare": _cmd_compare,
-    "certify": _cmd_certify,
-    "scan": _cmd_scan,
-}
+# built once per process: parse_args leaves the parser unchanged
+_PARSER = _build_parser()
 
 
 def run(argv) -> int:
@@ -278,7 +267,7 @@ def run(argv) -> int:
     except SystemExit as exc:  # --help / --version
         return 0 if exc.code in (0, None) else 1
     try:
-        return _DISPATCH[args.command](args)
+        return args.handler(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

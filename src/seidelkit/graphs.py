@@ -142,8 +142,20 @@ def _payload_bits(data: bytes, start: int, nbits: int) -> np.ndarray:
     return bits[:nbits]
 
 
-def _decode_order(data: bytes) -> tuple[int, int]:
-    """Read the size field; return (n, bytes consumed)."""
+def _graph6_header(text: str | bytes) -> tuple[int, bytes, int]:
+    """(n, line bytes, payload offset) of a graph6 line; the payload unread."""
+    if isinstance(text, str):
+        if not text.isascii() or "\x7f" in text:
+            i = next(i for i, ch in enumerate(text) if ord(ch) > 126)
+            raise Graph6Error("non-ASCII character", i)
+        data = text.encode("ascii")
+    else:
+        data = bytes(text)
+    data = data.rstrip(b"\r\n")
+    if data.startswith(_GRAPH6_HEADER.encode()):
+        data = data[len(_GRAPH6_HEADER):]
+    elif data.startswith(b">>"):
+        raise Graph6Error("unrecognized format header", 0)
     if not data:
         raise Graph6Error("empty graph6 string", 0)
     b0 = data[0]
@@ -153,8 +165,10 @@ def _decode_order(data: bytes) -> tuple[int, int]:
         raise Graph6Error("digraph6 input not supported", 0)
     if b0 < 63 or b0 > 126:
         raise Graph6Error("size byte out of graph6 range", 0)
+    if b0 == 63:
+        raise Graph6Error("order-zero graph not supported", 0)
     if b0 != 126:
-        return b0 - 63, 1
+        return b0 - 63, data, 1
     # long form: 126 then 18 bits in three bytes
     if len(data) >= 2 and data[1] == 126:
         raise Graph6Error("graph order beyond supported long form", 1)
@@ -168,7 +182,7 @@ def _decode_order(data: bytes) -> tuple[int, int]:
         n = (n << 6) | (b - 63)
     if n <= 62:
         raise Graph6Error("non-canonical long-form size field", 1)
-    return n, 4
+    return n, data, 4
 
 
 def graph_from_graph6(text: str | bytes) -> Graph:
@@ -178,22 +192,7 @@ def graph_from_graph6(text: str | bytes) -> Graph:
     out-of-range bytes, truncated or oversized payloads, and nonzero
     padding bits.
     """
-    if isinstance(text, str):
-        for i, ch in enumerate(text):
-            if ord(ch) > 126:
-                raise Graph6Error("non-ASCII character", i)
-        data = text.encode("ascii")
-    else:
-        data = bytes(text)
-    data = data.rstrip(b"\r\n")
-    if data.startswith(_GRAPH6_HEADER.encode()):
-        data = data[len(_GRAPH6_HEADER):]
-    elif data.startswith(b">>"):
-        raise Graph6Error("unrecognized format header", 0)
-
-    n, start = _decode_order(data)
-    if n == 0:
-        raise Graph6Error("order-zero graph not supported", 0)
+    n, data, start = _graph6_header(text)
     bits = _payload_bits(data, start, n * (n - 1) // 2)
 
     # symmetric, 0/1 and loop-free by construction: no re-validation

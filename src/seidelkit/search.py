@@ -11,7 +11,8 @@ the graphs that reach the solve are grouped by order into blocks, capped
 together at ``_BLOCK_BYTES`` of member matrices.  A block runs one stacked
 Seidel build, one eigensolve call, one hypothesis check, and one
 construction and proof per member (see :mod:`seidelkit.theory`).
-``--jobs`` workers take whole chunks.
+``--jobs`` workers, on one BLAS thread each, take whole chunks once the
+lines' headers add up to more than ``_FORK_BYTES`` of that work.
 Output ordering follows input line numbers, so a scan is deterministic
 regardless of the chunk, block and worker counts; the JSON rendering is
 canonical (sorted keys) and byte-identical across all of them.
@@ -22,18 +23,22 @@ Accounting invariant, enforced by construction:
 """
 
 import csv
+import ctypes
+import glob
 import io
 import os
 from collections import Counter, defaultdict
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cache, partial
-from itertools import islice
+from itertools import accumulate, islice
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
-from .graphs import DEFAULT_MAX_DIM, Graph6Error, graph_from_graph6
+from .graphs import (DEFAULT_MAX_DIM, Graph6Error, _graph6_header,
+                     graph_from_graph6)
 from .spectral import ZERO_TOL, seidel_matrix, sym_eigenvalues
 from .theory import Certificate, _certify_block, _hypotheses
 
@@ -61,6 +66,11 @@ _CHUNK_LINES = 4096
 # block of B graphs at constructed order N, summed over the blocks waiting
 # to run.  A line over the cap on its own runs as a block of one.
 _BLOCK_BYTES = 1 << 24
+
+# Work, in the bytes ``_BLOCK_BYTES`` counts, that a catalog must pass for
+# ``jobs > 1`` to start a pool.  Two BLAS-capped workers broke even with
+# serial at 40-60 MiB on 2 cores, at constructed orders 20-64 and 600.
+_FORK_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -204,6 +214,27 @@ def _chunks(tasks, size: int):
         yield chunk
 
 
+def _line_cost(config: ScanConfig, text) -> int:
+    """The bytes ``_scan_chunk`` budgets for a line, read from its header and
+    length alone: 0 for a line that fails there or is skipped."""
+    try:
+        n, data, start = _graph6_header(text)
+    except Graph6Error:
+        return 0
+    order = config.order_factor * n
+    whole = len(data) - start == (n * (n - 1) // 2 + 5) // 6
+    return 8 * order * order if whole and order <= config.max_order else 0
+
+
+def _cap_blas() -> None:
+    """Pool initializer: numpy's bundled OpenBLAS, if any, on one thread, so
+    that the workers' BLAS threads do not oversubscribe the cores."""
+    libs = os.path.dirname(np.__file__) + ".libs/libscipy_openblas64_*"
+    for path in glob.glob(libs):
+        with suppress(OSError, AttributeError):
+            ctypes.CDLL(path).scipy_openblas_set_num_threads64_(1)
+
+
 def scan_stream(lines, config: ScanConfig, jobs: int = 1) -> PairReport:
     """Scan an iterable of graph6 lines; returns an ordered :class:`PairReport`.
 
@@ -211,9 +242,10 @@ def scan_stream(lines, config: ScanConfig, jobs: int = 1) -> PairReport:
     to parse on its own instead of failing the read of the whole input.
     Blank lines are ignored (line numbering still counts them).  Lines are
     read in chunks of ``_CHUNK_LINES``, and each chunk is certified in
-    equal-order blocks.  With ``jobs > 1`` the chunks go to that many
-    worker processes and are merged back in input order.  The report does
-    not depend on the chunk, block or worker count.
+    equal-order blocks.  With ``jobs > 1`` and over ``_FORK_BYTES`` of
+    work, smaller chunks go to that many worker processes and are merged
+    back in input order; those a broken pool did not return run here.
+    The report does not depend on the chunk, block or worker count.
     """
     if jobs < 1:
         raise ValueError("jobs must be positive")
@@ -223,14 +255,22 @@ def scan_stream(lines, config: ScanConfig, jobs: int = 1) -> PairReport:
     worker = partial(_scan_chunk, config)
     if jobs > 1:
         tasks = list(tasks)
-        # every worker starts up front, so start no more than can be kept busy
+        # every worker starts up front: no more than can be kept busy, and
+        # none for less work than pays for starting them
         jobs = min(jobs, len(tasks), os.cpu_count() or 1)
+        work = accumulate(_line_cost(config, text) for _, text in tasks)
+        if jobs > 1 and all(total <= _FORK_BYTES for total in work):
+            jobs = 1
     if jobs > 1:
         # about four chunks per worker: few enough that the per-chunk
         # pickling cost stays small next to sub-millisecond lines
         size = min(_CHUNK_LINES, -(-len(tasks) // (4 * jobs)))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(worker, _chunks(tasks, size)))
+        todo, chunks = list(_chunks(tasks, size)), []
+        try:
+            with ProcessPoolExecutor(jobs, initializer=_cap_blas) as pool:
+                chunks.extend(pool.map(worker, todo))
+        except BrokenProcessPool:  # a worker died: finish in-process
+            chunks += map(worker, todo[len(chunks):])
     else:
         chunks = map(worker, _chunks(tasks, _CHUNK_LINES))
     records = [record for chunk in chunks for record in chunk]
@@ -389,8 +429,7 @@ _CSV_FIELDS = [
 ]
 
 
-def _sig(x: float) -> str:
-    return f"{x:.12g}"
+_sig = "{:.12g}".format
 
 
 def report_to_csv(report: PairReport) -> str:
@@ -442,14 +481,11 @@ def write_report(report: PairReport, format: str = "json",
     Returns the rendered text in all cases.  JSON is the canonical form;
     CSV carries one certificate summary per row; text is human-readable.
     """
-    if format == "json":
-        text = report_to_json(report)
-    elif format == "csv":
-        text = report_to_csv(report)
-    elif format == "text":
-        text = report_to_text(report)
-    else:
+    render = {"json": report_to_json, "csv": report_to_csv,
+              "text": report_to_text}.get(format)
+    if render is None:
         raise ValueError(f"unknown report format: {format!r}")
+    text = render(report)
     if destination is not None:
         with open(destination, "w", encoding="ascii") as fh:
             fh.write(text)

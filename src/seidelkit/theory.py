@@ -461,14 +461,9 @@ def _certify_block(adj: np.ndarray, s_g: np.ndarray, values: np.ndarray,
                        / max(1.0, math.fsum(abs(v) for v in row)),
                        abs(math.fsum(v * v for v in row) - frobenius)
                        / max(1, frobenius))
-        if hyp.satisfied:
-            violation = not same
-        elif hyp.bound_met():
-            # bound holds but signs are unbalanced: the pair must NOT be
-            # equienergetic
-            violation = same
-        else:
-            violation = False
+        # where the bound holds but the signs are unbalanced, the pair must
+        # NOT be equienergetic
+        violation = not same if hyp.satisfied else same and hyp.bound_met()
         certs.append(Certificate(
             theorem=theorem, graph6=graph6, m=m, hypothesis=hyp,
             closed_a=closed_a, closed_b=closed_b,

@@ -11,6 +11,7 @@ for the package's own JSON writer.
 import dataclasses
 import json
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from networkx.generators.atlas import graph_atlas_g
 
 import networkx as nx
 
-from seidelkit import Graph, construct, graph_to_graph6
+from seidelkit import Graph, construct, graph_to_graph6, search
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +37,27 @@ def catalog_graphs():
 @pytest.fixture(scope="session")
 def catalog_lines(catalog_graphs):
     return [graph_to_graph6(g) for g in catalog_graphs]
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """The worker counts of the real process pools ``scan_stream`` starts,
+    each checked to cap its workers' BLAS threads.
+
+    The fork threshold is lowered to 4 KiB, a few small lines, so that a
+    catalog of small graphs is enough work to fork for.
+    """
+    started = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            assert kwargs.get("initializer") is search._cap_blas
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(search, "_FORK_BYTES", 1 << 12)
+    return started
 
 
 class JacobiConvergenceError(RuntimeError):

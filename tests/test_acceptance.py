@@ -9,6 +9,7 @@ ways (substitution and brute-force eigensolve).
 """
 
 import math
+import os
 import time
 from contextlib import contextmanager
 
@@ -181,11 +182,12 @@ def test_criterion_8_small_equienergetic_pair():
         assert not cospectral
 
 
-def test_criterion_9_scan_determinism_and_oracle(catalog_lines):
+def test_criterion_9_scan_determinism_and_oracle(catalog_lines, pool_starts):
     with criterion(9, "serial vs parallel scans of the n <= 6 catalog are "
                       "byte-identical and match a brute-force hypothesis pass"):
         serial = scan_stream(catalog_lines, ScanConfig(m=2), jobs=1)
         parallel = scan_stream(catalog_lines, ScanConfig(m=2), jobs=2)
+        assert pool_starts == ([2] if (os.cpu_count() or 1) > 1 else [])
         assert report_to_json(serial) == report_to_json(parallel)
 
         # brute force with the independent Jacobi eigensolver

@@ -1,10 +1,14 @@
 """Catalog scanning, accounting, determinism, and report format tests."""
 
+import ctypes
+import glob
 import hashlib
 import json
 import math
 import os
 import random
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,8 +16,9 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from seidelkit import (DEFAULT_MAX_DIM, ScanConfig, graph_from_graph6,
-                       report_to_json, scan_stream, to_json, write_report)
+from seidelkit import (DEFAULT_MAX_DIM, Graph, Graph6Error, ScanConfig,
+                       graph_from_graph6, graph_to_graph6, report_to_json,
+                       scan_stream, to_json, write_report)
 from seidelkit import search
 from seidelkit.cli import run
 from seidelkit.search import report_to_csv, report_to_text
@@ -107,37 +112,53 @@ def test_accounting_is_exact():
     assert [e.line for e in report.certificates] == [1, 4, 7]
 
 
-def test_scan_deterministic_across_parallelism(catalog_lines):
+def test_scan_deterministic_across_parallelism(catalog_lines, pool_starts):
     lines = catalog_lines[:60]
     serial = scan_stream(lines, ScanConfig(m=2), jobs=1)
     parallel = scan_stream(lines, ScanConfig(m=2), jobs=3)
+    cpus = os.cpu_count() or 1
+    assert pool_starts == ([min(3, cpus)] if cpus > 1 else [])
     assert report_to_json(serial) == report_to_json(parallel)
     again = scan_stream(lines, ScanConfig(m=2), jobs=1)
     assert report_to_json(serial) == report_to_json(again)
 
 
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor; runs the work in-process and
+    records the worker count of each pool."""
+
+    started = None
+
+    def __init__(self, max_workers, initializer=None):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
 def test_scan_starts_no_more_workers_than_cpus_or_lines(monkeypatch):
     started = []
-
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor; runs the work in-process."""
-
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(_InProcessPool, "started", started)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     lines = ["A_", "Bw", "junk", "C~", "Bo", "@"]
     serial = report_to_json(scan_stream(lines, ScanConfig(m=2)))
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    # under the fork threshold: no pool at any worker count
+    for jobs in (2, 3, 8, 100_000):
+        assert report_to_json(scan_stream(lines, ScanConfig(m=2),
+                                          jobs=jobs)) == serial
+    assert started == []
+
+    # "A_" and "Bw" alone, 128 + 288 bytes, pass it; "junk" counts nothing
+    monkeypatch.setattr(search, "_FORK_BYTES", 256)
+    assert search._line_cost(ScanConfig(m=2), "junk") == 0
+    assert report_to_json(scan_stream(lines, ScanConfig(m=2))) == serial
     report = scan_stream(lines, ScanConfig(m=2), jobs=100_000)
     assert report_to_json(report) == serial
     scan_stream(lines[:3], ScanConfig(m=2), jobs=100_000)
@@ -145,6 +166,104 @@ def test_scan_starts_no_more_workers_than_cpus_or_lines(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: serial
     assert report_to_json(scan_stream(lines, ScanConfig(m=2), jobs=8)) == serial
     assert started == [4, 3]
+
+
+def test_broken_pool_reruns_the_lost_chunks_in_process(catalog_lines,
+                                                        monkeypatch):
+    class BreakingPool(_InProcessPool):
+        """Returns the first chunk, then breaks as a pool whose worker died."""
+
+        def map(self, fn, tasks):
+            yield fn(tasks[0])
+            raise BrokenProcessPool("a worker died")
+
+    lines = catalog_lines[:60]
+    serial = report_to_json(scan_stream(lines, ScanConfig(m=2)))
+    started, firsts = [], []
+    scan_chunk = search._scan_chunk
+
+    def recording(config, chunk):
+        firsts.append(chunk[0][0])
+        return scan_chunk(config, chunk)
+
+    monkeypatch.setattr(BreakingPool, "started", started)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", BreakingPool)
+    monkeypatch.setattr(search, "_scan_chunk", recording)
+    monkeypatch.setattr(search, "_FORK_BYTES", 1 << 12)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert report_to_json(scan_stream(lines, ScanConfig(m=2), jobs=2)) == serial
+    # eight chunks of eight lines, each run once, in line order
+    assert started == [2]
+    assert firsts == list(range(1, 61, 8))
+
+
+@st.composite
+def _graph6_lines(draw):
+    # short and long (n >= 63) size fields
+    n = draw(st.one_of(st.integers(1, 12), st.integers(60, 70)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    adj = np.triu(rng.integers(0, 2, (n, n), dtype=np.int8), 1)
+    line = graph_to_graph6(Graph(adj | adj.T))
+    if draw(st.booleans()):
+        line = ">>graph6<<" + line
+    line += draw(st.sampled_from(["", "\n", "\r\n"]))
+    return line.encode() if draw(st.booleans()) else line
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_graph6_lines(), st.sampled_from([(1, 2), (1, 3), (2, 2)]))
+def test_line_cost_reads_the_order_of_a_valid_line(line, pair):
+    theorem, m = pair
+    n = graph_from_graph6(line).n
+    config = ScanConfig(m=m, theorem=theorem, max_order=DEFAULT_MAX_DIM)
+    order = config.order_factor * n
+    assert search._line_cost(config, line) == 8 * order * order
+    # over max_order the line is skipped, and costs nothing
+    assert search._line_cost(ScanConfig(m=m, theorem=theorem,
+                                        max_order=order - 1), line) == 0
+    # so does a line with a byte too few or too many, which fails to decode
+    text = line.rstrip("\r\n" if isinstance(line, str) else b"\r\n")
+    extra = "?" if isinstance(line, str) else b"?"
+    for bad in (text[:-1], text + extra):
+        with pytest.raises(Graph6Error):
+            graph_from_graph6(bad)
+        assert search._line_cost(config, bad) == 0
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.one_of(st.binary(max_size=12), st.text(max_size=12)))
+def test_line_cost_never_raises(line):
+    cost = search._line_cost(ScanConfig(m=2), line)
+    try:
+        g = graph_from_graph6(line)
+    except Graph6Error:
+        assert cost >= 0  # counted if its header and length fit the payload
+    else:
+        assert cost == 8 * (2 * g.n) ** 2
+
+
+def _blas_threads(path):
+    return ctypes.CDLL(path).scipy_openblas_get_num_threads64_()
+
+
+def test_pool_workers_run_one_blas_thread(monkeypatch):
+    paths = glob.glob(os.path.dirname(np.__file__)
+                      + ".libs/libscipy_openblas64_*")
+    if not paths:
+        pytest.skip("numpy bundles no scipy-openblas")
+    before = _blas_threads(paths[0])
+    with ProcessPoolExecutor(1, initializer=search._cap_blas) as pool:
+        assert pool.submit(_blas_threads, paths[0]).result() == 1
+    assert _blas_threads(paths[0]) == before  # the parent keeps its threads
+
+    # without the library, or without the symbol, a silent no-op
+    monkeypatch.setattr(search.glob, "glob", lambda pattern: [])
+    search._cap_blas()
+    monkeypatch.setattr(search.glob, "glob", lambda pattern: paths)
+    monkeypatch.setattr(search.ctypes, "CDLL", lambda path: object())
+    search._cap_blas()
+    monkeypatch.undo()
+    assert _blas_threads(paths[0]) == before
 
 
 def test_report_json_round_trip():
