@@ -16,7 +16,9 @@ constructions the certificates compare, each a sequence of these twin
 steps, and ``construct(g, m, kind)`` builds one of them by name.
 """
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -123,23 +125,25 @@ class Graph:
 # ">>graph6<<" prefix.  sparse6 (':') and digraph6 ('&') are rejected.
 
 
-def _payload_bits(data: bytes, start: int, nbits: int) -> np.ndarray:
-    """Decode 6-bit chunks from data[start:] into a flat 0/1 array."""
-    nbytes = (nbits + 5) // 6
-    end = start + nbytes
+# row b: the six payload bits of graph6 byte b, chunk b - 63, big-endian
+_SIX_BITS = np.unpackbits((np.arange(256) - 63).astype(np.uint8)[:, None],
+                          axis=1)[:, 2:].astype(np.int8)
+
+_NON_GRAPH6 = re.compile(rb"[^?-~]")  # a byte outside 63..126
+
+
+def _payload_fault(data: bytes, start: int, end: int) -> Graph6Error:
+    """The error of the first fault of the payload data[start:], which
+    should end at ``end``: its length, a byte out of range, or nonzero
+    padding bits, which all sit in its last byte."""
     if len(data) < end:
-        raise Graph6Error("truncated bit payload", len(data))
+        return Graph6Error("truncated bit payload", len(data))
     if len(data) > end:
-        raise Graph6Error("trailing garbage after bit payload", end)
-    vals = np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=start)
-    bad = np.where((vals < 63) | (vals > 126))[0]
-    if bad.size:
-        raise Graph6Error("payload byte out of graph6 range", start + int(bad[0]))
-    bits = np.unpackbits((vals - 63).reshape(-1, 1), axis=1)[:, 2:].ravel()
-    if bits[nbits:].any():
-        first_bad = nbits + int(np.argmax(bits[nbits:]))
-        raise Graph6Error("nonzero padding bits", start + first_bad // 6)
-    return bits[:nbits]
+        return Graph6Error("trailing garbage after bit payload", end)
+    bad = _NON_GRAPH6.search(data, start)
+    if bad:
+        return Graph6Error("payload byte out of graph6 range", bad.start())
+    return Graph6Error("nonzero padding bits", end - 1)
 
 
 def _graph6_header(text: str | bytes) -> tuple[int, bytes, int]:
@@ -193,21 +197,32 @@ def graph_from_graph6(text: str | bytes) -> Graph:
     padding bits.
     """
     n, data, start = _graph6_header(text)
-    bits = _payload_bits(data, start, n * (n - 1) // 2)
+    nbits = n * (n - 1) // 2
+    end = start + (nbits + 5) // 6
+    if (len(data) != end or _NON_GRAPH6.search(data, start)
+            or (data[end - 1] - 63) & ((1 << -nbits % 6) - 1)):
+        raise _payload_fault(data, start, end)
 
     # symmetric, 0/1 and loop-free by construction: no re-validation
     adj = np.zeros((n, n), dtype=np.int8)
-    adj[_lower(n)] = bits
+    payload = np.frombuffer(data, np.uint8, end - start, start)
+    adj.reshape(-1)[_lower(n)] = _SIX_BITS[payload].reshape(-1)[:nbits]
     return Graph._trusted(adj | adj.T)
 
 
-_SHORT_LOWER = np.tri(62, k=-1, dtype=bool)
-
-
 def _lower(n: int) -> np.ndarray:
-    """Mask of the strict lower triangle of order n.  Its row-major order,
-    (1,0), (2,0), (2,1), (3,0), ..., is graph6's bit order transposed."""
-    return _SHORT_LOWER[:n, :n] if n <= 62 else np.tri(n, k=-1, dtype=bool)
+    """Flat indices of the strict lower triangle of order n, row-major:
+    (1,0), (2,0), (2,1), (3,0), ..., graph6's bit order transposed.
+    Cached for the short-form orders, n <= 62."""
+    return (_short_lower(n) if n <= 62
+            else np.flatnonzero(np.tri(n, k=-1, dtype=bool)))
+
+
+@lru_cache(maxsize=None)
+def _short_lower(n: int) -> np.ndarray:
+    lower = np.flatnonzero(np.tri(n, k=-1, dtype=bool))
+    lower.setflags(write=False)
+    return lower
 
 
 def graph_to_graph6(g: Graph) -> str:
@@ -228,8 +243,8 @@ def _graph6_lines(adj: np.ndarray) -> list[str]:
     adj = adj.reshape(-1, n, n)
     nbits = n * (n - 1) // 2
     bits = np.zeros((len(adj), nbits + (-nbits) % 6), dtype=np.uint8)
-    # adj[j, i] over the lower mask is adj[i, j] in graph6 order
-    bits[:, :nbits] = adj.swapaxes(1, 2)[:, _lower(n)]
+    # adj[j, i] over the lower indices is adj[i, j] in graph6 order
+    bits[:, :nbits] = adj.swapaxes(1, 2).reshape(len(adj), -1)[:, _lower(n)]
     chunks = bits.reshape(len(adj), -1, 6) @ np.array([32, 16, 8, 4, 2, 1],
                                                       dtype=np.uint8)
     return [(head + row.tobytes()).decode("ascii") for row in chunks + 63]

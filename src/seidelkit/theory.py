@@ -16,8 +16,8 @@ a constant of fixed sign:
 so the pair is equienergetic exactly when G has equally many positive and
 negative Seidel eigenvalues and none at zero.  ``certify`` checks that
 equivalence instance by instance, in both directions.  It solves only the
-base Seidel matrix and proves each member's closed form exactly: by its
-equitable quotient and by explicit integer padding eigenvectors.
+base Seidel matrix and proves each member's closed form exactly, by one
+integer pass over its twin rows: its equitable quotient and its padding.
 
 The hypothesis check and the proof run on blocks: stacks of graphs of one
 order, with one numpy call per stage for the whole block.  ``certify`` is
@@ -26,7 +26,6 @@ a block of one; ``search.scan_stream`` passes whole blocks.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -240,9 +239,10 @@ class Certificate:
     against clique_blowup(G, m); 2 compares the two mixed double blow-ups.
     Energies and verdicts come from the closed forms.  ``closed_form_agrees``
     means both members' equitable quotients were proven, and
-    ``exact_multiplicities_verified`` that their padding eigenvectors fill
-    the rest of the space: with both, each closed form is its member's
-    spectrum.  ``base_residual`` is the larger relative residual of the base
+    ``exact_multiplicities_verified`` that their twin differences are
+    eigenvectors for the padding values and fill the rest of the space:
+    with both, each closed form is its member's spectrum.
+    ``base_residual`` is the larger relative residual of the base
     eigensolve against trace 0 and squared Frobenius norm n(n-1).
     ``theorem_violation`` is true when the energies contradict the
     predicted equivalence (either direction); any such certificate means
@@ -290,103 +290,48 @@ class Certificate:
         return "\n".join(lines)
 
 
-def _padding_eigenvectors(n: int, m: int, steps: int):
-    """Explicit integer eigenvectors of each padding block of a construction
-    of ``steps`` twin steps on G of order n, in the closed form's block order.
+def _member_proven(s: np.ndarray, s_g: np.ndarray, m: int, scale: int,
+                   shift: int, padding) -> tuple[np.ndarray, np.ndarray]:
+    """(quotient proven, padding proven) arrays for the (B, N, N) stack s of
+    one member's Seidel matrices, offered as t twin steps at multiplicity m
+    on the (B, n, n) Seidel stack s_g, with closed form scale*sigma + shift
+    plus ``padding``: one (value, mult) block per step, the first step's
+    first.  s is changed during the pass and restored.
 
-    Vertex k*N + v of a twin step's result is copy k of vertex v of its
-    order-N input (np.kron(J_m, X)).  Each step lifts the earlier blocks'
-    vectors x to 1_m (x) x and adds its twin differences e_v - e_{kN+v},
-    eigenvectors for -1 (independent) or +1 (clique twins).  The vectors do
-    not depend on the twin type, so both members of a pair share them.  A
-    block is (supports, signs): row j of supports lists the coordinates of
-    vector j, and signs its entries.
-    """
-    blocks, order = [], n
-    for _ in range(steps):
-        copies = order * np.arange(m)[:, None]
-        blocks = [((supports[:, None, :] + copies).reshape(len(supports), -1),
-                   np.tile(signs, m)) for supports, signs in blocks]
-        blocks.append((np.stack([np.tile(np.arange(order), m - 1),
-                                 np.arange(order, m * order)], axis=1),
-                       np.array([1, -1])))
-        order *= m
-    return blocks
-
-
-@lru_cache(maxsize=64)
-def _padding_basis(n: int, m: int, steps: int):
-    """``_padding_eigenvectors``, read-only, and whether they are
-    cell-balanced; cached, as both depend only on (n, m, steps)."""
-    vectors = _padding_eigenvectors(n, m, steps)
-    for block in vectors:
-        for array in block:
-            array.setflags(write=False)
-    return vectors, _cells_balanced(n, vectors)
-
-
-def _exact_padding_ok(s: np.ndarray, padding, vectors) -> np.ndarray:
-    """For each matrix of the (B, N, N) stack s, True when each block
-    (value, mult) has mult vectors with x s = value x.
-
-    The test gathers the support rows of s and runs in integer arithmetic.
-    Only vectors with a private coordinate, which no other vector of the
-    block touches, count, so the counted vectors are linearly independent.
-    As s and its transpose share the characteristic polynomial, that proves
-    value is a root of it of multiplicity at least mult.
-    """
-    ok = np.ones(len(s), dtype=bool)
-    for (value, mult), (supports, signs) in zip(padding, vectors):
-        target = np.zeros((len(supports), s.shape[-1]), dtype=np.int64)
-        np.add.at(target, (np.arange(len(supports))[:, None], supports),
-                  value * signs)
-        uses = np.bincount(supports.ravel(), minlength=s.shape[-1])
-        private = (uses[supports] == 1).any(axis=1)
-        # row j of matrix b: x_j s_b against value x_j
-        eigen = (np.einsum("t,bjtc->bjc", signs, s[:, supports])
-                 == target).all(axis=2)
-        ok &= np.count_nonzero(eigen & private, axis=1) >= mult
-    return ok
-
-
-def _cells_balanced(n: int, vectors) -> bool:
-    """True when every padding vector sums to zero on every cell (the copies
-    i = v mod n of base vertex v), so is orthogonal to the cell indicators."""
-    for supports, signs in vectors:
-        # entry j*n + v: the sum of vector j over cell v
-        cells = np.arange(len(supports))[:, None] * n + supports % n
-        if np.bincount(cells.ravel(),
-                       np.broadcast_to(signs, supports.shape).ravel()).any():
-            return False
-    return True
-
-
-def _padding_proven(s: np.ndarray, n: int, padding, vectors) -> np.ndarray:
-    """For each matrix of the (B, N, N) stack s, True when the padding
-    blocks, on cell-balanced vectors, span the orthogonal complement of the
-    cells, of dimension N - n: each block passes ``_exact_padding_ok``, the
-    values are distinct (so the blocks are orthogonal to each other) and the
-    multiplicities add up to N - n."""
-    values = [value for value, _ in padding]
-    counted = (len(vectors) == len(set(values)) == len(values)
-               and sum(mult for _, mult in padding) == s.shape[-1] - n)
-    return counted & _exact_padding_ok(s, padding, vectors)
-
-
-def _quotient_ok(s: np.ndarray, s_g: np.ndarray, scale: int,
-                 shift: int) -> np.ndarray:
-    """For each matrix of the (B, N, N) stack s, True when the cells i mod n
-    are an equitable partition of it with quotient Q = scale*S_G + shift*I,
-    S_G the matching matrix of the (B, n, n) stack s_g: s P = P Q for the
-    cell indicator matrix P, so the eigenvalues of Q, scale*sigma + shift
-    over the spectrum sigma of G, are eigenvalues of s with multiplicity.
+    The pass walks the steps from last to first (README.md, "Proving the
+    closed forms").  Before the step from order r to m*r, row u of R is the
+    sum of the rows u + c*m*r of s.  Less value at (u, u + c*m*r), the m
+    copy groups of rows of R are equal exactly when the step's lifted twin
+    differences x = 1 (x) (e_v - e_{kr+v}) satisfy x s = value x; their sum
+    is the next R.  At the end R = P^T s for the indicator matrix P of the
+    cells i mod n, and R = Q = scale*S_G + shift*I, tiled, is s P = P Q.
+    Each x sums to zero on every cell and has a coordinate, kr + v, that no
+    other x of its step touches: with distinct values and (m-1)*n*m^i of
+    them at step i, they are independent and fill the complement of P's
+    span, so the closed form is the whole spectrum of s.
     """
     b, order, n = len(s), s.shape[-1], s_g.shape[-1]
+    if not padding or order != n * m ** len(padding):
+        return np.zeros(b, dtype=bool), np.zeros(b, dtype=bool)
+    values = [value for value, _ in padding]
+    twins = np.full(b, len(set(values)) == len(values) and all(
+        mult == (m - 1) * n * m ** i for i, (_, mult) in enumerate(padding)))
+    # R holds ``held`` subtracted at its lifted diagonal; summing the copies
+    # carries it onto the next R's lifted diagonal, and onto Q at the end
+    r, held = s, 0
+    for i in reversed(range(len(padding))):
+        size = n * m ** (i + 1)
+        lifted = np.einsum("bucu->bcu", r.reshape(b, size, -1, size))
+        lifted -= values[i] - held
+        held = values[i]
+        copies = r.reshape(b, m, size // m, order)
+        twins &= (copies[:, 1:] == copies[:, :1]).all(axis=(1, 2, 3))
+        r = copies.sum(axis=1)
+    np.einsum("bii->bi", s)[...] += values[-1]
     q = scale * s_g
-    q.reshape(b, -1)[:, ::n + 1] += shift
-    # row c*n + v of the cell sums against row v of q, for every copy c
-    cells = s.reshape(b, order, -1, n).sum(axis=2).reshape(b, -1, n, n)
-    return (cells == q[:, None]).reshape(b, -1).all(axis=1)
+    np.einsum("bvv->bv", q)[...] += shift - held
+    quotient = (r.reshape(b, n, -1, n) == q[:, :, None]).all(axis=(1, 2, 3))
+    return quotient, twins
 
 
 # the two members of pair theorem t: the construction kinds of t twin steps
@@ -422,23 +367,22 @@ def _certify_block(adj: np.ndarray, s_g: np.ndarray, values: np.ndarray,
     descending) and their hypothesis reports at m and theorem.
 
     Each member is built for the whole block by one stacked construction.
-    Its closed form is proven on its Seidel matrices in integer arithmetic,
-    by the equitable quotient and by the padding eigenvectors, which depend
-    only on (n, m, theorem); one member's matrices are freed before the
-    next member is built.  Energies and verdicts come from the closed forms.
+    Its closed form is proven on its Seidel matrices by one integer pass
+    over their twin rows, ``_member_proven``; one member's matrices are
+    freed before the next member is built.  Energies and verdicts come from the closed forms.
     """
     n = adj.shape[-1]
-    vectors, balanced = _padding_basis(n, m, theorem)
-    proven = np.full(len(adj), balanced)
     agrees = np.ones(len(adj), dtype=bool)
+    proven = np.ones(len(adj), dtype=bool)
     forms, spectra = [], []
     for kind in _MEMBERS[theorem]:
         member, scale, shift = _closed_forms(values, m, kind)
         padding = member[0].padding
         s = seidel_matrix(_twin_steps(adj, m, KINDS[kind], max_dim))
-        agrees &= _quotient_ok(s, s_g, scale, shift)
-        proven &= _padding_proven(s, n, padding, vectors)
-        del s
+        quotient, twins = _member_proven(s, s_g, m, scale, shift, padding)
+        agrees &= quotient
+        proven &= twins
+        del s, quotient, twins
         # each member's whole closed spectrum, one sorted row per graph
         spectrum = np.empty((len(adj), member[0].order))
         spectrum[:, :n] = scale * values + shift

@@ -4,8 +4,10 @@ The catalog of all simple graphs on up to 6 vertices (208 isomorphism
 classes) comes from the networkx graph atlas, an external source that the
 library under test never touches.  ``jacobi_desc`` is a cyclic Jacobi
 eigensolver in plain Python, an oracle independent of the package's LAPACK
-(``eigvalsh``) path, and ``to_plain`` with ``json.dumps`` is the reference
-for the package's own JSON writer.
+(``eigvalsh``) path, ``to_plain`` with ``json.dumps`` is the reference
+for the package's own JSON writer, and ``explicit_proofs``, a gather over
+explicit padding eigenvectors, is the reference for the package's
+one-pass proof of each member's closed form.
 """
 
 import dataclasses
@@ -137,6 +139,94 @@ def poly_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def padding_eigenvectors(n, m, steps):
+    """Explicit integer eigenvectors of each padding block of a construction
+    of ``steps`` twin steps on G of order n, in the closed form's block order.
+
+    Vertex k*N + v of a twin step's result is copy k of vertex v of its
+    order-N input (np.kron(J_m, X)).  Each step lifts the earlier blocks'
+    vectors x to 1_m (x) x and adds its twin differences e_v - e_{kN+v},
+    eigenvectors for -1 (independent) or +1 (clique twins).  The vectors do
+    not depend on the twin type, so both members of a pair share them.  A
+    block is (supports, signs): row j of supports lists the coordinates of
+    vector j, and signs its entries.  Every vector is checked to have a
+    private coordinate and to sum to zero on every cell.
+    """
+    blocks, order = [], n
+    for _ in range(steps):
+        copies = order * np.arange(m)[:, None]
+        blocks = [((supports[:, None, :] + copies).reshape(len(supports), -1),
+                   np.tile(signs, m)) for supports, signs in blocks]
+        blocks.append((np.stack([np.tile(np.arange(order), m - 1),
+                                 np.arange(order, m * order)], axis=1),
+                       np.array([1, -1])))
+        order *= m
+    assert all(private_vectors(supports).all() for supports, _ in blocks)
+    assert cells_balanced(n, blocks)
+    return blocks
+
+
+def private_vectors(supports):
+    """For each vector of a block, whether it has a coordinate that no other
+    vector of the block touches."""
+    uses = np.bincount(supports.ravel())
+    return (uses[supports] == 1).any(axis=1)
+
+
+def cells_balanced(n, vectors):
+    """True when every padding vector sums to zero on every cell (the copies
+    i = v mod n of base vertex v), so is orthogonal to the cell indicators."""
+    for supports, signs in vectors:
+        # entry j*n + v: the sum of vector j over cell v
+        cells = np.arange(len(supports))[:, None] * n + supports % n
+        if np.bincount(cells.ravel(),
+                       np.broadcast_to(signs, supports.shape).ravel()).any():
+            return False
+    return True
+
+
+def padding_eigen_ok(s, padding, vectors):
+    """For each matrix of the (B, N, N) stack s, True when each block
+    (value, mult) has mult vectors with x s = value x, each with a private
+    coordinate, by a gather of the support rows of s in integers."""
+    ok = np.ones(len(s), dtype=bool)
+    for (value, mult), (supports, signs) in zip(padding, vectors):
+        target = np.zeros((len(supports), s.shape[-1]), dtype=np.int64)
+        np.add.at(target, (np.arange(len(supports))[:, None], supports),
+                  value * signs)
+        # row j of matrix b: x_j s_b against value x_j
+        eigen = (np.einsum("t,bjtc->bjc", signs, s[:, supports])
+                 == target).all(axis=2)
+        ok &= np.count_nonzero(eigen & private_vectors(supports), axis=1) >= mult
+    return ok
+
+
+def explicit_proofs(s, s_g, m, scale, shift, padding):
+    """The explicit-vector oracle of a member's proof: (quotient proven,
+    padding proven) arrays for the (B, N, N) stack s offered as a
+    construction on the (B, n, n) Seidel stack s_g.
+
+    The quotient is s P = P Q for the cell indicator matrix P of the cells
+    i mod n and Q = scale*S_G + shift*I, by column sums of s.  The padding
+    holds when the blocks' values are distinct, their multiplicities add up
+    to N - n, and ``padding_eigen_ok`` passes on ``padding_eigenvectors``.
+    """
+    b, order, n = len(s), s.shape[-1], s_g.shape[-1]
+    q = scale * s_g
+    q.reshape(b, -1)[:, ::n + 1] += shift
+    # row c*n + v of the cell sums against row v of q, for every copy c
+    cells = s.reshape(b, order, -1, n).sum(axis=2).reshape(b, -1, n, n)
+    quotient = (cells == q[:, None]).reshape(b, -1).all(axis=1)
+    steps, order_left = 0, order // n
+    while order_left > 1 and order_left % m == 0:
+        steps, order_left = steps + 1, order_left // m
+    vectors = padding_eigenvectors(n, m, steps)
+    values = [value for value, _ in padding]
+    counted = (len(vectors) == len(set(values)) == len(values)
+               and sum(mult for _, mult in padding) == order - n)
+    return quotient, counted & padding_eigen_ok(s, padding, vectors)
 
 
 def random_simple_graph(rng, n, p=0.5):

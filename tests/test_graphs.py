@@ -140,6 +140,8 @@ def test_codec_accepts_header_and_newline():
     ("C~~", 2),              # trailing garbage
     ("A" + chr(200), 1),     # non-ASCII payload
     ("A" + chr(30), 1),      # payload byte below range
+    ("C\x1f", 1),            # below range, with no padding bits to catch it
+    (b"C\x80", 1),           # above range, in a bytes line
     ("A@", 1),               # nonzero padding bits
     (chr(126), 1),           # truncated long-form size
 ])

@@ -19,11 +19,11 @@ from seidelkit import (KINDS, ClosedFormSpectrum, Graph, blowup,
 from seidelkit import spectral, theory
 from seidelkit.cli import run
 from seidelkit.spectral import integer_root_multiplicity
-from seidelkit.theory import (_cells_balanced, _closed_form, _exact_padding_ok,
-                              _padding_eigenvectors, _padding_proven,
-                              _quotient_ok)
-from conftest import (CERTIFICATE_KEYS, check_json_object, jacobi_desc,
-                      jacobi_member, random_simple_graph)
+from seidelkit.theory import _closed_form, _member_proven
+from conftest import (CERTIFICATE_KEYS, cells_balanced, check_json_object,
+                      explicit_proofs, jacobi_desc, jacobi_member,
+                      padding_eigen_ok, padding_eigenvectors, poly_mul,
+                      private_vectors, random_simple_graph)
 
 
 # -- closed-form spectra -------------------------------------------------------
@@ -356,20 +356,34 @@ def test_certificate_padding_multiplicities_hold_exactly():
         assert integer_root_multiplicity(pb, 1) >= m * n - n
 
 
-# -- exact padding check: explicit twin eigenvectors ---------------------------
+# -- the proof of each member's closed form: one twin-row pass ----------------
 
-def _members_with_padding(g, m, power):
-    """(Seidel matrix, closed-form padding) of both members of a pair."""
-    sigma = seidel_spectrum(g)
-    if power == 1:
-        members = (blowup(g, m), clique_blowup(g, m))
-        closed = (blowup_seidel_spectrum(sigma, m, g.n),
-                  clique_blowup_seidel_spectrum(sigma, m, g.n))
-    else:
-        members = (clique_blowup(blowup(g, m), m),
-                   blowup(clique_blowup(g, m), m))
-        closed = composed_blowup_seidel_spectra(sigma, m, g.n)
-    return [(seidel_matrix(h), c.padding) for h, c in zip(members, closed)]
+def _member_args(g, m, kind, count=1):
+    """(S_G stack, scale, shift, padding) of construct(g, m, kind), for a
+    stack of ``count`` offered matrices."""
+    form, scale, shift = _closed_form(seidel_spectrum(g), m, g.n, kind)
+    s_g = np.repeat(seidel_matrix(g)[None], count, axis=0)
+    return s_g, scale, shift, form.padding
+
+
+def _proofs(s, g, m, kind):
+    """(quotient proven, padding proven) arrays for a stack s of Seidel
+    matrices, each offered as construct(g, m, kind); s is left as it was,
+    and the explicit-vector oracle gives the same verdicts."""
+    s_g, scale, shift, padding = _member_args(g, m, kind, len(s))
+    before = s.copy()
+    verdicts = _member_proven(s, s_g, m, scale, shift, padding)
+    assert np.array_equal(s, before)
+    for ours, oracle in zip(verdicts,
+                            explicit_proofs(s, s_g, m, scale, shift, padding)):
+        assert np.array_equal(ours, oracle)
+    return verdicts
+
+
+def _proof(s, g, m, kind):
+    """(quotient proven, padding proven) for one Seidel matrix s."""
+    quotient, padding = _proofs(s[None], g, m, kind)
+    return bool(quotient[0]), bool(padding[0])
 
 
 @pytest.mark.parametrize("power, m", [(1, 2), (1, 3), (2, 2), (2, 3)])
@@ -378,65 +392,70 @@ def test_exact_padding_check_agrees_with_charpoly(catalog_graphs, power, m):
         # order <= 27 keeps each big-integer charpoly under a tenth of a second
         if g.n > 5 or m ** power * g.n > 27:
             continue
-        vectors = _padding_eigenvectors(g.n, m, power)
-        for s, padding in _members_with_padding(g, m, power):
+        for kind in theory._MEMBERS[power]:
+            s = seidel_matrix(construct(g, m, kind))
+            assert _proof(s, g, m, kind) == (True, True)
+            s_g, scale, shift, padding = _member_args(g, m, kind)
             poly = charpoly_exact(s)
-            for (value, mult), vecs in zip(padding, vectors):
-                assert (_exact_padding_ok(s[None], [(value, mult)], [vecs])[0]
-                        == (integer_root_multiplicity(poly, value) >= mult))
+            # every block is a root of at least its multiplicity, and the
+            # proof's factorisation holds exactly: charpoly(Q) times each
+            # block's (x - value)^mult
+            expected = list(charpoly_exact(scale * s_g[0]
+                                           + shift * np.eye(g.n, dtype=int))
+                            .coefficients)
+            for value, mult in padding:
+                assert integer_root_multiplicity(poly, value) >= mult
+                for _ in range(mult):
+                    expected = poly_mul(expected, [1, -value])
+            assert list(poly.coefficients) == expected
 
 
 @pytest.mark.parametrize("power", [1, 2])
 def test_exact_padding_check_rejects_corrupted_matrix(power):
     g, m = path_graph(4), 2
-    vectors = _padding_eigenvectors(g.n, m, power)
-    for s, padding in _members_with_padding(g, m, power):
-        assert _exact_padding_ok(s[None], padding, vectors).all()
-        # every vertex lies on some vector of every block, so flipping any
-        # symmetric off-diagonal pair, or setting a diagonal entry, must
-        # break every block: one stacked matrix per mutation
+    vectors = padding_eigenvectors(g.n, m, power)
+    for kind in theory._MEMBERS[power]:
+        s = seidel_matrix(construct(g, m, kind))
+        padding = _member_args(g, m, kind)[3]
+        assert _proof(s, g, m, kind) == (True, True)
+        # every vertex lies on some twin difference of every step, so
+        # flipping any symmetric off-diagonal pair, or setting a diagonal
+        # entry, must break the padding: one stacked matrix per mutation;
+        # the explicit vectors of every block break one by one
         rows, cols = np.triu_indices(len(s))
         bad = np.repeat(s[None], len(rows), axis=0)
         mutation = np.arange(len(rows))
         bad[mutation, rows, cols] = np.where(rows != cols, -s[rows, cols], 1)
         bad[mutation, cols, rows] = bad[mutation, rows, cols]
+        assert not _proofs(bad, g, m, kind)[1].any()
         for block, vecs in zip(padding, vectors):
-            assert not _exact_padding_ok(bad, [block], [vecs]).any()
+            assert not padding_eigen_ok(bad, [block], [vecs]).any()
 
 
 @pytest.mark.parametrize("power", [1, 2])
 def test_exact_padding_check_needs_enough_independent_vectors(power):
     g, m = cycle_graph(5), 3
-    vectors = _padding_eigenvectors(g.n, m, power)
-    for s, padding in _members_with_padding(g, m, power):
-        for (value, mult), (supports, signs) in zip(padding, vectors):
-            assert len(supports) == mult
-            assert _exact_padding_ok(s[None], [(value, mult)],
-                                     [(supports, signs)])[0]
-            assert not _exact_padding_ok(s[None], [(value, mult + 1)],
-                                         [(supports, signs)])[0]
+    vectors = padding_eigenvectors(g.n, m, power)
+    for kind in theory._MEMBERS[power]:
+        s = seidel_matrix(construct(g, m, kind))
+        s_g, scale, shift, padding = _member_args(g, m, kind)
+        for i, ((value, mult), (supports, signs)) in enumerate(
+                zip(padding, vectors)):
+            # step i adds (m-1) * n * m^i twin differences, each private
+            assert len(supports) == mult == (m - 1) * g.n * m ** i
+            assert private_vectors(supports).all()
+            assert padding_eigen_ok(s[None], [(value, mult)],
+                                    [(supports, signs)])[0]
+            assert not padding_eigen_ok(s[None], [(value, mult + 1)],
+                                        [(supports, signs)])[0]
             # listing every vector twice adds no independent one
             doubled = (np.concatenate([supports, supports]), signs)
-            assert not _exact_padding_ok(s[None], [(value, mult)], [doubled])[0]
-
-
-# -- the proof of each member's closed form: mutations must break it ----------
-
-def _proofs(s, g, m, kind):
-    """(quotient proven, padding proven) arrays for a stack s of Seidel
-    matrices, each offered as construct(g, m, kind)."""
-    form, scale, shift = _closed_form(seidel_spectrum(g), m, g.n, kind)
-    vectors = _padding_eigenvectors(g.n, m, len(KINDS[kind]))
-    s_g = np.repeat(seidel_matrix(g)[None], len(s), axis=0)
-    return (_quotient_ok(s, s_g, scale, shift),
-            _cells_balanced(g.n, vectors)
-            & _padding_proven(s, g.n, form.padding, vectors))
-
-
-def _proof(s, g, m, kind):
-    """(quotient proven, padding proven) for one Seidel matrix s."""
-    quotient, padding = _proofs(s[None], g, m, kind)
-    return bool(quotient[0]), bool(padding[0])
+            assert not padding_eigen_ok(s[None], [(value, mult)], [doubled])[0]
+            # the pass asks each block for exactly its step's count
+            for wrong in (mult - 1, mult + 1):
+                changed = padding[:i] + ((value, wrong),) + padding[i + 1:]
+                assert not _member_proven(s[None], s_g, m, scale, shift,
+                                          changed)[1][0]
 
 
 @pytest.mark.parametrize("kind", list(KINDS))
@@ -454,10 +473,9 @@ def test_member_proof_holds_and_breaks_under_mutation(kind):
     assert not _proofs(bad, g, m, kind)[0].any()
 
     # a wrong shift breaks the quotient
-    _, scale, shift = _closed_form(seidel_spectrum(g), m, g.n, kind)
+    s_g, scale, shift, padding = _member_args(g, m, kind)
     for wrong in (shift - 1, shift + 1, -shift):
-        assert not _quotient_ok(s[None], seidel_matrix(g)[None], scale,
-                                wrong)[0]
+        assert not _member_proven(s[None], s_g, m, scale, wrong, padding)[0][0]
 
     # a permuted vertex layout breaks the proof: vertex-major copies
     # (np.kron(X, J_m)) instead of copy-major ones, and a random relabelling
@@ -471,35 +489,97 @@ def test_member_proof_holds_and_breaks_under_mutation(kind):
 def test_padding_vector_off_the_cells_breaks_the_proof():
     # vertices 0 and 2 of the path 0-1-2 are independent twins, so e_0 - e_2
     # is an eigenvector of blowup(P_3, 2) for -1 with a private coordinate,
-    # but it does not sum to zero on cells 0 and 2
+    # but it does not sum to zero on cells 0 and 2: the explicit oracle
+    # counts it and only its cell balance refuses it.  The pass takes only
+    # twin differences across copies, balanced by construction.
     g, m = path_graph(3), 2
     s = seidel_matrix(construct(g, m, "dm"))
-    form, _, _ = _closed_form(seidel_spectrum(g), m, g.n, "dm")
-    [(supports, signs)] = _padding_eigenvectors(g.n, m, 1)
+    padding = _member_args(g, m, "dm")[3]
+    [(supports, signs)] = padding_eigenvectors(g.n, m, 1)
     assert supports[0].tolist() == [0, 3]
     moved = supports.copy()
     moved[0] = [0, 2]
     vectors = [(moved, signs)]
-    assert _padding_proven(s[None], g.n, form.padding, vectors)[0]
-    assert not _cells_balanced(g.n, vectors)
-    assert _cells_balanced(g.n, _padding_eigenvectors(g.n, m, 1))
+    assert private_vectors(moved).all()
+    assert padding_eigen_ok(s[None], padding, vectors)[0]
+    assert not cells_balanced(g.n, vectors)
+    assert cells_balanced(g.n, [(supports, signs)])
+    assert _proof(s, g, m, "dm") == (True, True)
 
 
 def test_padding_proof_needs_the_full_count():
     g, m = cycle_graph(5), 3
-    s = seidel_matrix(construct(g, m, "t2-left"))
-    form, _, _ = _closed_form(seidel_spectrum(g), m, g.n, "t2-left")
-    vectors = _padding_eigenvectors(g.n, m, 2)
-    s = s[None]
-    assert _padding_proven(s, g.n, form.padding, vectors)[0]
-    # one block fewer, a block left without vectors, or a block short of
-    # order - n in total
-    assert not _padding_proven(s, g.n, form.padding[:1], vectors[:1])[0]
-    assert not _padding_proven(s, g.n, form.padding, vectors[:1])[0]
-    (value, mult), (other, rest) = form.padding
-    assert _exact_padding_ok(s, [(value, mult - 1)], vectors[:1])[0]
-    assert not _padding_proven(s, g.n, ((value, mult - 1), (other, rest)),
-                               vectors)[0]
+    s = seidel_matrix(construct(g, m, "t2-left"))[None]
+    s_g, scale, shift, padding = _member_args(g, m, "t2-left")
+
+    def padding_proven(blocks):
+        return _member_proven(s, s_g, m, scale, shift, blocks)[1][0]
+
+    assert padding_proven(padding)
+    # one block fewer, blocks out of step order, a repeated value, or a
+    # block short of order - n in total
+    (value, mult), (other, rest) = padding
+    assert not padding_proven(padding[:1])
+    assert not padding_proven(padding[::-1])
+    assert not padding_proven(((value, mult), (value, rest)))
+    assert not padding_proven(((value, mult - 1), (other, rest)))
+    assert not padding_proven(((value, mult - 1), (other, rest + 1)))
+    # a missing block leaves the quotient proven on its own
+    assert _member_proven(s, s_g, m, scale, shift, padding)[0][0]
+
+    # in value*I + tile(S_G) every twin difference is an eigenvector for
+    # value, so only the distinct-value check refuses two blocks of it
+    order, value = len(s[0]), 1
+    flat = value * np.eye(order, dtype=np.int64) + np.tile(s_g[0], (9, 9))
+    blocks = ((value, mult), (value, rest))
+    for proof in (_member_proven, explicit_proofs):
+        quotient, twins = proof(flat[None], s_g, m, order // g.n, value,
+                                blocks)
+        assert quotient[0] and not twins[0]
+
+
+_MUTATIONS = ["none", "flip", "swap", "bump", "value", "shift"]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(n=st.integers(1, 6), m=st.sampled_from([2, 3]),
+       kind=st.sampled_from(list(KINDS)), mutation=st.sampled_from(_MUTATIONS),
+       data=st.data())
+def test_member_pass_matches_explicit_vector_oracle(n, m, kind, mutation,
+                                                    data):
+    bits = data.draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                              max_size=n * (n - 1) // 2))
+    adj = np.zeros((n, n), dtype=np.int8)
+    adj[np.triu_indices(n, 1)] = bits
+    g = Graph(adj | adj.T)
+    s = seidel_matrix(construct(g, m, kind))
+    s_g, scale, shift, padding = _member_args(g, m, kind)
+    order = len(s)
+    pick = st.integers(0, order - 1)
+    if mutation == "flip":
+        i, j = data.draw(pick), data.draw(pick)
+        s[i, j] = s[j, i] = -s[i, j] if i != j else s[i, j]
+    elif mutation == "swap":
+        i, j = data.draw(pick), data.draw(pick)
+        s[[i, j]] = s[[j, i]]
+        s[:, [i, j]] = s[:, [j, i]]
+    elif mutation == "bump":
+        i = data.draw(pick)
+        s[i, i] += data.draw(st.sampled_from([-1, 1]))
+    elif mutation == "value":
+        i = data.draw(st.integers(0, len(padding) - 1))
+        value, mult = padding[i]
+        step = data.draw(st.sampled_from([-1, 1]))
+        padding = padding[:i] + ((value + step, mult),) + padding[i + 1:]
+    elif mutation == "shift":
+        shift += data.draw(st.sampled_from([-1, 1]))
+    before = s.copy()
+    ours = _member_proven(s[None], s_g, m, scale, shift, padding)
+    assert np.array_equal(s, before)
+    oracle = explicit_proofs(s[None], s_g, m, scale, shift, padding)
+    assert [bool(v[0]) for v in ours] == [bool(v[0]) for v in oracle]
+    if mutation == "none":
+        assert [bool(v[0]) for v in ours] == [True, True]
 
 
 @pytest.mark.parametrize("theorem", [1, 2])
