@@ -18,9 +18,8 @@ from .graphs import (DEFAULT_MAX_DIM, KINDS, Graph, Graph6Error, blowup,
                      graph_from_graph6, graph_to_graph6, path_graph)
 from .spectral import (GROUP_TOL, NUM_TOL, ZERO_TOL, ConvergenceError,
                        Inertia, IntPolynomial, Spectrum, charpoly_exact,
-                       classify_inertia, seidel_energy, seidel_inertia,
-                       seidel_matrix, seidel_spectrum, spectrum_from_values,
-                       sym_eigenvalues)
+                       seidel_inertia, seidel_matrix, seidel_spectrum,
+                       spectrum_from_values, sym_eigenvalues)
 from .theory import (ENERGY_TOL, Certificate, ClosedFormSpectrum,
                      HypothesisReport, blowup_seidel_spectrum, certify,
                      clique_blowup_seidel_spectrum, compare_spectra,

@@ -39,7 +39,7 @@ import numpy as np
 
 from .graphs import (DEFAULT_MAX_DIM, Graph6Error, _graph6_header,
                      graph_from_graph6)
-from .spectral import ZERO_TOL, seidel_matrix, sym_eigenvalues
+from .spectral import seidel_matrix, sym_eigenvalues
 from .theory import Certificate, _certify_block, _hypotheses
 
 __all__ = [
@@ -197,7 +197,7 @@ def _scan_block(config: ScanConfig, block) -> dict:
     values = sym_eigenvalues(s_g)
     hyps = _hypotheses(values, config.m, config.theorem)
     records = {line_no: ("hypothesis_failed", line_no) for line_no, _ in block}
-    met = [k for k, hyp in enumerate(hyps) if hyp.bound_met(ZERO_TOL)]
+    met = [k for k, hyp in enumerate(hyps) if hyp.bound_met()]
     if met:
         certs = _certify_block(adj[met], s_g[met], values[met],
                                [hyps[k] for k in met], config.m,

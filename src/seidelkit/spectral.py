@@ -7,7 +7,7 @@ eigenvalue multiplicities off it by repeated synthetic division.  It backs
 the ``charpoly`` command and is the tests' oracle for the numeric path and
 for the certificates' eigenvector check (see :mod:`seidelkit.theory`).
 
-Tolerances (module defaults):
+Tolerances (module constants):
 
 * ``NUM_TOL``   -- equality tolerance for eigenvalue comparisons.
 * ``ZERO_TOL``  -- sign classification threshold for inertia, deliberately
@@ -35,9 +35,7 @@ __all__ = [
     "sym_eigenvalues",
     "spectrum_from_values",
     "seidel_spectrum",
-    "seidel_energy",
     "seidel_inertia",
-    "classify_inertia",
     "charpoly_exact",
 ]
 
@@ -64,10 +62,14 @@ def seidel_matrix(g: Graph | np.ndarray) -> np.ndarray:
     array, of it or of each matrix of its (B, n, n) stack.
 
     Zero diagonal; -1 for adjacent pairs, +1 for non-adjacent pairs.
+    Built in one int64 buffer: 1 - 2A, then the diagonal zeroed.
     """
     adj = g.adj if isinstance(g, Graph) else g
-    n = adj.shape[-1]
-    return (1 - np.eye(n, dtype=np.int64)) - 2 * adj.astype(np.int64)
+    s = adj.astype(np.int64)
+    s *= -2
+    s += 1
+    np.einsum("...ii->...i", s)[...] = 0
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -96,39 +98,36 @@ class Spectrum:
     def energy(self) -> float:
         return math.fsum(abs(v) for v in self.values)
 
-    def total(self) -> float:
-        return math.fsum(self.values)
-
-    def format_grouped(self, digits: int = 12) -> str:
-        parts = [f"{_fmt_value(v, digits)}^{mult}" for v, mult in self.groups]
+    def format_grouped(self) -> str:
+        parts = [f"{_fmt_value(v)}^{mult}" for v, mult in self.groups]
         text = "{" + ", ".join(parts) + "}"
         if self.grouping_ambiguous:
             text += " [near-degenerate grouping]"
         return text
 
 
-def _fmt_value(v: float, digits: int = 12) -> str:
+def _fmt_value(v: float) -> str:
     if abs(v - round(v)) <= NUM_TOL * max(1.0, abs(v)):
         return str(int(round(v)))
-    return f"{v:.{digits}g}"
+    return f"{v:.12g}"
 
 
-def _cluster(values_desc: np.ndarray, group_tol: float):
+def _cluster(values_desc: np.ndarray):
     if not len(values_desc):
         return (), False
-    breaks = np.flatnonzero(values_desc[:-1] - values_desc[1:] > group_tol) + 1
+    breaks = np.flatnonzero(values_desc[:-1] - values_desc[1:] > GROUP_TOL) + 1
     starts = np.concatenate(([0], breaks))
     sizes = np.append(breaks, len(values_desc)) - starts
     means = np.add.reduceat(values_desc, starts) / sizes
     gaps = means[:-1] - means[1:]
-    ambiguous = bool((gaps < _AMBIGUITY_FACTOR * group_tol).any())
+    ambiguous = bool((gaps < _AMBIGUITY_FACTOR * GROUP_TOL).any())
     return tuple(zip(means.tolist(), sizes.tolist())), ambiguous
 
 
-def spectrum_from_values(values, group_tol: float = GROUP_TOL) -> Spectrum:
+def spectrum_from_values(values) -> Spectrum:
     """Wrap a plain list of eigenvalues in a :class:`Spectrum` (sorts it)."""
     arr = np.sort(np.asarray(values, dtype=float))[::-1]
-    groups, ambiguous = _cluster(arr, group_tol)
+    groups, ambiguous = _cluster(arr)
     return Spectrum(tuple(arr.tolist()), groups, ambiguous)
 
 
@@ -141,19 +140,17 @@ class Inertia:
     n_neg: int
 
     @property
-    def n(self) -> int:
-        return self.n_pos + self.n_zero + self.n_neg
-
-    @property
     def balanced(self) -> bool:
         return self.n_pos == self.n_neg and self.n_zero == 0
 
 
-def classify_inertia(values, zero_tol: float = ZERO_TOL) -> Inertia:
-    arr = np.asarray(values, dtype=float)
-    n_pos = int((arr > zero_tol).sum())
-    n_neg = int((arr < -zero_tol).sum())
-    return Inertia(n_pos, len(arr) - n_pos - n_neg, n_neg)
+def _inertias(values: np.ndarray) -> list[Inertia]:
+    """Inertia of each row of the (B, n) array ``values``: its counts of
+    eigenvalues above ZERO_TOL, within it, and below -ZERO_TOL."""
+    n = values.shape[1]
+    return [Inertia(pos, n - pos - neg, neg) for pos, neg in zip(
+        np.count_nonzero(values > ZERO_TOL, axis=1).tolist(),
+        np.count_nonzero(values < -ZERO_TOL, axis=1).tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +158,10 @@ def classify_inertia(values, zero_tol: float = ZERO_TOL) -> Inertia:
 # ---------------------------------------------------------------------------
 
 
-def sym_eigenvalues(mat: np.ndarray, group_tol: float = GROUP_TOL):
-    """All eigenvalues of a symmetric matrix via LAPACK (``eigvalsh``), as a
-    :class:`Spectrum`.  Given a (B, n, n) stack, all matrices are solved in
-    one call, and the result is a (B, n) array with each row sorted
-    descending, left ungrouped.
+def sym_eigenvalues(mat: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix via LAPACK (``eigvalsh``),
+    sorted descending.  Given a (B, n, n) stack, all matrices are solved in
+    one call, and the result is a (B, n) array of such rows.
 
     A LAPACK convergence failure (``LinAlgError``) is raised as
     :class:`ConvergenceError`.
@@ -179,24 +175,18 @@ def sym_eigenvalues(mat: np.ndarray, group_tol: float = GROUP_TOL):
         values = np.linalg.eigvalsh(a.astype(np.float64))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    if a.ndim == 3:
-        return np.sort(values, axis=1)[:, ::-1]
-    return spectrum_from_values(values, group_tol)
+    # eigvalsh returns each row ascending
+    return values[..., ::-1]
 
 
-def seidel_spectrum(g: Graph, group_tol: float = GROUP_TOL) -> Spectrum:
+def seidel_spectrum(g: Graph) -> Spectrum:
     """Eigenvalues of the Seidel matrix of a simple graph."""
-    return sym_eigenvalues(seidel_matrix(g), group_tol)
+    return spectrum_from_values(sym_eigenvalues(seidel_matrix(g)))
 
 
-def seidel_energy(g: Graph) -> float:
-    """Sum of absolute Seidel eigenvalues."""
-    return seidel_spectrum(g).energy()
-
-
-def seidel_inertia(g: Graph, zero_tol: float = ZERO_TOL) -> Inertia:
+def seidel_inertia(g: Graph) -> Inertia:
     """Positive / zero / negative counts of the Seidel eigenvalues."""
-    return classify_inertia(seidel_spectrum(g).values, zero_tol)
+    return _inertias(sym_eigenvalues(seidel_matrix(g)[None]))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DEFAULT_MAX_DIM, KINDS, Graph, _graph6_lines, _twin_steps
-from .spectral import (NUM_TOL, ZERO_TOL, Inertia, Spectrum, seidel_matrix,
-                       spectrum_from_values, sym_eigenvalues)
+from .spectral import (NUM_TOL, ZERO_TOL, Inertia, Spectrum, _inertias,
+                       seidel_matrix, spectrum_from_values, sym_eigenvalues)
 
 __all__ = [
     "ENERGY_TOL",
@@ -86,8 +86,8 @@ class ClosedFormSpectrum:
         return (math.fsum(abs(v) for v in self.mapped)
                 + sum(abs(value) * mult for value, mult in self.padding))
 
-    def format_grouped(self, digits: int = 12) -> str:
-        return spectrum_from_values(self.values()).format_grouped(digits)
+    def format_grouped(self) -> str:
+        return spectrum_from_values(self.values()).format_grouped()
 
 
 def _closed_forms(values: np.ndarray, m: int,
@@ -193,18 +193,18 @@ class HypothesisReport:
     margin: float
     boundary: bool
 
-    def bound_met(self, zero_tol: float = ZERO_TOL) -> bool:
-        return self.margin >= -zero_tol
+    def bound_met(self) -> bool:
+        return self.margin >= -ZERO_TOL
 
 
-def hypothesis_from_spectrum(sigma: Spectrum, m: int, power: int = 1,
-                             zero_tol: float = ZERO_TOL) -> HypothesisReport:
+def hypothesis_from_spectrum(sigma: Spectrum, m: int,
+                             power: int = 1) -> HypothesisReport:
     """Evaluate the magnitude bound and sign balance on a known spectrum."""
-    return _hypotheses(np.array([sigma.values]), m, power, zero_tol)[0]
+    return _hypotheses(np.array([sigma.values]), m, power)[0]
 
 
-def _hypotheses(values: np.ndarray, m: int, power: int = 1,
-                zero_tol: float = ZERO_TOL) -> list[HypothesisReport]:
+def _hypotheses(values: np.ndarray, m: int,
+                power: int = 1) -> list[HypothesisReport]:
     """``hypothesis_from_spectrum`` of each spectrum of a block of graphs of
     one order, given as the rows of ``values``."""
     if m < 2:
@@ -213,16 +213,14 @@ def _hypotheses(values: np.ndarray, m: int, power: int = 1,
         raise ValueError("power must be 1 or 2")
     bound = ((m - 1) / m) ** power
     reports = []
-    for low, pos, neg in zip(np.abs(values).min(axis=1).tolist(),
-                             np.count_nonzero(values > zero_tol, axis=1).tolist(),
-                             np.count_nonzero(values < -zero_tol, axis=1).tolist()):
-        inertia = Inertia(pos, values.shape[1] - pos - neg, neg)
+    for low, inertia in zip(np.abs(values).min(axis=1).tolist(),
+                            _inertias(values)):
         margin = low - bound
         reports.append(HypothesisReport(
             m=m, bound=bound, min_abs_eigenvalue=low,
             balanced=inertia.balanced, inertia=inertia,
-            satisfied=inertia.balanced and margin >= -zero_tol, margin=margin,
-            boundary=abs(margin) <= zero_tol))
+            satisfied=inertia.balanced and margin >= -ZERO_TOL, margin=margin,
+            boundary=abs(margin) <= ZERO_TOL))
     return reports
 
 
@@ -339,21 +337,19 @@ _MEMBERS = {t: tuple(kind for kind, steps in KINDS.items() if len(steps) == t)
             for t in (1, 2)}
 
 
-def certify(g: Graph, m: int, theorem: int, max_dim: int = DEFAULT_MAX_DIM,
-            sigma: Spectrum | None = None) -> Certificate:
+def certify(g: Graph, m: int, theorem: int,
+            max_dim: int = DEFAULT_MAX_DIM) -> Certificate:
     """Certify the single (theorem=1) or composed (theorem=2) pair of g.
 
     Theorem 1 compares blowup(g, m) against clique_blowup(g, m) (order
     m*n each), theorem 2 the two mixed double blow-ups (order m^2*n each).
-    Only the base Seidel matrix is solved, unless the caller passes its
-    spectrum ``sigma``.  The rest runs as a block of one: see
-    ``_certify_block``.
+    Only the base Seidel matrix is solved.  The rest runs as a block of
+    one: see ``_certify_block``.
     """
     if theorem not in _MEMBERS:
         raise ValueError("theorem must be 1 or 2")
     s_g = seidel_matrix(g)[None]
-    values = (sym_eigenvalues(s_g) if sigma is None
-              else np.array([sigma.values]))
+    values = sym_eigenvalues(s_g)
     return _certify_block(g.adj[None], s_g, values,
                           _hypotheses(values, m, theorem), m, theorem,
                           max_dim)[0]

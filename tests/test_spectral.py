@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from seidelkit import (ConvergenceError, IntPolynomial, charpoly_exact,
-                       classify_inertia, complement, complete_graph,
-                       cycle_graph, empty_graph, path_graph, seidel_energy,
-                       seidel_inertia, seidel_matrix, seidel_spectrum,
-                       spectrum_from_values, sym_eigenvalues)
+from seidelkit import (ZERO_TOL, ConvergenceError, IntPolynomial,
+                       charpoly_exact, complement, complete_graph,
+                       cycle_graph, empty_graph, path_graph, seidel_inertia,
+                       seidel_matrix, seidel_spectrum, spectrum_from_values,
+                       sym_eigenvalues)
 from seidelkit.cli import run
-from seidelkit.spectral import integer_root_multiplicity
+from seidelkit.spectral import _inertias, integer_root_multiplicity
+from seidelkit.theory import _hypotheses
 from conftest import (JacobiConvergenceError, jacobi_desc, poly_mul,
                       random_simple_graph)
 
@@ -24,14 +25,20 @@ def test_adjacency_matrix_basics():
 
 
 def test_seidel_matrix_identity():
+    # the same int64 J - I - 2A from a Graph, its adjacency array and each
+    # matrix of a (B, n, n) stack; an int64 stack is read, not overwritten
     rng = np.random.default_rng(3)
     for _ in range(20):
         g = random_simple_graph(rng, int(rng.integers(1, 12)))
         n = g.n
         expected = (np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
                     - 2 * g.adj.astype(np.int64))
+        stack = np.stack([g.adj] * 3).astype(np.int64)
         s = seidel_matrix(g)
-        assert np.array_equal(s, expected)
+        for got in (s, seidel_matrix(g.adj), *seidel_matrix(stack)):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expected)
+        assert np.array_equal(stack, np.stack([g.adj] * 3))
         assert not s.diagonal().any()
         off = s[~np.eye(n, dtype=bool)]
         assert np.isin(off, (-1, 1)).all()
@@ -55,9 +62,23 @@ def test_seidel_matrix_negates_under_complement():
 # -- eigensolver ----------------------------------------------------------------
 
 def test_eigenvalues_of_identity():
-    spec = sym_eigenvalues(np.eye(6))
-    assert np.allclose(spec.values, np.ones(6), atol=1e-12)
-    assert spec.groups == ((1.0, 6),)
+    values = sym_eigenvalues(np.eye(6))
+    assert np.allclose(values, np.ones(6), atol=1e-12)
+    assert spectrum_from_values(values).groups == ((1.0, 6),)
+
+
+def test_sym_eigenvalues_is_one_array_path():
+    # a single matrix is solved as a stack of one: same array, same bits
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 16):
+        a = rng.integers(-3, 4, size=(n, n))
+        a = a + a.T
+        values = sym_eigenvalues(a)
+        assert isinstance(values, np.ndarray) and values.shape == (n,)
+        assert (np.diff(values) <= 0).all()
+        stacked = sym_eigenvalues(a[None])
+        assert stacked.shape == (1, n)
+        assert values.tobytes() == stacked[0].tobytes()
 
 
 def test_eigenvalues_match_lapack_oracle():
@@ -67,19 +88,19 @@ def test_eigenvalues_match_lapack_oracle():
         n = int(rng.integers(1, 26))
         a = rng.integers(-3, 4, size=(n, n))
         a = a + a.T
-        ours = sym_eigenvalues(a).values
+        ours = sym_eigenvalues(a)
         assert np.allclose(ours, jacobi_desc(a), atol=1e-9)
     # float input
     a = rng.standard_normal((12, 12))
     a = a + a.T
-    assert np.allclose(sym_eigenvalues(a).values, jacobi_desc(a), atol=1e-9)
+    assert np.allclose(sym_eigenvalues(a), jacobi_desc(a), atol=1e-9)
 
 
 def test_eigenvalues_deterministic():
     rng = np.random.default_rng(1234)
     a = rng.integers(-5, 6, size=(15, 15))
     a = a + a.T
-    assert sym_eigenvalues(a).values == sym_eigenvalues(a).values
+    assert sym_eigenvalues(a).tobytes() == sym_eigenvalues(a).tobytes()
     # the Jacobi oracle's fixed rotation order makes it bit-for-bit too
     assert np.array_equal(jacobi_desc(a), jacobi_desc(a))
 
@@ -116,7 +137,7 @@ def test_spectrum_trace_and_frobenius_invariants():
         g = random_simple_graph(rng, n)
         spec = seidel_spectrum(g)
         assert spec.n == n
-        assert abs(spec.total()) <= 1e-9 * max(n, 1)
+        assert abs(math.fsum(spec.values)) <= 1e-9 * max(n, 1)
         sq = math.fsum(v * v for v in spec.values)
         assert abs(sq - n * (n - 1)) <= 1e-8 * n * n
 
@@ -149,17 +170,20 @@ def test_seidel_spectrum_c5():
 
 def test_seidel_energy_values():
     for n in (2, 3, 4, 9):
-        assert abs(seidel_energy(complete_graph(n)) - (2 * n - 2)) <= 1e-9
-    assert abs(seidel_energy(path_graph(3)) - 4.0) <= 1e-9
-    assert abs(seidel_energy(complete_graph(3)) - 4.0) <= 1e-9
-    assert abs(seidel_energy(cycle_graph(5)) - 4 * math.sqrt(5)) <= 1e-9
+        energy = seidel_spectrum(complete_graph(n)).energy()
+        assert abs(energy - (2 * n - 2)) <= 1e-9
+    assert abs(seidel_spectrum(path_graph(3)).energy() - 4.0) <= 1e-9
+    assert abs(seidel_spectrum(complete_graph(3)).energy() - 4.0) <= 1e-9
+    assert (abs(seidel_spectrum(cycle_graph(5)).energy() - 4 * math.sqrt(5))
+            <= 1e-9)
 
 
 def test_seidel_energy_invariant_under_complement():
     rng = np.random.default_rng(31)
     for _ in range(20):
         g = random_simple_graph(rng, int(rng.integers(2, 14)))
-        assert abs(seidel_energy(g) - seidel_energy(complement(g))) <= 1e-8
+        assert abs(seidel_spectrum(g).energy()
+                   - seidel_spectrum(complement(g)).energy()) <= 1e-8
 
 
 def test_spectrum_negates_under_complement():
@@ -174,7 +198,8 @@ def test_spectrum_negates_under_complement():
 # -- inertia ----------------------------------------------------------------------
 
 def test_inertia_cases():
-    assert seidel_inertia(complete_graph(2)) == classify_inertia([1.0, -1.0])
+    assert (seidel_inertia(complete_graph(2))
+            == _inertias(np.array([[1.0, -1.0]]))[0])
     i2 = seidel_inertia(complete_graph(2))
     assert (i2.n_pos, i2.n_zero, i2.n_neg) == (1, 0, 1)
     assert i2.balanced
@@ -187,9 +212,14 @@ def test_inertia_cases():
 
 
 def test_inertia_zero_tolerance():
-    values = [1.0, 5e-8, -5e-8, -1.0]
-    inertia = classify_inertia(values, zero_tol=1e-7)
-    assert (inertia.n_pos, inertia.n_zero, inertia.n_neg) == (1, 2, 1)
+    tol = ZERO_TOL
+    values = np.array([[1.0, tol / 2, -tol / 2, -1.0],
+                       [2 * tol, tol, -tol, -2 * tol]])
+    inertias = _inertias(values)
+    assert [(i.n_pos, i.n_zero, i.n_neg) for i in inertias] == [
+        (1, 2, 1), (1, 2, 1)]
+    # the hypothesis check counts signs with the same counter
+    assert [h.inertia for h in _hypotheses(values, 2)] == inertias
 
 
 # -- grouping and formatting --------------------------------------------------------
@@ -198,7 +228,7 @@ def test_grouping_and_ambiguity_flag():
     spec = spectrum_from_values([1.0, 1.0 + 1e-12, -3.0])
     assert spec.groups == ((pytest.approx(1.0), 2), (-3.0, 1))
     assert not spec.grouping_ambiguous
-    close = spectrum_from_values([5e-8, 0.0], group_tol=1e-8)
+    close = spectrum_from_values([5e-8, 0.0])
     assert len(close.groups) == 2
     assert close.grouping_ambiguous
     assert "near-degenerate" in close.format_grouped()
