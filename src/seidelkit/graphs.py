@@ -129,6 +129,10 @@ class Graph:
 _SIX_BITS = np.unpackbits((np.arange(256) - 63).astype(np.uint8)[:, None],
                           axis=1)[:, 2:].astype(np.int8)
 
+# row b: the six payload bits of graph6 byte b, then a 0 that the decoder
+# reads for each diagonal entry
+_SEVEN_BITS = np.pad(_SIX_BITS, ((0, 0), (0, 1)))
+
 _NON_GRAPH6 = re.compile(rb"[^?-~]")  # a byte outside 63..126
 
 
@@ -204,25 +208,33 @@ def graph_from_graph6(text: str | bytes) -> Graph:
         raise _payload_fault(data, start, end)
 
     # symmetric, 0/1 and loop-free by construction: no re-validation
+    if n <= 62:  # one gather from a cached map; the size byte leads
+        bits = _SEVEN_BITS[np.frombuffer(data, np.uint8)]
+        return Graph._trusted(bits.take(_bit_positions(n)))
     adj = np.zeros((n, n), dtype=np.int8)
     payload = np.frombuffer(data, np.uint8, end - start, start)
     adj.reshape(-1)[_lower(n)] = _SIX_BITS[payload].reshape(-1)[:nbits]
     return Graph._trusted(adj | adj.T)
 
 
+@lru_cache(maxsize=None)
+def _bit_positions(n: int) -> np.ndarray:
+    """(n, n) read-only positions, in the flat ``_SEVEN_BITS`` rows of a
+    short-form graph6 line (size byte, then payload), of each adjacency
+    entry: the k-th payload bit for both entries of the k-th lower-triangle
+    pair, and the size byte's trailing 0 on the diagonal."""
+    i, j = np.tril_indices(n, -1)
+    k = np.arange(len(i))
+    positions = np.full((n, n), 6)
+    positions[i, j] = positions[j, i] = 7 + k // 6 * 7 + k % 6
+    positions.setflags(write=False)
+    return positions
+
+
 def _lower(n: int) -> np.ndarray:
     """Flat indices of the strict lower triangle of order n, row-major:
-    (1,0), (2,0), (2,1), (3,0), ..., graph6's bit order transposed.
-    Cached for the short-form orders, n <= 62."""
-    return (_short_lower(n) if n <= 62
-            else np.flatnonzero(np.tri(n, k=-1, dtype=bool)))
-
-
-@lru_cache(maxsize=None)
-def _short_lower(n: int) -> np.ndarray:
-    lower = np.flatnonzero(np.tri(n, k=-1, dtype=bool))
-    lower.setflags(write=False)
-    return lower
+    (1,0), (2,0), (2,1), (3,0), ..., graph6's bit order transposed."""
+    return np.flatnonzero(np.tri(n, k=-1, dtype=bool))
 
 
 def graph_to_graph6(g: Graph) -> str:

@@ -15,7 +15,8 @@ construction and proof per member (see :mod:`seidelkit.theory`).
 lines' headers add up to more than ``_FORK_BYTES`` of that work.
 Output ordering follows input line numbers, so a scan is deterministic
 regardless of the chunk, block and worker counts; the JSON rendering is
-canonical (sorted keys) and byte-identical across all of them.
+canonical (sorted keys), takes the report's records field by field
+(``to_json``), and is byte-identical across all of them.
 
 Accounting invariant, enforced by construction:
 
@@ -26,13 +27,15 @@ import csv
 import ctypes
 import glob
 import io
+import math
 import os
 from collections import Counter, defaultdict
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cache, partial
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
+from operator import attrgetter
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -311,6 +314,11 @@ def to_json(obj) -> str:
     ``json.dumps(x, sort_keys=True, indent=2)`` of the same value with each
     dataclass replaced by a dict of its fields.  Any other type raises
     ``TypeError``.
+
+    A run of two or more instances of one dataclass in a tuple or list,
+    such as a report's certificates, is rendered by column: each field of
+    the run at once, and each row filled into the layout that one
+    instance uses.
     """
     return _render(obj, "\n")
 
@@ -344,21 +352,79 @@ def _float(x: float) -> str:
     return _SPECIAL_FLOATS.get(text, text)
 
 
+def _floats(values) -> list[str]:
+    """Each of ``values``, floats, as ``_float`` renders it."""
+    if all(map(math.isfinite, values)):
+        return list(map(float.__repr__, values))
+    return list(map(_float, values))
+
+
 def _array(seq, nl: str) -> str:
-    if not seq:
-        return "[]"
     inner = nl + "  "
-    sep = "," + inner
     kinds = set(map(type, seq))
     if kinds == {float}:
-        text = sep.join(map(float.__repr__, seq))
-        if "n" in text:  # only nan and inf spell an "n"
-            text = sep.join(map(_float, seq))
+        texts = _floats(seq)
     elif kinds == {int}:
-        text = sep.join(map(int.__repr__, seq))
+        texts = list(map(int.__repr__, seq))
+    elif len(seq) > 1 and len(kinds) == 1 and is_dataclass(cls := kinds.pop()):
+        texts = [row for start in range(0, len(seq), _RUN_ROWS)
+                 for row in _rows(cls, seq[start:start + _RUN_ROWS], inner)]
     else:
-        text = sep.join(_items(seq, inner))
-    return "[" + inner + text + nl + "]"
+        texts = _items(seq, inner)
+    return _bracket(texts, nl)
+
+
+def _bracket(texts: list[str], nl: str) -> str:
+    """The JSON array of the rendered items ``texts`` under ``nl``."""
+    if not texts:
+        return "[]"
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(texts) + nl + "]"
+
+
+# Rows of a run rendered at once: each column of a slice is held as a
+# list, so slices bound that memory on long reports.
+_RUN_ROWS = 128
+
+
+def _rows(cls, objs, nl: str) -> list[str]:
+    """The text of each of ``objs``, instances of the dataclass ``cls``,
+    as ``_dataclass`` renders it at ``nl``, rendered field by field."""
+    template, names = _layout(cls, nl)
+    if not names:
+        return [template] * len(objs)
+    inner = nl + "  "
+    columns = [_column(list(map(attrgetter(name), objs)), inner)
+               for name in names]
+    return [template % row for row in zip(*columns)]
+
+
+def _column(values, nl: str) -> list[str]:
+    """Each of ``values`` rendered under ``nl``: leaves of one type by one
+    ``map``, instances of one dataclass by ``_rows``, tuples of floats by
+    one rendering of all their floats, and anything else once per
+    distinct object."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1:
+        cls = kinds.pop()
+        if cls is float:
+            return _floats(values)
+        leaf = _LEAVES.get(cls)
+        if leaf is not None:
+            return list(map(leaf, values))
+        if is_dataclass(cls):
+            return _rows(cls, values, nl)
+        if cls is tuple:
+            kinds = set(map(type, chain.from_iterable(values)))
+            if kinds <= {float}:
+                texts = iter(_floats(list(chain.from_iterable(values))))
+                return [_bracket(list(islice(texts, len(row))), nl)
+                        for row in values]
+    texts = {}
+    for value in values:
+        if id(value) not in texts:
+            texts[id(value)] = _render(value, nl)
+    return [texts[id(value)] for value in values]
 
 
 def _object(mapping: dict, nl: str) -> str:

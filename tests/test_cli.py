@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import seidelkit
 from seidelkit import (blowup, blowup_seidel_spectrum, certify,
                        charpoly_exact, clique_blowup,
                        clique_blowup_seidel_spectrum, compare_spectra,
@@ -237,6 +241,28 @@ def test_scan_from_file_with_non_ascii_line(tmp_path, capsys):
     [failure] = doc["failures"]
     assert failure["line"] == 2
     assert [e["line"] for e in doc["certificates"]] == [1, 3]
+
+
+def test_warm_up_scan_loads_no_module_after_the_cli(tmp_path):
+    # a module that the first scan imports lazily adds to every scan's
+    # start-up time; only the text codecs may load then
+    catalog, out = tmp_path / "warm.g6", tmp_path / "report.json"
+    catalog.write_bytes(b"A_\nBw\nC~\nnot graph6\n")
+    script = "\n".join([
+        "import json, sys",
+        "import seidelkit.cli",
+        "before = set(sys.modules)",
+        f"code = seidelkit.cli.run(['scan', {str(catalog)!r}, '--m', '2',"
+        f" '--out', {str(out)!r}])",
+        "print(json.dumps([code, sorted(set(sys.modules) - before)]))"])
+    src = os.path.dirname(os.path.dirname(seidelkit.__file__))
+    result = subprocess.run([sys.executable, "-c", script], check=True,
+                            capture_output=True, text=True, timeout=120,
+                            env={**os.environ, "PYTHONPATH": src})
+    code, loaded = json.loads(result.stdout)
+    assert code == 0
+    assert json.loads(out.read_text())["totals"]["parse_failed"] == 1
+    assert [name for name in loaded if not name.startswith("encodings.")] == []
 
 
 def test_scan_stdin_and_output_file(tmp_path, capsys, monkeypatch):

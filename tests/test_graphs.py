@@ -95,11 +95,13 @@ def test_decoded_graph_is_valid_int8_and_read_only():
 
 @st.composite
 def _graphs(draw):
-    n = draw(st.integers(1, 12))
-    bits = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2,
-                         max_size=n * (n - 1) // 2))
+    # short form, and both sides of the long-form size at n = 63
+    n = draw(st.one_of(st.integers(1, 12), st.integers(60, 65)))
+    pairs = n * (n - 1) // 2
+    packed = draw(st.binary(min_size=-(-pairs // 8), max_size=-(-pairs // 8)))
     adj = np.zeros((n, n), dtype=np.int8)
-    adj[np.triu_indices(n, 1)] = bits
+    adj[np.triu_indices(n, 1)] = np.unpackbits(
+        np.frombuffer(packed, np.uint8))[:pairs]
     return Graph(adj | adj.T)
 
 
@@ -107,10 +109,11 @@ def _graphs(draw):
 @given(_graphs(), st.booleans())
 def test_codec_round_trip_property(g, header):
     assert graph_from_graph6(graph_to_graph6(g)) == g
-    # a line from an independent encoder re-encodes to its own bytes
+    # a line from an independent encoder re-encodes to its own bytes, and
+    # decodes to the same graph as bytes and as str
     line = nx.to_graph6_bytes(nx.from_numpy_array(g.adj), header=header)
     decoded = graph_from_graph6(line)
-    assert decoded == g
+    assert decoded == g == graph_from_graph6(line.decode())
     assert graph_to_graph6(decoded).encode() == line.removeprefix(
         b">>graph6<<").rstrip(b"\n")
 
@@ -149,6 +152,12 @@ def test_codec_errors_carry_offsets(text, offset):
     with pytest.raises(Graph6Error) as err:
         graph_from_graph6(text)
     assert err.value.offset == offset
+    # an ASCII line fails with the same text and offset as bytes and as str
+    if isinstance(text, str) and text.isascii():
+        with pytest.raises(Graph6Error) as again:
+            graph_from_graph6(text.encode())
+        assert (str(again.value), again.value.offset) == (str(err.value),
+                                                          offset)
 
 
 # -- complement -----------------------------------------------------------------

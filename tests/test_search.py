@@ -351,6 +351,73 @@ def test_to_json_matches_the_standard_library(value):
     assert to_json(value) == reference_json(value)
 
 
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+@dataclass(frozen=True)
+class _Row:
+    value: object
+    floats: object
+    inner: object
+    shared: object
+
+
+# a column mixes types, or holds one type throughout; exact floats, with
+# the special values often, take the writer's one-rendering path
+_CELLS = st.one_of(_LEAVES, _TEXTS.map(_Str), st.integers().map(_Int))
+_PLAIN_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.1, 1e16]),
+    st.floats())
+_COLUMNS = st.one_of(
+    st.lists(_CELLS, min_size=1, max_size=4),
+    *(st.lists(cells, min_size=1, max_size=4) for cells in (
+        _PLAIN_FLOATS, _FLOATS, st.integers(), _TEXTS, st.booleans())))
+_FLOAT_ROWS = st.lists(_PLAIN_FLOATS, max_size=4).map(tuple)
+
+
+@st.composite
+def _runs(draw):
+    """A tuple or list of _Row: each field cycles through its own pool of
+    objects, so rows share some objects and not others."""
+    length = draw(st.sampled_from([0, 1, 2, 3, 128, 129, 130, 300]))
+    values = draw(_COLUMNS)
+    floats = draw(st.one_of(
+        st.lists(_FLOAT_ROWS, min_size=1, max_size=3),
+        st.lists(st.one_of(_FLOAT_ROWS, _ROWS, _CELLS), min_size=1,
+                 max_size=3)))
+    inner = draw(st.one_of(
+        st.lists(st.builds(_Pair, _CELLS, _FLOAT_ROWS), min_size=1,
+                 max_size=3),
+        st.lists(st.builds(_Pair, st.builds(_Pair, _CELLS, _CELLS),
+                           st.just(_Empty())), min_size=1, max_size=3),
+        st.lists(st.one_of(_CELLS, st.builds(_Pair, _CELLS, _CELLS),
+                           st.just(_Empty())), min_size=1, max_size=3)))
+    shared = draw(st.one_of(_ROWS, _CELLS))
+    rows = [_Row(values[k % len(values)], floats[k % len(floats)],
+                 inner[k % len(inner)], shared) for k in range(length)]
+    return rows if draw(st.booleans()) else tuple(rows)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_runs())
+def test_runs_of_one_dataclass_render_as_each_row_alone(rows):
+    assert to_json(rows) == reference_json(rows)
+    assert to_json({"run": rows, "last": rows[-1:]}) == reference_json(
+        {"run": rows, "last": rows[-1:]})
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 129, 300])
+def test_runs_of_a_dataclass_without_fields(length):
+    for rows in ((_Empty(),) * length, [_Empty() for _ in range(length)],
+                 (_Pair(_Empty(), (_Empty(),) * length),) * length):
+        assert to_json(rows) == reference_json(rows)
+
+
 def test_to_json_refuses_what_json_refuses_and_non_str_keys():
     for bad in ({"a": {1, 2}}, (np.int64(1),), object(), _Pair(1, b"bytes"),
                 {"a": 1, 2: "b"}, _Pair, np.ones(2)):
