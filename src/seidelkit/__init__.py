@@ -13,9 +13,8 @@ plus the :mod:`seidelkit.cli` front end (``seidelkit`` console script).
 __version__ = "0.1.0"
 
 from .graphs import (DEFAULT_MAX_DIM, KINDS, Graph, Graph6Error, blowup,
-                     clique_blowup, complement, complete_graph, construct,
-                     cycle_graph, empty_graph, graph_from_edges,
-                     graph_from_graph6, graph_to_graph6, path_graph)
+                     clique_blowup, complement, construct, graph_from_graph6,
+                     graph_to_graph6)
 from .spectral import (GROUP_TOL, NUM_TOL, ZERO_TOL, ConvergenceError,
                        Inertia, IntPolynomial, Spectrum, charpoly_exact,
                        seidel_inertia, seidel_matrix, seidel_spectrum,

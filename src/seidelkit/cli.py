@@ -202,14 +202,13 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_closed_form(args) -> int:
-    g = _load_graph(args)
-    sigma = seidel_spectrum(g)
+    sigma = seidel_spectrum(_load_graph(args))
     if args.lemma == 1:
-        forms = {"spectrum": blowup_seidel_spectrum(sigma, args.m, g.n)}
+        forms = {"spectrum": blowup_seidel_spectrum(sigma, args.m)}
     elif args.lemma == 2:
-        forms = {"spectrum": clique_blowup_seidel_spectrum(sigma, args.m, g.n)}
+        forms = {"spectrum": clique_blowup_seidel_spectrum(sigma, args.m)}
     else:
-        left, right = composed_blowup_seidel_spectra(sigma, args.m, g.n)
+        left, right = composed_blowup_seidel_spectra(sigma, args.m)
         forms = {"spectrum_a": left, "spectrum_b": right}
     return _emit(args, forms, "\n".join(
         ("" if len(forms) == 1 else f"{key}: ") + cf.format_grouped()

@@ -33,11 +33,6 @@ __all__ = [
     "clique_blowup",
     "KINDS",
     "construct",
-    "empty_graph",
-    "complete_graph",
-    "path_graph",
-    "cycle_graph",
-    "graph_from_edges",
 ]
 
 # Hard cap on the order of any constructed matrix/graph.  Dense storage is
@@ -153,8 +148,8 @@ def _payload_fault(data: bytes, start: int, end: int) -> Graph6Error:
 def _graph6_header(text: str | bytes) -> tuple[int, bytes, int]:
     """(n, line bytes, payload offset) of a graph6 line; the payload unread."""
     if isinstance(text, str):
-        if not text.isascii() or "\x7f" in text:
-            i = next(i for i, ch in enumerate(text) if ord(ch) > 126)
+        if not text.isascii():
+            i = next(i for i, ch in enumerate(text) if ord(ch) > 127)
             raise Graph6Error("non-ASCII character", i)
         data = text.encode("ascii")
     else:
@@ -339,38 +334,3 @@ def construct(g: Graph, m: int, kind: str,
     if kind not in KINDS:
         raise ValueError(f"unknown construction kind: {kind!r}")
     return Graph._trusted(_twin_steps(g.adj, m, KINDS[kind], max_dim))
-
-
-# ---------------------------------------------------------------------------
-# Small named graphs (test and CLI conveniences)
-# ---------------------------------------------------------------------------
-
-
-def empty_graph(n: int) -> Graph:
-    return Graph(np.zeros((n, n), dtype=np.int8))
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8))
-
-
-def path_graph(n: int) -> Graph:
-    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def graph_from_edges(n: int, edges) -> Graph:
-    adj = np.zeros((n, n), dtype=np.int8)
-    for u, v in edges:
-        # bool is an int subclass, and numpy would index with it as a mask
-        if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-                   and 0 <= x < n for x in (u, v)):
-            raise ValueError(f"edge ({u!r}, {v!r}) needs integer vertices "
-                             f"in 0..{n - 1}")
-        adj[u, v] = adj[v, u] = 1
-    return Graph(adj)

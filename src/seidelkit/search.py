@@ -315,10 +315,9 @@ def to_json(obj) -> str:
     dataclass replaced by a dict of its fields.  Any other type raises
     ``TypeError``.
 
-    A run of two or more instances of one dataclass in a tuple or list,
-    such as a report's certificates, is rendered by column: each field of
-    the run at once, and each row filled into the layout that one
-    instance uses.
+    A tuple or list of instances of one dataclass, such as a report's
+    certificates, is rendered by column: each field of the run at once,
+    and each row filled into the layout that one instance uses.
     """
     return _render(obj, "\n")
 
@@ -360,18 +359,7 @@ def _floats(values) -> list[str]:
 
 
 def _array(seq, nl: str) -> str:
-    inner = nl + "  "
-    kinds = set(map(type, seq))
-    if kinds == {float}:
-        texts = _floats(seq)
-    elif kinds == {int}:
-        texts = list(map(int.__repr__, seq))
-    elif len(seq) > 1 and len(kinds) == 1 and is_dataclass(cls := kinds.pop()):
-        texts = [row for start in range(0, len(seq), _RUN_ROWS)
-                 for row in _rows(cls, seq[start:start + _RUN_ROWS], inner)]
-    else:
-        texts = _items(seq, inner)
-    return _bracket(texts, nl)
+    return _bracket(_column(list(seq), nl + "  "), nl)
 
 
 def _bracket(texts: list[str], nl: str) -> str:
@@ -401,9 +389,9 @@ def _rows(cls, objs, nl: str) -> list[str]:
 
 def _column(values, nl: str) -> list[str]:
     """Each of ``values`` rendered under ``nl``: leaves of one type by one
-    ``map``, instances of one dataclass by ``_rows``, tuples of floats by
-    one rendering of all their floats, and anything else once per
-    distinct object."""
+    ``map``, instances of one dataclass by ``_rows`` on ``_RUN_ROWS`` at a
+    time, tuples of floats by one rendering of all their floats, and
+    anything else once per distinct object."""
     kinds = set(map(type, values))
     if len(kinds) == 1:
         cls = kinds.pop()
@@ -413,7 +401,8 @@ def _column(values, nl: str) -> list[str]:
         if leaf is not None:
             return list(map(leaf, values))
         if is_dataclass(cls):
-            return _rows(cls, values, nl)
+            return [row for start in range(0, len(values), _RUN_ROWS)
+                    for row in _rows(cls, values[start:start + _RUN_ROWS], nl)]
         if cls is tuple:
             kinds = set(map(type, chain.from_iterable(values)))
             if kinds <= {float}:

@@ -91,10 +91,6 @@ class Spectrum:
     groups: tuple[tuple[float, int], ...]
     grouping_ambiguous: bool = False
 
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
     def energy(self) -> float:
         return math.fsum(abs(v) for v in self.values)
 

@@ -3,7 +3,7 @@
 Each construction in ``graphs.KINDS`` is a sequence of twin steps.  A step
 at multiplicity m maps every Seidel eigenvalue s to m*s + (m-1) for
 independent twins, padding with -1, or to m*s - (m-1) for clique twins,
-padding with +1 (``_closed_form`` composes the steps; README.md tabulates
+padding with +1 (``_closed_forms`` composes the steps; README.md tabulates
 the four results).
 
 Both members of each pair share the same spectrum sum, and whenever every
@@ -116,30 +116,21 @@ def _closed_forms(values: np.ndarray, m: int,
     return forms, scale, shift
 
 
-def _closed_form(sigma: Spectrum, m: int, n: int,
-                 kind: str) -> tuple[ClosedFormSpectrum, int, int]:
-    """``_closed_forms`` of one graph G of order n, from its spectrum."""
-    if sigma.n != n:
-        raise ValueError(f"spectrum has {sigma.n} values, expected {n}")
-    forms, scale, shift = _closed_forms(np.array([sigma.values]), m, kind)
-    return forms[0], scale, shift
-
-
-def blowup_seidel_spectrum(sigma: Spectrum, m: int, n: int) -> ClosedFormSpectrum:
+def blowup_seidel_spectrum(sigma: Spectrum, m: int) -> ClosedFormSpectrum:
     """Seidel spectrum of blowup(G, m): s -> m*s + (m-1), padded with -1."""
-    return _closed_form(sigma, m, n, "dm")[0]
+    return _closed_forms(np.array([sigma.values]), m, "dm")[0][0]
 
 
-def clique_blowup_seidel_spectrum(sigma: Spectrum, m: int, n: int) -> ClosedFormSpectrum:
+def clique_blowup_seidel_spectrum(sigma: Spectrum, m: int) -> ClosedFormSpectrum:
     """Seidel spectrum of clique_blowup(G, m): s -> m*s - (m-1), padded with +1."""
-    return _closed_form(sigma, m, n, "dmstar")[0]
+    return _closed_forms(np.array([sigma.values]), m, "dmstar")[0][0]
 
 
-def composed_blowup_seidel_spectra(sigma: Spectrum, m: int,
-                                   n: int) -> tuple[ClosedFormSpectrum, ClosedFormSpectrum]:
+def composed_blowup_seidel_spectra(
+        sigma: Spectrum, m: int) -> tuple[ClosedFormSpectrum, ClosedFormSpectrum]:
     """Closed forms of clique_blowup(blowup(G,m),m) and blowup(clique_blowup(G,m),m)."""
-    return (_closed_form(sigma, m, n, "t2-left")[0],
-            _closed_form(sigma, m, n, "t2-right")[0])
+    return tuple(_closed_forms(np.array([sigma.values]), m, kind)[0][0]
+                 for kind in ("t2-left", "t2-right"))
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,17 @@ import networkx as nx
 from seidelkit import Graph, construct, graph_to_graph6, search
 
 
+def from_nx(g) -> Graph:
+    """The :class:`Graph` of a networkx graph, its nodes in sorted order:
+    ``from_nx(nx.cycle_graph(n))`` is the cycle 0-1-...-(n-1)-0."""
+    return Graph(nx.to_numpy_array(g, nodelist=sorted(g.nodes()), dtype=int))
+
+
 @pytest.fixture(scope="session")
 def catalog_graphs():
     """All simple graphs with 1 <= n <= 6, one per isomorphism class."""
-    graphs = []
-    for g in graph_atlas_g():
-        if 1 <= g.number_of_nodes() <= 6:
-            adj = nx.to_numpy_array(g, nodelist=sorted(g.nodes()), dtype=int)
-            graphs.append(Graph(adj))
+    graphs = [from_nx(g) for g in graph_atlas_g()
+              if 1 <= g.number_of_nodes() <= 6]
     assert len(graphs) == 208
     return graphs
 

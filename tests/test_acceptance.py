@@ -13,17 +13,18 @@ import os
 import time
 from contextlib import contextmanager
 
+import networkx as nx
 import numpy as np
 
 from seidelkit import (ScanConfig, blowup, certify, charpoly_exact,
                        clique_blowup, compare_spectra,
                        blowup_seidel_spectrum, clique_blowup_seidel_spectrum,
-                       complement, complete_graph, empty_graph,
-                       graph_from_graph6, graph_to_graph6, path_graph,
+                       complement, graph_from_graph6, graph_to_graph6,
                        report_to_json, scan_stream, seidel_matrix,
                        seidel_spectrum)
 from seidelkit.spectral import integer_root_multiplicity
-from conftest import jacobi_desc, jacobi_member, random_simple_graph, seidel_of
+from conftest import (from_nx, jacobi_desc, jacobi_member, random_simple_graph,
+                      seidel_of)
 
 
 @contextmanager
@@ -40,7 +41,7 @@ def test_criterion_1_complete_graph_baseline():
     with criterion(1, "complete-graph spectra and energies, n = 2..12"):
         start = time.perf_counter()
         for n in range(2, 13):
-            g = complete_graph(n)
+            g = from_nx(nx.complete_graph(n))
             spec = seidel_spectrum(g)
             expected = [1.0] * (n - 1) + [float(1 - n)]
             assert np.allclose(spec.values, expected, atol=1e-9)
@@ -64,8 +65,8 @@ def test_criterion_2_lemma_equivalence_exhaustive(catalog_graphs):
                 pad = m * n - n
                 ga = blowup(g, m)
                 gb = clique_blowup(g, m)
-                cf_a = blowup_seidel_spectrum(sigma, m, n)
-                cf_b = clique_blowup_seidel_spectrum(sigma, m, n)
+                cf_a = blowup_seidel_spectrum(sigma, m)
+                cf_b = clique_blowup_seidel_spectrum(sigma, m)
                 assert np.allclose(seidel_spectrum(ga).values, cf_a.values(),
                                    atol=1e-8)
                 assert np.allclose(seidel_spectrum(gb).values, cf_b.values(),
@@ -85,7 +86,7 @@ def test_criterion_3_equienergetic_family_from_k2():
     with criterion(3, "K_2 blow-up pairs are equienergetic with SE = 4m - 2 "
                       "for m = 2..5"):
         for m in range(2, 6):
-            cert = certify(complete_graph(2), m, 1)
+            cert = certify(from_nx(nx.complete_graph(2)), m, 1)
             assert cert.hypothesis.satisfied
             assert cert.equienergetic
             assert abs(cert.energy_a - (4 * m - 2)) <= 1e-8
@@ -97,7 +98,7 @@ def test_criterion_3_equienergetic_family_from_k2():
 
 def test_criterion_4_refutation_direction_k3():
     with criterion(4, "unbalanced K_3 at m = 2 yields energies 12 vs 10"):
-        cert = certify(complete_graph(3), 2, 1)
+        cert = certify(from_nx(nx.complete_graph(3)), 2, 1)
         assert cert.hypothesis.bound_met() and not cert.hypothesis.balanced
         assert abs(cert.energy_a - 12.0) <= 1e-8
         assert abs(cert.energy_b - 10.0) <= 1e-8
@@ -109,25 +110,26 @@ def test_criterion_4_refutation_direction_k3():
 def test_criterion_5_composed_pairs():
     with criterion(5, "composed pairs: K_2 at m=2 gives 18 = 18 and distinct "
                       "spectra; K_3 at m=2 gives 32 vs 30"):
-        cert = certify(complete_graph(2), 2, 2)
+        cert = certify(from_nx(nx.complete_graph(2)), 2, 2)
         # independent oracle: Jacobi eigensolve of the two 8-vertex members
         for kind, closed in zip(("t2-left", "t2-right"),
                                 (cert.closed_a, cert.closed_b)):
             assert len(closed.values()) == 8
-            assert np.allclose(jacobi_member(complete_graph(2), 2, kind),
+            assert np.allclose(jacobi_member(from_nx(nx.complete_graph(2)), 2,
+                                             kind),
                                closed.values(), atol=1e-9)
         assert abs(cert.energy_a - 18.0) <= 1e-8
         assert abs(cert.energy_b - 18.0) <= 1e-8
         assert cert.equienergetic and not cert.cospectral
         assert not cert.theorem_violation
 
-        cert3 = certify(complete_graph(3), 2, 2)
+        cert3 = certify(from_nx(nx.complete_graph(3)), 2, 2)
         assert abs(cert3.energy_a - 32.0) <= 1e-8
         assert abs(cert3.energy_b - 30.0) <= 1e-8
         assert not cert3.equienergetic
         # independent oracle: Jacobi eigensolve of the two 12-vertex graphs
-        left = clique_blowup(blowup(complete_graph(3), 2), 2)
-        right = blowup(clique_blowup(complete_graph(3), 2), 2)
+        left = clique_blowup(blowup(from_nx(nx.complete_graph(3)), 2), 2)
+        right = blowup(clique_blowup(from_nx(nx.complete_graph(3)), 2), 2)
         assert abs(np.abs(jacobi_desc(seidel_of(left.adj))).sum() - 32.0) <= 1e-8
         assert abs(np.abs(jacobi_desc(seidel_of(right.adj))).sum() - 30.0) <= 1e-8
 
@@ -174,7 +176,7 @@ def test_criterion_7_global_seidel_invariants():
 def test_criterion_8_small_equienergetic_pair():
     with criterion(8, "K_3 and P_3 are equienergetic (SE = 4) and "
                       "non-cospectral"):
-        k3, p3 = complete_graph(3), path_graph(3)
+        k3, p3 = from_nx(nx.complete_graph(3)), from_nx(nx.path_graph(3))
         equal, delta, cospectral = compare_spectra(seidel_spectrum(k3),
                                                    seidel_spectrum(p3))
         assert equal and delta <= 1e-9
@@ -210,10 +212,10 @@ def test_criterion_9_scan_determinism_and_oracle(catalog_lines, pool_starts):
 def test_criterion_10_graph6_codec_round_trip():
     with criterion(10, "graph6 round trip on 10,000 random graphs plus "
                        "fixed vectors"):
-        assert graph_from_graph6("@") == empty_graph(1)
-        assert graph_to_graph6(empty_graph(1)) == "@"
-        assert graph_from_graph6("C~") == complete_graph(4)
-        assert graph_to_graph6(complete_graph(4)) == "C~"
+        assert graph_from_graph6("@") == from_nx(nx.empty_graph(1))
+        assert graph_to_graph6(from_nx(nx.empty_graph(1))) == "@"
+        assert graph_from_graph6("C~") == from_nx(nx.complete_graph(4))
+        assert graph_to_graph6(from_nx(nx.complete_graph(4))) == "C~"
         rng = np.random.default_rng(62)
         for _ in range(10_000):
             n = int(rng.integers(1, 63))

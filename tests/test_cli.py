@@ -178,10 +178,10 @@ def _compare(first, second):
 def _closed_form(g, m, lemma):
     sigma = seidel_spectrum(g)
     if lemma == 1:
-        return {"spectrum": blowup_seidel_spectrum(sigma, m, g.n)}
+        return {"spectrum": blowup_seidel_spectrum(sigma, m)}
     if lemma == 2:
-        return {"spectrum": clique_blowup_seidel_spectrum(sigma, m, g.n)}
-    left, right = composed_blowup_seidel_spectra(sigma, m, g.n)
+        return {"spectrum": clique_blowup_seidel_spectrum(sigma, m)}
+    left, right = composed_blowup_seidel_spectra(sigma, m)
     return {"spectrum_a": left, "spectrum_b": right}
 
 

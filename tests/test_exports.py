@@ -1,5 +1,6 @@
-"""Every name a module exports in ``__all__`` exists on that module, and
-every public name the package re-exports is in its module's ``__all__``."""
+"""Every name a module exports in ``__all__`` exists on that module and has
+a caller, and every public name the package re-exports is in its module's
+``__all__``."""
 
 import ast
 import importlib
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import seidelkit
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", ["graphs", "spectral", "theory", "search"])
@@ -32,3 +35,56 @@ def test_package_reexports_only_exported_names():
              if alias.name not in importlib.import_module(
                  f"seidelkit.{node.module}").__all__]
     assert stale == []
+
+
+class _Loads(ast.NodeVisitor):
+    """The names a module loads, bare or as an attribute, each outside the
+    function or class that defines that name, so recursion is no caller."""
+
+    def __init__(self):
+        self.defining = []
+        self.loaded = set()
+
+    def _definition(self, node):
+        self.defining.append(node.name)
+        self.generic_visit(node)
+        self.defining.pop()
+
+    visit_FunctionDef = visit_ClassDef = _definition
+
+    def _load(self, name, node):
+        if isinstance(node.ctx, ast.Load) and name not in self.defining:
+            self.loaded.add(name)
+        self.generic_visit(node)
+
+    def visit_Name(self, node):
+        self._load(node.id, node)
+
+    def visit_Attribute(self, node):
+        self._load(node.attr, node)
+
+
+def _traced():
+    """The (module, function) pairs of the benchmark's ``TRACED`` list."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    traced = next(node.value for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and getattr(node.targets[0], "id", None) == "TRACED")
+    return {(entry.elts[0].value, entry.elts[1].value)
+            for entry in traced.elts}
+
+
+def test_every_export_has_a_caller():
+    # an exported name that no module of the package loads, and that the
+    # benchmark does not trace, is API only its own tests use
+    loads = _Loads()
+    for path in sorted((ROOT / "src" / "seidelkit").glob("*.py")):
+        loads.visit(ast.parse(path.read_text()))
+    traced = _traced()
+    uncalled = [f"{name}.{export}"
+                for name in ("graphs", "spectral", "theory", "search")
+                for export in importlib.import_module(
+                    f"seidelkit.{name}").__all__
+                if export not in loads.loaded
+                and (f"seidelkit.{name}", export) not in traced]
+    assert uncalled == []

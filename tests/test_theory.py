@@ -3,6 +3,7 @@
 import json
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -11,17 +12,16 @@ from hypothesis import given, settings, strategies as st
 from seidelkit import (KINDS, ClosedFormSpectrum, Graph, blowup,
                        blowup_seidel_spectrum, certify, charpoly_exact,
                        clique_blowup, clique_blowup_seidel_spectrum,
-                       compare_spectra, complement, complete_graph,
-                       composed_blowup_seidel_spectra, construct, cycle_graph,
-                       empty_graph, hypothesis_from_spectrum, path_graph,
-                       seidel_matrix, seidel_spectrum, spectrum_from_values,
-                       to_json)
+                       compare_spectra, complement,
+                       composed_blowup_seidel_spectra, construct,
+                       hypothesis_from_spectrum, seidel_matrix,
+                       seidel_spectrum, spectrum_from_values, to_json)
 from seidelkit import spectral, theory
 from seidelkit.cli import run
 from seidelkit.spectral import integer_root_multiplicity
-from seidelkit.theory import _closed_form, _member_proven
+from seidelkit.theory import _closed_forms, _member_proven
 from conftest import (CERTIFICATE_KEYS, cells_balanced, check_json_object,
-                      explicit_proofs, jacobi_desc, jacobi_member,
+                      explicit_proofs, from_nx, jacobi_desc, jacobi_member,
                       padding_eigen_ok, padding_eigenvectors, poly_mul,
                       private_vectors, random_simple_graph)
 
@@ -29,45 +29,46 @@ from conftest import (CERTIFICATE_KEYS, cells_balanced, check_json_object,
 # -- closed-form spectra -------------------------------------------------------
 
 def test_blowup_spectrum_k2():
-    sigma = seidel_spectrum(complete_graph(2))  # {1, -1}
-    cf = blowup_seidel_spectrum(sigma, 2, 2)
+    sigma = seidel_spectrum(from_nx(nx.complete_graph(2)))  # {1, -1}
+    cf = blowup_seidel_spectrum(sigma, 2)
     assert np.allclose(cf.values(), [3, -1, -1, -1], atol=1e-9)
     # cross-check against a brute-force eigensolve of the constructed graph
-    numeric = seidel_spectrum(blowup(complete_graph(2), 2)).values
+    numeric = seidel_spectrum(blowup(from_nx(nx.complete_graph(2)), 2)).values
     assert np.allclose(cf.values(), numeric, atol=1e-9)
 
 
 def test_blowup_spectrum_maps_zero_to_one():
-    cf = blowup_seidel_spectrum(spectrum_from_values([0.0]), 2, 1)
+    cf = blowup_seidel_spectrum(spectrum_from_values([0.0]), 2)
     assert cf.mapped == (1.0,)
     assert cf.padding == ((-1, 1),)
 
 
 def test_blowup_spectrum_c5():
     r5 = math.sqrt(5)
-    sigma = seidel_spectrum(cycle_graph(5))
-    cf = blowup_seidel_spectrum(sigma, 2, 5)
+    sigma = seidel_spectrum(from_nx(nx.cycle_graph(5)))
+    cf = blowup_seidel_spectrum(sigma, 2)
     expected = sorted([2 * r5 + 1, 2 * r5 + 1, 1, 1 - 2 * r5, 1 - 2 * r5]
                       + [-1] * 5, reverse=True)
     assert np.allclose(cf.values(), expected, atol=1e-8)
-    numeric = seidel_spectrum(blowup(cycle_graph(5), 2)).values
+    numeric = seidel_spectrum(blowup(from_nx(nx.cycle_graph(5)), 2)).values
     assert np.allclose(cf.values(), numeric, atol=1e-8)
 
 
 def test_clique_blowup_spectrum_fixed_cases():
     # clique_blowup(K_2, 2) == K_4, whose Seidel spectrum is {1^3, -3}
-    sigma = seidel_spectrum(complete_graph(2))
-    cf = clique_blowup_seidel_spectrum(sigma, 2, 2)
+    sigma = seidel_spectrum(from_nx(nx.complete_graph(2)))
+    cf = clique_blowup_seidel_spectrum(sigma, 2)
     assert np.allclose(cf.values(), [1, 1, 1, -3], atol=1e-9)
     assert np.allclose(cf.values(),
-                       seidel_spectrum(complete_graph(4)).values, atol=1e-9)
+                       seidel_spectrum(from_nx(nx.complete_graph(4))).values,
+                       atol=1e-9)
     # clique_blowup(K_1, 3) == K_3
-    cf = clique_blowup_seidel_spectrum(spectrum_from_values([0.0]), 3, 1)
+    cf = clique_blowup_seidel_spectrum(spectrum_from_values([0.0]), 3)
     assert np.allclose(cf.values(), [1, 1, -2], atol=1e-12)
     # eigenvalue at the bound maps to exactly zero
     for m in (2, 3, 5):
         cf = clique_blowup_seidel_spectrum(
-            spectrum_from_values([(m - 1) / m]), m, 1)
+            spectrum_from_values([(m - 1) / m]), m)
         assert abs(cf.mapped[0]) < 1e-12
 
 
@@ -77,8 +78,8 @@ def test_closed_form_padding_counts():
         n = int(rng.integers(1, 7))
         m = int(rng.integers(2, 5))
         sigma = seidel_spectrum(random_simple_graph(rng, n))
-        cf1 = blowup_seidel_spectrum(sigma, m, n)
-        cf2 = clique_blowup_seidel_spectrum(sigma, m, n)
+        cf1 = blowup_seidel_spectrum(sigma, m)
+        cf2 = clique_blowup_seidel_spectrum(sigma, m)
         assert cf1.padding == ((-1, m * n - n),)
         assert cf2.padding == ((1, m * n - n),)
         assert len(cf1.values()) == m * n == len(cf2.values())
@@ -87,29 +88,27 @@ def test_closed_form_padding_counts():
 def test_closed_form_argument_errors():
     sigma = spectrum_from_values([1.0, -1.0])
     with pytest.raises(ValueError):
-        blowup_seidel_spectrum(sigma, 2, 3)  # size mismatch
-    with pytest.raises(ValueError):
-        clique_blowup_seidel_spectrum(sigma, 1, 2)
+        clique_blowup_seidel_spectrum(sigma, 1)
     with pytest.raises(ValueError):
         ClosedFormSpectrum((1.0,), ((1, 1),), 2, 5)  # counts do not add up
 
 
 def test_composed_spectra_k2():
-    sigma = seidel_spectrum(complete_graph(2))
-    left, right = composed_blowup_seidel_spectra(sigma, 2, 2)
+    sigma = seidel_spectrum(from_nx(nx.complete_graph(2)))
+    left, right = composed_blowup_seidel_spectra(sigma, 2)
     assert np.allclose(left.values(), [5, 1, 1, 1, 1, -3, -3, -3], atol=1e-9)
     assert np.allclose(right.values(), [3, 3, 3, -1, -1, -1, -1, -5], atol=1e-9)
     assert abs(left.energy() - 18) < 1e-9
     assert abs(right.energy() - 18) < 1e-9
     # brute-force eigensolve of the two constructed 8-vertex graphs
-    ga = clique_blowup(blowup(complete_graph(2), 2), 2)
-    gb = blowup(clique_blowup(complete_graph(2), 2), 2)
+    ga = clique_blowup(blowup(from_nx(nx.complete_graph(2)), 2), 2)
+    gb = blowup(clique_blowup(from_nx(nx.complete_graph(2)), 2), 2)
     assert np.allclose(left.values(), seidel_spectrum(ga).values, atol=1e-8)
     assert np.allclose(right.values(), seidel_spectrum(gb).values, atol=1e-8)
 
 
 def test_composed_spectra_k1():
-    left, right = composed_blowup_seidel_spectra(spectrum_from_values([0.0]), 2, 1)
+    left, right = composed_blowup_seidel_spectra(spectrum_from_values([0.0]), 2)
     assert np.allclose(left.values(), [1, 1, 1, -3], atol=1e-12)
     assert np.allclose(right.values(), [3, -1, -1, -1], atol=1e-12)
 
@@ -117,7 +116,7 @@ def test_composed_spectra_k1():
 def test_composed_spectra_multiplicity_telescope():
     for n, m in [(1, 2), (3, 2), (4, 3), (6, 2)]:
         sigma = spectrum_from_values(np.linspace(-2, 2, n))
-        left, right = composed_blowup_seidel_spectra(sigma, m, n)
+        left, right = composed_blowup_seidel_spectra(sigma, m)
         for cf in (left, right):
             total = len(cf.mapped) + sum(mult for _, mult in cf.padding)
             assert total == m * m * n == cf.order
@@ -151,9 +150,9 @@ def small_graphs(draw):
 def test_closed_forms_match_readme_table_and_jacobi(g):
     sigma = seidel_spectrum(g)
     for m in (2, 3):
-        left, right = composed_blowup_seidel_spectra(sigma, m, g.n)
-        closed = {"dm": blowup_seidel_spectrum(sigma, m, g.n),
-                  "dmstar": clique_blowup_seidel_spectrum(sigma, m, g.n),
+        left, right = composed_blowup_seidel_spectra(sigma, m)
+        closed = {"dm": blowup_seidel_spectrum(sigma, m),
+                  "dmstar": clique_blowup_seidel_spectrum(sigma, m),
                   "t2-left": left, "t2-right": right}
         table = _readme_table(m, g.n)
         assert set(closed) == set(table) == set(KINDS)
@@ -174,8 +173,8 @@ def test_spectrum_sums_agree_between_constructions():
         m = int(rng.integers(2, 5))
         g = random_simple_graph(rng, n)
         sigma = seidel_spectrum(g)
-        cf1 = blowup_seidel_spectrum(sigma, m, n)
-        cf2 = clique_blowup_seidel_spectrum(sigma, m, n)
+        cf1 = blowup_seidel_spectrum(sigma, m)
+        cf2 = clique_blowup_seidel_spectrum(sigma, m)
         target = m * math.fsum(sigma.values)
         total1, total2 = math.fsum(cf1.values()), math.fsum(cf2.values())
         assert abs(total1 - target) < 1e-9
@@ -186,8 +185,9 @@ def test_spectrum_sums_agree_between_constructions():
 # -- pairwise checks -------------------------------------------------------------
 
 def test_equienergetic_k3_p3():
-    equal, delta, _ = compare_spectra(seidel_spectrum(complete_graph(3)),
-                                      seidel_spectrum(path_graph(3)))
+    equal, delta, _ = compare_spectra(
+        seidel_spectrum(from_nx(nx.complete_graph(3))),
+        seidel_spectrum(from_nx(nx.path_graph(3))))
     assert equal and delta < 1e-9
 
 
@@ -201,8 +201,9 @@ def test_equienergetic_with_complement():
 
 
 def test_not_equienergetic_k2_k3():
-    equal, delta, _ = compare_spectra(seidel_spectrum(complete_graph(2)),
-                                      seidel_spectrum(complete_graph(3)))
+    equal, delta, _ = compare_spectra(
+        seidel_spectrum(from_nx(nx.complete_graph(2))),
+        seidel_spectrum(from_nx(nx.complete_graph(3))))
     assert not equal
     assert abs(delta - 2.0) < 1e-9
 
@@ -211,18 +212,21 @@ def test_cospectral_checks():
     def cospectral(g1, g2):
         return compare_spectra(seidel_spectrum(g1), seidel_spectrum(g2))[2]
 
-    g = cycle_graph(5)
+    g = from_nx(nx.cycle_graph(5))
     assert cospectral(g, g)
-    assert not cospectral(complete_graph(3), path_graph(3))
-    assert not cospectral(blowup(complete_graph(2), 2),
-                          clique_blowup(complete_graph(2), 2))
-    assert not cospectral(complete_graph(2), complete_graph(3))
+    assert not cospectral(from_nx(nx.complete_graph(3)),
+                          from_nx(nx.path_graph(3)))
+    assert not cospectral(blowup(from_nx(nx.complete_graph(2)), 2),
+                          clique_blowup(from_nx(nx.complete_graph(2)), 2))
+    assert not cospectral(from_nx(nx.complete_graph(2)),
+                          from_nx(nx.complete_graph(3)))
 
 
 # -- hypothesis reports -----------------------------------------------------------
 
 def test_hypothesis_k2():
-    rep = hypothesis_from_spectrum(seidel_spectrum(complete_graph(2)), 2)
+    rep = hypothesis_from_spectrum(
+        seidel_spectrum(from_nx(nx.complete_graph(2))), 2)
     assert rep.bound == 0.5
     assert abs(rep.min_abs_eigenvalue - 1.0) < 1e-9
     assert rep.balanced and rep.satisfied and not rep.boundary
@@ -231,14 +235,16 @@ def test_hypothesis_k2():
 
 
 def test_hypothesis_fails_on_zero_eigenvalue():
-    rep = hypothesis_from_spectrum(seidel_spectrum(cycle_graph(5)), 2)
+    rep = hypothesis_from_spectrum(
+        seidel_spectrum(from_nx(nx.cycle_graph(5))), 2)
     assert rep.min_abs_eigenvalue < 1e-9
     assert not rep.satisfied and not rep.balanced
     assert not rep.bound_met()
 
 
 def test_hypothesis_k3_bound_met_but_unbalanced():
-    rep = hypothesis_from_spectrum(seidel_spectrum(complete_graph(3)), 2)
+    rep = hypothesis_from_spectrum(
+        seidel_spectrum(from_nx(nx.complete_graph(3))), 2)
     assert rep.bound_met()
     assert not rep.balanced
     assert not rep.satisfied
@@ -262,7 +268,7 @@ def test_hypothesis_power_two_bound():
 
 def test_certify_k2_family():
     for m in range(2, 6):
-        cert = certify(complete_graph(2), m, 1)
+        cert = certify(from_nx(nx.complete_graph(2)), m, 1)
         assert cert.hypothesis.satisfied
         assert cert.equienergetic and not cert.cospectral
         assert abs(cert.energy_a - (4 * m - 2)) < 1e-8
@@ -277,12 +283,13 @@ def test_certify_k2_family():
         for kind, closed, want in (("dm", cert.closed_a, want_a),
                                    ("dmstar", cert.closed_b, want_b)):
             assert np.allclose(closed.values(), want, atol=1e-9)
-            assert np.allclose(jacobi_member(complete_graph(2), m, kind),
+            assert np.allclose(jacobi_member(from_nx(nx.complete_graph(2)), m,
+                                             kind),
                                closed.values(), atol=1e-9)
 
 
 def test_certify_k3_refutation_direction():
-    cert = certify(complete_graph(3), 2, 1)
+    cert = certify(from_nx(nx.complete_graph(3)), 2, 1)
     assert cert.hypothesis.bound_met()
     assert not cert.hypothesis.balanced
     assert abs(cert.energy_a - 12.0) < 1e-8
@@ -294,19 +301,20 @@ def test_certify_k3_refutation_direction():
 
 
 def test_certify_k1_records_failed_hypothesis():
-    cert = certify(empty_graph(1), 2, 1)
+    cert = certify(from_nx(nx.empty_graph(1)), 2, 1)
     assert not cert.hypothesis.satisfied
     assert not cert.hypothesis.bound_met()
     assert not cert.theorem_violation  # no assertion outside the hypothesis
 
 
 def test_certify_composed_k2():
-    cert = certify(complete_graph(2), 2, 2)
+    cert = certify(from_nx(nx.complete_graph(2)), 2, 2)
     assert cert.theorem == 2
     for kind, closed in (("t2-left", cert.closed_a),
                          ("t2-right", cert.closed_b)):
         assert len(closed.values()) == 8
-        assert np.allclose(jacobi_member(complete_graph(2), 2, kind),
+        assert np.allclose(jacobi_member(from_nx(nx.complete_graph(2)), 2,
+                                         kind),
                            closed.values(), atol=1e-9)
     assert abs(cert.energy_a - 18.0) < 1e-8
     assert abs(cert.energy_b - 18.0) < 1e-8
@@ -320,7 +328,7 @@ def test_certify_composed_k3():
     # substitution oracle: sigma = {1, 1, -2}, m = 2
     #   sum |4s + 1| = 5 + 5 + 7 = 17, padding 3*|1-2m| + 6*1 = 9 + 6
     #   sum |4s - 1| = 3 + 3 + 9 = 15, padding 3*|2m-1| + 6*1 = 9 + 6
-    cert = certify(complete_graph(3), 2, 2)
+    cert = certify(from_nx(nx.complete_graph(3)), 2, 2)
     assert abs(cert.energy_a - 32.0) < 1e-8
     assert abs(cert.energy_b - 30.0) < 1e-8
     assert not cert.equienergetic
@@ -331,10 +339,10 @@ def test_certify_composed_k3():
 
 
 def test_certify_dispatch():
-    cert = certify(complete_graph(2), 3, theorem=1)
+    cert = certify(from_nx(nx.complete_graph(2)), 3, theorem=1)
     assert cert.theorem == 1 and cert.m == 3
     with pytest.raises(ValueError):
-        certify(complete_graph(2), 2, theorem=3)
+        certify(from_nx(nx.complete_graph(2)), 2, theorem=3)
 
 
 def test_certify_verifies_exact_multiplicities_at_order_400():
@@ -361,9 +369,10 @@ def test_certificate_padding_multiplicities_hold_exactly():
 def _member_args(g, m, kind, count=1):
     """(S_G stack, scale, shift, padding) of construct(g, m, kind), for a
     stack of ``count`` offered matrices."""
-    form, scale, shift = _closed_form(seidel_spectrum(g), m, g.n, kind)
+    forms, scale, shift = _closed_forms(
+        np.array([seidel_spectrum(g).values]), m, kind)
     s_g = np.repeat(seidel_matrix(g)[None], count, axis=0)
-    return s_g, scale, shift, form.padding
+    return s_g, scale, shift, forms[0].padding
 
 
 def _proofs(s, g, m, kind):
@@ -412,7 +421,7 @@ def test_exact_padding_check_agrees_with_charpoly(catalog_graphs, power, m):
 
 @pytest.mark.parametrize("power", [1, 2])
 def test_exact_padding_check_rejects_corrupted_matrix(power):
-    g, m = path_graph(4), 2
+    g, m = from_nx(nx.path_graph(4)), 2
     vectors = padding_eigenvectors(g.n, m, power)
     for kind in theory._MEMBERS[power]:
         s = seidel_matrix(construct(g, m, kind))
@@ -434,7 +443,7 @@ def test_exact_padding_check_rejects_corrupted_matrix(power):
 
 @pytest.mark.parametrize("power", [1, 2])
 def test_exact_padding_check_needs_enough_independent_vectors(power):
-    g, m = cycle_graph(5), 3
+    g, m = from_nx(nx.cycle_graph(5)), 3
     vectors = padding_eigenvectors(g.n, m, power)
     for kind in theory._MEMBERS[power]:
         s = seidel_matrix(construct(g, m, kind))
@@ -460,7 +469,7 @@ def test_exact_padding_check_needs_enough_independent_vectors(power):
 
 @pytest.mark.parametrize("kind", list(KINDS))
 def test_member_proof_holds_and_breaks_under_mutation(kind):
-    g, m = path_graph(4), 2
+    g, m = from_nx(nx.path_graph(4)), 2
     s = seidel_matrix(construct(g, m, kind))
     assert _proof(s, g, m, kind) == (True, True)
 
@@ -492,7 +501,7 @@ def test_padding_vector_off_the_cells_breaks_the_proof():
     # but it does not sum to zero on cells 0 and 2: the explicit oracle
     # counts it and only its cell balance refuses it.  The pass takes only
     # twin differences across copies, balanced by construction.
-    g, m = path_graph(3), 2
+    g, m = from_nx(nx.path_graph(3)), 2
     s = seidel_matrix(construct(g, m, "dm"))
     padding = _member_args(g, m, "dm")[3]
     [(supports, signs)] = padding_eigenvectors(g.n, m, 1)
@@ -508,7 +517,7 @@ def test_padding_vector_off_the_cells_breaks_the_proof():
 
 
 def test_padding_proof_needs_the_full_count():
-    g, m = cycle_graph(5), 3
+    g, m = from_nx(nx.cycle_graph(5)), 3
     s = seidel_matrix(construct(g, m, "t2-left"))[None]
     s_g, scale, shift, padding = _member_args(g, m, "t2-left")
 
@@ -624,7 +633,7 @@ def test_certify_solves_only_the_base_matrix(monkeypatch, theorem):
 
     for module in (spectral, theory):
         monkeypatch.setattr(module, "sym_eigenvalues", counting)
-    cert = certify(path_graph(4), 3, theorem)
+    cert = certify(from_nx(nx.path_graph(4)), 3, theorem)
     assert cert.closed_form_agrees and cert.exact_multiplicities_verified
     # one stacked solve of the base matrix alone: no Spectrum is built
     assert solved == [(1, 4, 4)]
@@ -647,18 +656,19 @@ def test_base_residual_measures_the_base_solve(monkeypatch):
 
 
 def test_certificate_json_round_trip(capsys):
-    cert = certify(complete_graph(3), 2, 1)
+    cert = certify(from_nx(nx.complete_graph(3)), 2, 1)
     doc = json.loads(to_json(cert))
     check_json_object(doc, cert, CERTIFICATE_KEYS)
 
     # the certify command emits the same certificate format
     assert run(["certify", "--theorem", "2", "--m", "2", "Bw"]) == 0
     check_json_object(json.loads(capsys.readouterr().out),
-                      certify(complete_graph(3), 2, 2), CERTIFICATE_KEYS)
+                      certify(from_nx(nx.complete_graph(3)), 2, 2),
+                      CERTIFICATE_KEYS)
 
 
 def test_certificate_text_rendering():
-    cert = certify(complete_graph(2), 2, 1)
+    cert = certify(from_nx(nx.complete_graph(2)), 2, 1)
     text = cert.render_text()
     assert "equienergetic=True" in text
     assert "A_" in text
