@@ -291,7 +291,7 @@ def _twin_steps(adj: np.ndarray, m: int, steps,
     return adj
 
 
-def blowup(g: Graph, m: int, max_dim: int = DEFAULT_MAX_DIM) -> Graph:
+def blowup(g: Graph, m: int) -> Graph:
     """Replace every vertex by m independent twins.
 
     The result has adjacency J_m (x) A(g): copies (i,u) and (j,v) are
@@ -299,17 +299,17 @@ def blowup(g: Graph, m: int, max_dim: int = DEFAULT_MAX_DIM) -> Graph:
     into a complete bipartite block on the two twin classes and twin
     classes themselves stay independent.  Simple, on m*n vertices.
     """
-    return Graph._trusted(_twin_steps(g.adj, m, (False,), max_dim))
+    return Graph._trusted(_twin_steps(g.adj, m, (False,)))
 
 
-def clique_blowup(g: Graph, m: int, max_dim: int = DEFAULT_MAX_DIM) -> Graph:
+def clique_blowup(g: Graph, m: int) -> Graph:
     """Replace every vertex by m mutually adjacent twins.
 
     The result has adjacency J_m (x) (A(g) + I) - I: edges of g become
     complete bipartite blocks and each twin class forms a clique.  Simple,
     on m*n vertices.
     """
-    return Graph._trusted(_twin_steps(g.adj, m, (True,), max_dim))
+    return Graph._trusted(_twin_steps(g.adj, m, (True,)))
 
 
 # Twin steps of each construction kind, innermost first: False adds

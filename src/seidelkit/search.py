@@ -8,9 +8,10 @@ parse failures and dimension-cap skips are recorded, never fatal.
 
 Lines are read in chunks.  Each line of a chunk is decoded on its own, and
 the graphs that reach the solve are grouped by order into blocks, capped
-together at ``_BLOCK_BYTES`` of member matrices.  A block runs one stacked
-Seidel build, one eigensolve call, one hypothesis check, and one
-construction and proof per member (see :mod:`seidelkit.theory`).
+together at ``_BLOCK_BYTES`` of member matrices.  Each block is one
+``theory._certify_block``: one stacked Seidel build and eigensolve call, a
+screen against the bound, a hypothesis report for the lines that meet it
+only, and one construction and proof per member.
 ``--jobs`` workers, on one BLAS thread each, take whole chunks once the
 lines' headers add up to more than ``_FORK_BYTES`` of that work.
 Output ordering follows input line numbers, so a scan is deterministic
@@ -42,8 +43,7 @@ import numpy as np
 
 from .graphs import (DEFAULT_MAX_DIM, Graph6Error, _graph6_header,
                      graph_from_graph6)
-from .spectral import seidel_matrix, sym_eigenvalues
-from .theory import Certificate, _certify_block, _hypotheses
+from .theory import Certificate, _certify_block
 
 __all__ = [
     "NUMERIC_MAX_ORDER",
@@ -185,30 +185,18 @@ def _scan_chunk(config: ScanConfig, chunk) -> list[tuple]:
 
 
 def _run_blocks(config: ScanConfig, waiting: dict, records: dict) -> None:
-    """Run each order's waiting lines as one block into ``records``."""
+    """Run each order's waiting (line number, graph) pairs as one screened
+    ``_certify_block`` into ``records``: the lines below the bound are
+    ``hypothesis_failed``."""
     for block in waiting.values():
-        records.update(_scan_block(config, block))
-    waiting.clear()
-
-
-def _scan_block(config: ScanConfig, block) -> dict:
-    """Records, by line number, of (line number, graph) pairs of one order:
-    one stacked Seidel build, eigensolve and hypothesis check, then one
-    ``_certify_block`` of the lines that meet the bound."""
-    adj = np.stack([g.adj for _, g in block])
-    s_g = seidel_matrix(adj)
-    values = sym_eigenvalues(s_g)
-    hyps = _hypotheses(values, config.m, config.theorem)
-    records = {line_no: ("hypothesis_failed", line_no) for line_no, _ in block}
-    met = [k for k, hyp in enumerate(hyps) if hyp.bound_met()]
-    if met:
-        certs = _certify_block(adj[met], s_g[met], values[met],
-                               [hyps[k] for k in met], config.m,
-                               config.theorem)
-        for k, cert in zip(met, certs):
+        rows, certs = _certify_block(np.stack([g.adj for _, g in block]),
+                                     config.m, config.theorem, screen=True)
+        records.update((line_no, ("hypothesis_failed", line_no))
+                       for line_no, _ in block)
+        for k, cert in zip(rows.tolist(), certs):
             kind = "certified" if cert.hypothesis.satisfied else "refuted"
             records[block[k][0]] = (kind, block[k][0], cert)
-    return records
+    waiting.clear()
 
 
 def _chunks(tasks, size: int):
@@ -351,11 +339,12 @@ def _float(x: float) -> str:
     return _SPECIAL_FLOATS.get(text, text)
 
 
-def _floats(values) -> list[str]:
-    """Each of ``values``, floats, as ``_float`` renders it."""
-    if all(map(math.isfinite, values)):
+def _leaves(leaf, values) -> list[str]:
+    """Each of ``values``, leaves that ``leaf`` renders, rendered; finite
+    floats without the special-value lookup."""
+    if leaf is _float and all(map(math.isfinite, values)):
         return list(map(float.__repr__, values))
-    return list(map(_float, values))
+    return list(map(leaf, values))
 
 
 def _array(seq, nl: str) -> str:
@@ -390,23 +379,23 @@ def _rows(cls, objs, nl: str) -> list[str]:
 def _column(values, nl: str) -> list[str]:
     """Each of ``values`` rendered under ``nl``: leaves of one type by one
     ``map``, instances of one dataclass by ``_rows`` on ``_RUN_ROWS`` at a
-    time, tuples of floats by one rendering of all their floats, and
-    anything else once per distinct object."""
+    time, tuples whose items are leaves of one type by one rendering of all
+    their items, and anything else once per distinct object."""
     kinds = set(map(type, values))
     if len(kinds) == 1:
         cls = kinds.pop()
-        if cls is float:
-            return _floats(values)
         leaf = _LEAVES.get(cls)
         if leaf is not None:
-            return list(map(leaf, values))
+            return _leaves(leaf, values)
         if is_dataclass(cls):
             return [row for start in range(0, len(values), _RUN_ROWS)
                     for row in _rows(cls, values[start:start + _RUN_ROWS], nl)]
         if cls is tuple:
-            kinds = set(map(type, chain.from_iterable(values)))
-            if kinds <= {float}:
-                texts = iter(_floats(list(chain.from_iterable(values))))
+            items = list(chain.from_iterable(values))
+            kinds = set(map(type, items)) or {float}
+            leaf = _LEAVES.get(kinds.pop()) if len(kinds) == 1 else None
+            if leaf is not None:
+                texts = iter(_leaves(leaf, items))
                 return [_bracket(list(islice(texts, len(row))), nl)
                         for row in values]
     texts = {}

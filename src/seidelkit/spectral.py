@@ -200,12 +200,6 @@ class IntPolynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def __call__(self, x):
-        acc = self.coefficients[0]
-        for c in self.coefficients[1:]:
-            acc = acc * x + c
-        return acc
-
     def format_text(self, var: str = "x") -> str:
         n = self.degree
         terms = []

@@ -19,12 +19,14 @@ equivalence instance by instance, in both directions.  It solves only the
 base Seidel matrix and proves each member's closed form exactly, by one
 integer pass over its twin rows: its equitable quotient and its padding.
 
-The hypothesis check and the proof run on blocks: stacks of graphs of one
-order, with one numpy call per stage for the whole block.  ``certify`` is
-a block of one; ``search.scan_stream`` passes whole blocks.
+``_certify_block`` runs the pipeline on a block, a stack of graphs of one
+order, with one numpy call per stage: build, solve, bound screen, proof.
+Only rows that meet the bound get a hypothesis report.  ``certify`` is a
+block of one; ``search.scan_stream`` passes whole blocks, screened.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +85,7 @@ class ClosedFormSpectrum:
         return tuple(vals)
 
     def energy(self) -> float:
-        return (math.fsum(abs(v) for v in self.mapped)
+        return (math.fsum(map(abs, self.mapped))
                 + sum(abs(value) * mult for value, mult in self.padding))
 
     def format_grouped(self) -> str:
@@ -334,30 +336,38 @@ def certify(g: Graph, m: int, theorem: int,
 
     Theorem 1 compares blowup(g, m) against clique_blowup(g, m) (order
     m*n each), theorem 2 the two mixed double blow-ups (order m^2*n each).
-    Only the base Seidel matrix is solved.  The rest runs as a block of
-    one: see ``_certify_block``.
+    Only the base Seidel matrix is solved: g runs as a block of one, see
+    ``_certify_block``.
     """
     if theorem not in _MEMBERS:
         raise ValueError("theorem must be 1 or 2")
-    s_g = seidel_matrix(g)[None]
-    values = sym_eigenvalues(s_g)
-    return _certify_block(g.adj[None], s_g, values,
-                          _hypotheses(values, m, theorem), m, theorem,
-                          max_dim)[0]
+    return _certify_block(g.adj[None], m, theorem, max_dim=max_dim)[1][0]
 
 
-def _certify_block(adj: np.ndarray, s_g: np.ndarray, values: np.ndarray,
-                   hypotheses, m: int, theorem: int,
-                   max_dim: int = DEFAULT_MAX_DIM) -> list[Certificate]:
-    """Certificates of B graphs of one order n, given as their (B, n, n)
-    adjacency and Seidel stacks, their spectra (rows of ``values``, sorted
-    descending) and their hypothesis reports at m and theorem.
+def _certify_block(
+        adj: np.ndarray, m: int, theorem: int, screen: bool = False,
+        max_dim: int = DEFAULT_MAX_DIM) -> tuple[np.ndarray, list[Certificate]]:
+    """(rows, certificates) at m and theorem of the (B, n, n) int8 adjacency
+    stack ``adj``: the indices of the rows certified, and their certificates.
 
-    Each member is built for the whole block by one stacked construction.
-    Its closed form is proven on its Seidel matrices by one integer pass
-    over their twin rows, ``_member_proven``; one member's matrices are
-    freed before the next member is built.  Energies and verdicts come from the closed forms.
+    The Seidel matrices are built and solved by one stacked call each.  With
+    ``screen``, only the rows that meet the bound (``bound_met``) go on.
+    Each member is built for them by one stacked construction and its
+    closed form proven by one integer pass over its twin rows,
+    ``_member_proven``, before the next member is built.  Energies and
+    verdicts come from the closed forms.
     """
+    s_g = seidel_matrix(adj)
+    values = sym_eigenvalues(s_g)
+    rows = np.arange(len(adj))
+    if screen:
+        # the margin of each row's report, against bound_met's slack
+        margins = np.abs(values).min(axis=1) - ((m - 1) / m) ** theorem
+        rows = np.flatnonzero(margins >= -ZERO_TOL)
+        if not len(rows):
+            return rows, []
+        adj, s_g, values = adj[rows], s_g[rows], values[rows]
+    hypotheses = _hypotheses(values, m, theorem)
     n = adj.shape[-1]
     agrees = np.ones(len(adj), dtype=bool)
     proven = np.ones(len(adj), dtype=bool)
@@ -388,9 +398,8 @@ def _certify_block(adj: np.ndarray, s_g: np.ndarray, values: np.ndarray,
             values.tolist(), hypotheses, _graph6_lines(adj), *forms,
             *energies, *(column.tolist() for column in (*verdicts, agrees,
                                                         proven))):
-        residual = max(abs(math.fsum(row))
-                       / max(1.0, math.fsum(abs(v) for v in row)),
-                       abs(math.fsum(v * v for v in row) - frobenius)
+        residual = max(abs(math.fsum(row)) / max(1.0, math.fsum(map(abs, row))),
+                       abs(math.fsum(map(operator.mul, row, row)) - frobenius)
                        / max(1, frobenius))
         # where the bound holds but the signs are unbalanced, the pair must
         # NOT be equienergetic
@@ -402,4 +411,4 @@ def _certify_block(adj: np.ndarray, s_g: np.ndarray, values: np.ndarray,
             equienergetic=same, cospectral=cospectral,
             closed_form_agrees=agree, exact_multiplicities_verified=exact,
             base_residual=residual, theorem_violation=violation))
-    return certs
+    return rows, certs

@@ -135,6 +135,15 @@ def jacobi_member(g, m, kind):
     return jacobi_desc(seidel_of(construct(g, m, kind).adj))
 
 
+def poly_eval(p, x):
+    """The integer polynomial ``p`` at x, by Horner's rule over its
+    descending coefficients."""
+    acc = p.coefficients[0]
+    for c in p.coefficients[1:]:
+        acc = acc * x + c
+    return acc
+
+
 def poly_mul(a, b):
     """Multiply integer polynomials given as descending coefficient lists."""
     out = [0] * (len(a) + len(b) - 1)

@@ -1,6 +1,7 @@
 """Every name a module exports in ``__all__`` exists on that module and has
-a caller, and every public name the package re-exports is in its module's
-``__all__``."""
+a caller, every public name the package re-exports is in its module's
+``__all__``, and the scan reaches the spectral layer only through
+``theory``."""
 
 import ast
 import importlib
@@ -88,3 +89,20 @@ def test_every_export_has_a_caller():
                 if export not in loads.loaded
                 and (f"seidelkit.{name}", export) not in traced]
     assert uncalled == []
+
+
+def test_search_imports_nothing_from_spectral():
+    # the build, solve and bound screen of a block belong to
+    # ``theory._certify_block``; the scan reaches them only through it
+    tree = ast.parse((ROOT / "src" / "seidelkit" / "search.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            # ``from . import spectral`` as well as ``from .spectral import x``
+            parts = ["seidelkit"] * (node.level > 0) + [node.module or ""]
+            base = ".".join(filter(None, parts))
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported and not [name for name in imported
+                             if name.startswith("seidelkit.spectral")]

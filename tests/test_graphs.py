@@ -212,10 +212,11 @@ def test_kronecker_eigenvalues_are_pairwise_products():
 
 def test_kronecker_dimension_cap():
     big = from_nx(nx.empty_graph(101))
-    for build in (blowup, clique_blowup):
+    for kind in ("dm", "dmstar"):
         with pytest.raises(ValueError):
-            build(big, 100, max_dim=10_000)
-        assert build(from_nx(nx.complete_graph(2)), 3, max_dim=6).n == 6
+            construct(big, 100, kind, max_dim=10_000)
+        assert construct(from_nx(nx.complete_graph(2)), 3, kind,
+                         max_dim=6).n == 6
     with pytest.raises(ValueError):
         construct(from_nx(nx.complete_graph(2)), 2, "t2-left", max_dim=7)
 
@@ -288,7 +289,7 @@ def test_blowup_argument_errors():
     with pytest.raises(ValueError):
         clique_blowup(g, 0)
     with pytest.raises(ValueError):
-        blowup(g, 2, max_dim=3)
+        construct(g, 2, "dm", max_dim=3)
 
 
 def test_construct_kinds():

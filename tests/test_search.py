@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seidelkit import (DEFAULT_MAX_DIM, Graph, Graph6Error, ScanConfig,
-                       graph_from_graph6, graph_to_graph6, report_to_json,
-                       scan_stream, to_json, write_report)
+                       certify, graph_from_graph6, graph_to_graph6,
+                       report_to_json, scan_stream, to_json, write_report)
 from seidelkit import search
 from seidelkit.cli import run
 from seidelkit.search import report_to_csv, report_to_text
@@ -507,14 +507,15 @@ def test_blocks_report_as_one_line_at_a_time(catalog_lines, monkeypatch,
     assert report_to_json(scan_stream(lines, config, jobs=2)) == text
 
     sizes = []
-    scan_block = search._scan_block
+    certify_block = search._certify_block
 
-    def recording(config, block):
-        order = config.order_factor * block[0][1].n
-        sizes.append((len(block), 8 * order ** 2 * len(block)))
-        return scan_block(config, block)
+    def recording(adj, m, theorem, **kwargs):
+        assert kwargs == {"screen": True}
+        order = config.order_factor * adj.shape[-1]
+        sizes.append((len(adj), 8 * order ** 2 * len(adj)))
+        return certify_block(adj, m, theorem, **kwargs)
 
-    monkeypatch.setattr(search, "_scan_block", recording)
+    monkeypatch.setattr(search, "_certify_block", recording)
     # one line per block; then mixed blocks, at most three n = 6 lines
     for budget, chunk in ((1, 4096), (3 * 8 * config.max_order ** 2, 7)):
         monkeypatch.setattr(search, "_BLOCK_BYTES", budget)
@@ -523,6 +524,33 @@ def test_blocks_report_as_one_line_at_a_time(catalog_lines, monkeypatch,
         assert report_to_json(scan_stream(lines, config)) == text
         assert all(size == 1 or held <= budget for size, held in sizes)
         assert (max(size for size, _ in sizes) > 1) == (budget > 1)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 8), st.integers(0, 2 ** 32 - 1)),
+                min_size=1, max_size=12),
+       st.sampled_from([(1, 2), (1, 3), (2, 2), (2, 3)]))
+def test_scan_certifies_as_certify_does_on_the_lines_that_meet_the_bound(
+        graphs, pair):
+    theorem, m = pair
+    lines = []
+    for n, seed in graphs:
+        adj = np.triu(np.random.default_rng(seed).integers(
+            0, 2, (n, n), dtype=np.int8), 1)
+        lines.append(graph_to_graph6(Graph(adj | adj.T)))
+    report = scan_stream(lines, ScanConfig(m=m, theorem=theorem))
+    entries = {entry.line: entry for entry in report.certificates}
+    for line_no, line in enumerate(lines, start=1):
+        cert = certify(graph_from_graph6(line), m, theorem)
+        if cert.hypothesis.bound_met():
+            entry = entries.pop(line_no)
+            assert entry.certificate == cert
+            assert entry.kind == ("certified" if cert.hypothesis.satisfied
+                                  else "refuted")
+    # every other line failed the hypothesis
+    assert entries == {}
+    assert report.totals["hypothesis_failed"] == len(lines) - len(
+        report.certificates)
 
 
 def test_stacked_solve_failure_fails_the_scan(tmp_path, capsys, monkeypatch):

@@ -596,10 +596,8 @@ def test_corrupted_member_fails_only_its_row_of_the_block(
         catalog_graphs, monkeypatch, theorem):
     graphs = [g for g in catalog_graphs if g.n == 5][:6]
     adj = np.stack([g.adj for g in graphs])
-    s_g = seidel_matrix(adj)
-    values = spectral.sym_eigenvalues(s_g)
-    hyps = theory._hypotheses(values, 2, theorem)
-    clean = theory._certify_block(adj, s_g, values, hyps, 2, theorem)
+    rows, clean = theory._certify_block(adj, 2, theorem)
+    assert rows.tolist() == list(range(len(graphs)))
     assert clean == [certify(g, 2, theorem) for g in graphs]
     assert all(c.closed_form_agrees and c.exact_multiplicities_verified
                for c in clean)
@@ -613,7 +611,7 @@ def test_corrupted_member_fails_only_its_row_of_the_block(
         return members
 
     monkeypatch.setattr(theory, "_twin_steps", corrupt_row_3)
-    certs = theory._certify_block(adj, s_g, values, hyps, 2, theorem)
+    _, certs = theory._certify_block(adj, 2, theorem)
     expected = [k != 3 for k in range(len(graphs))]
     assert [c.closed_form_agrees for c in certs] == expected
     assert [c.exact_multiplicities_verified for c in certs] == expected
