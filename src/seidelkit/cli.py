@@ -5,18 +5,17 @@ instance contradicts the predicted equienergy (bug or counterexample --
 either demands attention).
 
 Single-graph commands accept the graph6 string as a positional argument,
-``-`` to read it from stdin, or ``--file PATH``; exactly one source.  The
-``SEIDELKIT_MAX_DIM`` environment variable overrides the default cap on
-constructed matrix dimensions.
+``-`` to read it from stdin, or ``--file PATH``; exactly one source.
+Constructed orders are capped at ``graphs.DEFAULT_MAX_DIM``, the same cap
+for ``construct``, ``certify`` and ``scan``.
 """
 
 import argparse
-import os
 import sys
 
 from . import __version__
-from .graphs import (DEFAULT_MAX_DIM, KINDS, Graph6Error, complement,
-                     construct, graph_from_graph6, graph_to_graph6)
+from .graphs import (KINDS, Graph6Error, complement, construct,
+                     graph_from_graph6, graph_to_graph6)
 from .spectral import (ConvergenceError, charpoly_exact, seidel_inertia,
                        seidel_matrix, seidel_spectrum)
 from .search import (NUMERIC_MAX_ORDER, ScanConfig, _sig, scan_stream,
@@ -32,19 +31,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.prog}: error: {message}")
-
-
-def _max_dim() -> int:
-    raw = os.environ.get("SEIDELKIT_MAX_DIM")
-    if raw is None:
-        return DEFAULT_MAX_DIM
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _UsageError(f"SEIDELKIT_MAX_DIM must be an integer, got {raw!r}")
-    if value < 1:
-        raise _UsageError("SEIDELKIT_MAX_DIM must be positive")
-    return value
 
 
 def _build_parser() -> _Parser:
@@ -117,7 +103,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="write the report to this path")
     p.add_argument("--jobs", type=int, default=1, help="worker processes on "
                    "one BLAS thread each, for catalogs over 64 MiB of matrices")
-    p.add_argument("--max-order", type=int, default=None,
+    p.add_argument("--max-order", type=int, default=NUMERIC_MAX_ORDER,
                    help="skip graphs whose constructed order exceeds this "
                         f"(default {NUMERIC_MAX_ORDER}, at most the "
                         "dimension cap)")
@@ -136,25 +122,18 @@ def _first_graph6_line(stream) -> str:
     raise _UsageError("seidelkit: error: no graph6 line found on input")
 
 
-def _load_graph(args):
-    sources = sum(1 for s in (args.graph, args.file) if s is not None)
-    if sources != 1:
+def _load_graph(token, file=None):
+    """The graph of a graph6 ``token``, ``-`` for the next non-blank stdin
+    line, or of the first non-blank line of ``file``: exactly one source."""
+    if (token is None) == (file is None):
         raise _UsageError(
             "seidelkit: error: supply exactly one input "
             "(positional graph6, '-', or --file PATH)")
-    if args.file is not None:
-        with open(args.file, "r", encoding="ascii") as fh:
-            text = _first_graph6_line(fh)
-    elif args.graph == "-":
-        text = _first_graph6_line(sys.stdin)
-    else:
-        text = args.graph
-    return graph_from_graph6(text)
-
-
-def _load_graph_token(token: str):
-    if token == "-":
-        return graph_from_graph6(_first_graph6_line(sys.stdin))
+    if file is not None:
+        with open(file, "r", encoding="ascii") as fh:
+            token = _first_graph6_line(fh)
+    elif token == "-":
+        token = _first_graph6_line(sys.stdin)
     return graph_from_graph6(token)
 
 
@@ -170,39 +149,39 @@ def _emit(args, obj, text: str) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    spec = seidel_spectrum(_load_graph(args))
+    spec = seidel_spectrum(_load_graph(args.graph, args.file))
     return _emit(args, spec, spec.format_grouped())
 
 
 def _cmd_energy(args) -> int:
-    energy = seidel_spectrum(_load_graph(args)).energy()
+    energy = seidel_spectrum(_load_graph(args.graph, args.file)).energy()
     return _emit(args, {"energy": energy}, _sig(energy))
 
 
 def _cmd_inertia(args) -> int:
-    inertia = seidel_inertia(_load_graph(args))
+    inertia = seidel_inertia(_load_graph(args.graph, args.file))
     return _emit(args, inertia,
                  f"({inertia.n_pos}, {inertia.n_zero}, {inertia.n_neg})")
 
 
 def _cmd_charpoly(args) -> int:
-    poly = charpoly_exact(seidel_matrix(_load_graph(args)))
+    poly = charpoly_exact(seidel_matrix(_load_graph(args.graph, args.file)))
     return _emit(args, {"coefficients": poly.to_list()}, poly.format_text())
 
 
 def _cmd_complement(args) -> int:
-    line = graph_to_graph6(complement(_load_graph(args)))
+    line = graph_to_graph6(complement(_load_graph(args.graph, args.file)))
     return _emit(args, {"graph6": line}, line)
 
 
 def _cmd_construct(args) -> int:
-    result = construct(_load_graph(args), args.m, args.kind, max_dim=_max_dim())
+    result = construct(_load_graph(args.graph, args.file), args.m, args.kind)
     line = graph_to_graph6(result)
     return _emit(args, {"graph6": line, "order": result.n}, line)
 
 
 def _cmd_closed_form(args) -> int:
-    sigma = seidel_spectrum(_load_graph(args))
+    sigma = seidel_spectrum(_load_graph(args.graph, args.file))
     if args.lemma == 1:
         forms = {"spectrum": blowup_seidel_spectrum(sigma, args.m)}
     elif args.lemma == 2:
@@ -216,8 +195,8 @@ def _cmd_closed_form(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    g1 = _load_graph_token(args.graph1)
-    g2 = _load_graph_token(args.graph2)
+    g1 = _load_graph(args.graph1)
+    g2 = _load_graph(args.graph2)
     equal, delta, cospectral = compare_spectra(seidel_spectrum(g1),
                                                seidel_spectrum(g2))
     return _emit(args, {"equienergetic": equal, "energy_delta": delta,
@@ -227,19 +206,16 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    cert = certify(_load_graph(args), args.m, args.theorem, max_dim=_max_dim())
+    cert = certify(_load_graph(args.graph, args.file), args.m, args.theorem)
     print(cert.render_text() if args.text else to_json(cert))
     return 3 if cert.theorem_violation else 0
 
 
 def _cmd_scan(args) -> int:
-    cap = _max_dim()
-    max_order = (min(NUMERIC_MAX_ORDER, cap) if args.max_order is None
-                 else args.max_order)
-    if max_order > cap:
-        # checked before any line is read, as certify would refuse the line
-        raise ValueError(f"max_order {max_order} exceeds dimension cap {cap}")
-    config = ScanConfig(m=args.m, theorem=args.theorem, max_order=max_order)
+    # built, and so checked against the construction cap, before any line
+    # is read
+    config = ScanConfig(m=args.m, theorem=args.theorem,
+                        max_order=args.max_order)
     # read bytes: a non-ASCII line then fails to parse on its own
     if args.input == "-":
         report = scan_stream(sys.stdin.buffer, config, jobs=args.jobs)

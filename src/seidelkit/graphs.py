@@ -35,8 +35,9 @@ __all__ = [
     "construct",
 ]
 
-# Hard cap on the order of any constructed matrix/graph.  Dense storage is
-# quadratic, so this bounds memory at ~100 MB for int8 adjacency.
+# Hard cap on the order of any constructed matrix/graph: construct and
+# certify refuse a blow-up over it, and a scan a max_order over it.  Dense
+# storage is quadratic, so this bounds memory at ~100 MB for int8 adjacency.
 DEFAULT_MAX_DIM = 10_000
 
 # Largest order representable in the 3-byte graph6 size field: the first
@@ -269,19 +270,24 @@ def complement(g: Graph) -> Graph:
     return Graph(adj)
 
 
-def _twin_steps(adj: np.ndarray, m: int, steps,
-                max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
+def _check_blowup(n: int, m: int, steps: int) -> None:
+    """Refuse ``steps`` twin steps at multiplicity m from order n unless m is
+    at least 2 and their order n*m**steps is at most ``DEFAULT_MAX_DIM``."""
+    if m < 2:
+        raise ValueError(f"blow-up multiplicity must be >= 2, got {m}")
+    if n * m ** steps > DEFAULT_MAX_DIM:
+        raise ValueError(f"blow-up order {n * m ** steps} exceeds "
+                         f"dimension cap {DEFAULT_MAX_DIM}")
+
+
+def _twin_steps(adj: np.ndarray, m: int, steps) -> np.ndarray:
     """Apply twin steps at multiplicity m to an int8 adjacency matrix, or to
     each matrix of a (B, n, n) stack: False adds independent twins, J_m (x)
     A, and True clique twins, J_m (x) (A + I) - I.  Vertex k*N + v of a
     step's result is copy k of vertex v of its order-N input."""
-    if m < 2:
-        raise ValueError(f"blow-up multiplicity must be >= 2, got {m}")
+    _check_blowup(adj.shape[-1], m, len(steps))
     for clique in steps:
         order = adj.shape[-1]
-        if m * order > max_dim:
-            raise ValueError(
-                f"blow-up order {m * order} exceeds dimension cap {max_dim}")
         if clique:
             adj = (np.tile(adj + np.eye(order, dtype=np.int8), (m, m))
                    - np.eye(m * order, dtype=np.int8))
@@ -322,8 +328,7 @@ KINDS = {
 }
 
 
-def construct(g: Graph, m: int, kind: str,
-              max_dim: int = DEFAULT_MAX_DIM) -> Graph:
+def construct(g: Graph, m: int, kind: str) -> Graph:
     """Build one blow-up construction of g, selected by ``kind``.
 
     Applies the twin steps ``KINDS[kind]`` in order, each at multiplicity
@@ -333,4 +338,4 @@ def construct(g: Graph, m: int, kind: str,
     """
     if kind not in KINDS:
         raise ValueError(f"unknown construction kind: {kind!r}")
-    return Graph._trusted(_twin_steps(g.adj, m, KINDS[kind], max_dim))
+    return Graph._trusted(_twin_steps(g.adj, m, KINDS[kind]))

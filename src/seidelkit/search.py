@@ -97,7 +97,7 @@ class ScanConfig:
         if self.max_order < 1:
             raise ValueError("max_order must be positive")
         if self.max_order > DEFAULT_MAX_DIM:
-            # a line at the construction cap would abort the whole scan
+            # a line over the construction cap would abort the whole scan
             raise ValueError(f"max_order {self.max_order} exceeds the "
                              f"construction cap {DEFAULT_MAX_DIM}")
 

@@ -200,7 +200,7 @@ class IntPolynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def format_text(self, var: str = "x") -> str:
+    def format_text(self) -> str:
         n = self.degree
         terms = []
         for k, c in enumerate(self.coefficients):
@@ -212,7 +212,7 @@ class IntPolynomial:
                 body = str(mag)
             else:
                 head = "" if mag == 1 else str(mag)
-                body = f"{head}{var}" if power == 1 else f"{head}{var}^{power}"
+                body = f"{head}x" if power == 1 else f"{head}x^{power}"
             if not terms:
                 terms.append(body if c > 0 else f"-{body}")
             else:

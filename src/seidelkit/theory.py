@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DEFAULT_MAX_DIM, KINDS, Graph, _graph6_lines, _twin_steps
+from .graphs import KINDS, Graph, _check_blowup, _graph6_lines, _twin_steps
 from .spectral import (NUM_TOL, ZERO_TOL, Inertia, Spectrum, _inertias,
                        seidel_matrix, spectrum_from_values, sym_eigenvalues)
 
@@ -330,8 +330,7 @@ _MEMBERS = {t: tuple(kind for kind, steps in KINDS.items() if len(steps) == t)
             for t in (1, 2)}
 
 
-def certify(g: Graph, m: int, theorem: int,
-            max_dim: int = DEFAULT_MAX_DIM) -> Certificate:
+def certify(g: Graph, m: int, theorem: int) -> Certificate:
     """Certify the single (theorem=1) or composed (theorem=2) pair of g.
 
     Theorem 1 compares blowup(g, m) against clique_blowup(g, m) (order
@@ -341,12 +340,13 @@ def certify(g: Graph, m: int, theorem: int,
     """
     if theorem not in _MEMBERS:
         raise ValueError("theorem must be 1 or 2")
-    return _certify_block(g.adj[None], m, theorem, max_dim=max_dim)[1][0]
+    # each member is theorem twin steps: refuse them before the base solve
+    _check_blowup(g.n, m, theorem)
+    return _certify_block(g.adj[None], m, theorem)[1][0]
 
 
-def _certify_block(
-        adj: np.ndarray, m: int, theorem: int, screen: bool = False,
-        max_dim: int = DEFAULT_MAX_DIM) -> tuple[np.ndarray, list[Certificate]]:
+def _certify_block(adj: np.ndarray, m: int, theorem: int,
+                   screen: bool = False) -> tuple[np.ndarray, list[Certificate]]:
     """(rows, certificates) at m and theorem of the (B, n, n) int8 adjacency
     stack ``adj``: the indices of the rows certified, and their certificates.
 
@@ -375,7 +375,7 @@ def _certify_block(
     for kind in _MEMBERS[theorem]:
         member, scale, shift = _closed_forms(values, m, kind)
         padding = member[0].padding
-        s = seidel_matrix(_twin_steps(adj, m, KINDS[kind], max_dim))
+        s = seidel_matrix(_twin_steps(adj, m, KINDS[kind]))
         quotient, twins = _member_proven(s, s_g, m, scale, shift, padding)
         agrees &= quotient
         proven &= twins

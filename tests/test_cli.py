@@ -14,8 +14,9 @@ from seidelkit import (blowup, blowup_seidel_spectrum, certify,
                        charpoly_exact, clique_blowup,
                        clique_blowup_seidel_spectrum, compare_spectra,
                        complement, composed_blowup_seidel_spectra, construct,
-                       graph_from_graph6, graph_to_graph6, seidel_inertia,
-                       seidel_matrix, seidel_spectrum, spectral)
+                       graph_from_graph6, graph_to_graph6, graphs,
+                       seidel_inertia, seidel_matrix, seidel_spectrum,
+                       spectral)
 from seidelkit.cli import run
 from conftest import reference_json
 
@@ -108,17 +109,32 @@ def test_closed_form_theorem_two(capsys):
     assert lines[1] == "spectrum_b: {3^3, -1^4, -5^1}"
 
 
-def test_construct_respects_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("SEIDELKIT_MAX_DIM", "3")
-    assert run(["construct", "--dm", "--m", "2", "A_"]) == 2
-    _, err = _out(capsys)
-    assert "cap" in err
+def test_construct_and_certify_respect_cap(capsys, monkeypatch):
+    # order 10002, past the cap, is refused before anything is allocated
+    assert run(["construct", "--dm", "--m", "5001", "A_"]) == 2
+    assert _out(capsys) == (
+        "", "seidelkit: blow-up order 10002 exceeds dimension cap 10000")
+    assert run(["certify", "A_", "--theorem", "2", "--m", "71"]) == 2
+    assert "blow-up order 10082 exceeds dimension cap 10000" in _out(capsys)[1]
+    # both read the one cap when they run
+    monkeypatch.setattr(graphs, "DEFAULT_MAX_DIM", 7)
+    assert run(["certify", "C~", "--theorem", "1", "--m", "2"]) == 2
+    assert "exceeds dimension cap 7" in _out(capsys)[1]
+    assert run(["construct", "--t2-left", "--m", "2", "A_"]) == 2
+    assert "blow-up order 8 exceeds dimension cap 7" in _out(capsys)[1]
 
 
 # -- compare / certify -----------------------------------------------------------
 
 def test_compare_k3_p3(capsys):
     assert run(["compare", "Bw", "Bo"]) == 0
+    out, _ = _out(capsys)
+    assert "equienergetic=True" in out and "cospectral=False" in out
+
+
+def test_compare_reads_two_stdin_lines(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("\nBw\n\nBo\nBW\n"))
+    assert run(["compare", "-", "-"]) == 0
     out, _ = _out(capsys)
     assert "equienergetic=True" in out and "cospectral=False" in out
 
@@ -288,33 +304,23 @@ def test_scan_rejects_max_order_above_cap_before_reading(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
         io.BufferedReader(_UnreadableInput())))
     assert run(["scan", "--theorem", "2", "--m", "100",
-                "--max-order", "20000"]) == 2
-    out, err = _out(capsys)
-    assert out == ""
-    assert "max_order 20000" in err
+                "--max-order", "10001"]) == 2
+    assert _out(capsys) == (
+        "", "seidelkit: max_order 10001 exceeds the construction cap 10000")
 
 
-def test_scan_max_order_follows_env_cap(tmp_path, capsys, monkeypatch):
-    # certify refuses C~ at m = 2 under a cap of 7 (order 8), so scan skips it
-    monkeypatch.setenv("SEIDELKIT_MAX_DIM", "7")
-    assert run(["certify", "C~", "--theorem", "1", "--m", "2"]) == 2
-    assert "exceeds dimension cap 7" in _out(capsys)[1]
+def test_scan_skips_lines_over_max_order(tmp_path, capsys):
     catalog = tmp_path / "graphs.g6"
     catalog.write_text("A_\nC~\n")
     assert run(["scan", str(catalog), "--m", "2"]) == 0
+    assert json.loads(_out(capsys)[0])["config"]["max_order"] == 2000
+    # C~ at m = 2 is order 8
+    assert run(["scan", str(catalog), "--m", "2", "--max-order", "7"]) == 0
     doc = json.loads(_out(capsys)[0])
     assert doc["config"]["max_order"] == 7
     assert [e["line"] for e in doc["certificates"]] == [1]
     assert doc["skipped"] == [{"line": 2, "order": 8,
                                "reason": "constructed order exceeds max_order"}]
-    # an explicit --max-order above the cap is refused before any line is read
-    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
-        io.BufferedReader(_UnreadableInput())))
-    assert run(["scan", "--m", "2", "--max-order", "8"]) == 2
-    out, err = _out(capsys)
-    assert out == ""
-    assert "max_order 8 exceeds dimension cap 7" in err
-    assert run(["scan", str(catalog), "--m", "2", "--max-order", "7"]) == 0
 
 
 def test_stdin_single_graph(capsys, monkeypatch):

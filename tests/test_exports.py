@@ -1,7 +1,7 @@
 """Every name a module exports in ``__all__`` exists on that module and has
 a caller, every public name the package re-exports is in its module's
-``__all__``, and the scan reaches the spectral layer only through
-``theory``."""
+``__all__``, the scan reaches the spectral layer only through ``theory``,
+and no module reads the environment."""
 
 import ast
 import importlib
@@ -106,3 +106,19 @@ def test_search_imports_nothing_from_spectral():
             imported.update(alias.name for alias in node.names)
     assert imported and not [name for name in imported
                              if name.startswith("seidelkit.spectral")]
+
+
+def test_no_module_reads_the_environment():
+    # a setting read from the environment is an option no call site shows
+    reads = []
+    for path in sorted((ROOT / "src" / "seidelkit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr] * (getattr(node.value, "id", None) == "os")
+            else:
+                continue
+            reads += [f"{path.name}:{node.lineno} os.{name}" for name in names
+                      if name in ("environ", "getenv", "environb", "getenvb")]
+    assert reads == []

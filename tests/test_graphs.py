@@ -8,7 +8,7 @@ from networkx.generators.atlas import graph_atlas_g
 
 from seidelkit import (KINDS, Graph, Graph6Error, blowup, clique_blowup,
                        complement, construct, graph_from_graph6,
-                       graph_to_graph6)
+                       graph_to_graph6, graphs)
 from conftest import from_nx, jacobi_desc, random_simple_graph
 
 
@@ -210,15 +210,18 @@ def test_kronecker_eigenvalues_are_pairwise_products():
         assert np.allclose(product, direct, atol=1e-9)
 
 
-def test_kronecker_dimension_cap():
+def test_kronecker_dimension_cap(monkeypatch):
     big = from_nx(nx.empty_graph(101))
     for kind in ("dm", "dmstar"):
-        with pytest.raises(ValueError):
-            construct(big, 100, kind, max_dim=10_000)
-        assert construct(from_nx(nx.complete_graph(2)), 3, kind,
-                         max_dim=6).n == 6
-    with pytest.raises(ValueError):
-        construct(from_nx(nx.complete_graph(2)), 2, "t2-left", max_dim=7)
+        with pytest.raises(ValueError, match="order 10100 exceeds"):
+            construct(big, 100, kind)
+    # the cap is read when construct runs
+    monkeypatch.setattr(graphs, "DEFAULT_MAX_DIM", 6)
+    for kind in ("dm", "dmstar"):
+        assert construct(from_nx(nx.complete_graph(2)), 3, kind).n == 6
+    monkeypatch.setattr(graphs, "DEFAULT_MAX_DIM", 7)
+    with pytest.raises(ValueError, match="order 8 exceeds dimension cap 7"):
+        construct(from_nx(nx.complete_graph(2)), 2, "t2-left")
 
 
 # -- blow-up constructions ----------------------------------------------------
@@ -289,7 +292,7 @@ def test_blowup_argument_errors():
     with pytest.raises(ValueError):
         clique_blowup(g, 0)
     with pytest.raises(ValueError):
-        construct(g, 2, "dm", max_dim=3)
+        construct(g, 5001, "dm")  # order 10002, past the cap
 
 
 def test_construct_kinds():

@@ -637,6 +637,16 @@ def test_certify_solves_only_the_base_matrix(monkeypatch, theorem):
     assert solved == [(1, 4, 4)]
 
 
+def test_certify_refuses_an_order_over_the_cap_before_solving(monkeypatch):
+    def unreachable(mat):
+        raise AssertionError("certify solved a matrix")
+
+    monkeypatch.setattr(theory, "sym_eigenvalues", unreachable)
+    with pytest.raises(ValueError,
+                       match="blow-up order 10002 exceeds dimension cap 10000"):
+        certify(from_nx(nx.complete_graph(2)), 5001, 1)
+
+
 def test_base_residual_measures_the_base_solve(monkeypatch):
     g = random_simple_graph(np.random.default_rng(11), 12)
     cert = certify(g, 2, 1)
