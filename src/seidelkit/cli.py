@@ -7,7 +7,7 @@ either demands attention).
 Single-graph commands accept the graph6 string as a positional argument,
 ``-`` to read it from stdin, or ``--file PATH``; exactly one source.
 Constructed orders are capped at ``graphs.DEFAULT_MAX_DIM``, the same cap
-for ``construct``, ``certify`` and ``scan``.
+for ``construct``, ``certify``, ``closed-form`` and ``scan``.
 """
 
 import argparse

@@ -35,9 +35,9 @@ __all__ = [
     "construct",
 ]
 
-# Hard cap on the order of any constructed matrix/graph: construct and
-# certify refuse a blow-up over it, and a scan a max_order over it.  Dense
-# storage is quadratic, so this bounds memory at ~100 MB for int8 adjacency.
+# Hard cap on the order of any blow-up, built or in closed form: the entries
+# refuse one over it, and a scan a max_order over it.  Dense storage is
+# quadratic, so this bounds memory at ~100 MB for int8 adjacency.
 DEFAULT_MAX_DIM = 10_000
 
 # Largest order representable in the 3-byte graph6 size field: the first
@@ -271,8 +271,12 @@ def complement(g: Graph) -> Graph:
 
 
 def _check_blowup(n: int, m: int, steps: int) -> None:
-    """Refuse ``steps`` twin steps at multiplicity m from order n unless m is
-    at least 2 and their order n*m**steps is at most ``DEFAULT_MAX_DIM``."""
+    """Refuse ``steps`` twin steps at multiplicity m from order n unless
+    ``steps`` is a theorem, 1 or 2, m is at least 2, and their order
+    n*m**steps is at most ``DEFAULT_MAX_DIM``.  The one check of these
+    rules for every public entry; n = 0 checks the theorem and m alone."""
+    if steps not in (1, 2):
+        raise ValueError("theorem must be 1 or 2")
     if m < 2:
         raise ValueError(f"blow-up multiplicity must be >= 2, got {m}")
     if n * m ** steps > DEFAULT_MAX_DIM:

@@ -41,8 +41,8 @@ from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
-from .graphs import (DEFAULT_MAX_DIM, Graph6Error, _graph6_header,
-                     graph_from_graph6)
+from .graphs import (DEFAULT_MAX_DIM, Graph6Error, _check_blowup,
+                     _graph6_header, graph_from_graph6)
 from .theory import Certificate, _certify_block
 
 __all__ = [
@@ -90,20 +90,15 @@ class ScanConfig:
     max_order: int = NUMERIC_MAX_ORDER
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"blow-up multiplicity must be >= 2, got {self.m}")
-        if self.theorem not in (1, 2):
-            raise ValueError("theorem must be 1 or 2")
+        # m and the theorem alone: each line's order is checked against
+        # max_order, so a config may skip every line
+        _check_blowup(0, self.m, self.theorem)
         if self.max_order < 1:
             raise ValueError("max_order must be positive")
         if self.max_order > DEFAULT_MAX_DIM:
             # a line over the construction cap would abort the whole scan
             raise ValueError(f"max_order {self.max_order} exceeds the "
                              f"construction cap {DEFAULT_MAX_DIM}")
-
-    @property
-    def order_factor(self) -> int:
-        return self.m if self.theorem == 1 else self.m * self.m
 
 
 @dataclass(frozen=True)
@@ -169,7 +164,7 @@ def _scan_chunk(config: ScanConfig, chunk) -> list[tuple]:
         except Graph6Error as exc:
             records[line_no] = ("parse_failed", line_no, str(exc))
             continue
-        order = config.order_factor * g.n
+        order = config.m ** config.theorem * g.n
         if order > config.max_order:
             records[line_no] = ("skipped", line_no, order)
             continue
@@ -212,7 +207,7 @@ def _line_cost(config: ScanConfig, text) -> int:
         n, data, start = _graph6_header(text)
     except Graph6Error:
         return 0
-    order = config.order_factor * n
+    order = config.m ** config.theorem * n
     whole = len(data) - start == (n * (n - 1) // 2 + 5) // 6
     return 8 * order * order if whole and order <= config.max_order else 0
 

@@ -104,8 +104,7 @@ def _closed_forms(values: np.ndarray, m: int,
     multiplicity (m-1) times the order before it.  The affine maps compose
     into one integer scale and shift, applied once per source eigenvalue.
     """
-    if m < 2:
-        raise ValueError(f"blow-up multiplicity must be >= 2, got {m}")
+    _check_blowup(values.shape[1], m, len(KINDS[kind]))
     scale, shift, padding, order = 1, 0, [], values.shape[1]
     for clique in KINDS[kind]:
         eps = -1 if clique else 1
@@ -168,9 +167,9 @@ def _pair_verdicts(e1: np.ndarray, e2: np.ndarray, values1: np.ndarray,
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Eigenvalue-magnitude bound plus sign balance for one (G, m, power).
+    """Eigenvalue-magnitude bound plus sign balance for one (G, m, theorem).
 
-    ``bound`` is ((m-1)/m)**power; ``satisfied`` means the bound holds for
+    ``bound`` is ((m-1)/m)**theorem; ``satisfied`` means the bound holds for
     every eigenvalue (within ZERO_TOL slack) *and* the inertia is balanced
     (equal positive/negative counts, no zero eigenvalue).  ``boundary``
     flags instances whose smallest |eigenvalue| sits within ZERO_TOL of
@@ -192,19 +191,17 @@ class HypothesisReport:
 
 def hypothesis_from_spectrum(sigma: Spectrum, m: int,
                              power: int = 1) -> HypothesisReport:
-    """Evaluate the magnitude bound and sign balance on a known spectrum."""
+    """Evaluate the magnitude bound and sign balance on a known spectrum,
+    at the theorem ``power``; it builds nothing, so at any order."""
+    _check_blowup(0, m, power)
     return _hypotheses(np.array([sigma.values]), m, power)[0]
 
 
 def _hypotheses(values: np.ndarray, m: int,
-                power: int = 1) -> list[HypothesisReport]:
+                theorem: int) -> list[HypothesisReport]:
     """``hypothesis_from_spectrum`` of each spectrum of a block of graphs of
     one order, given as the rows of ``values``."""
-    if m < 2:
-        raise ValueError(f"blow-up multiplicity must be >= 2, got {m}")
-    if power not in (1, 2):
-        raise ValueError("power must be 1 or 2")
-    bound = ((m - 1) / m) ** power
+    bound = ((m - 1) / m) ** theorem
     reports = []
     for low, inertia in zip(np.abs(values).min(axis=1).tolist(),
                             _inertias(values)):
@@ -338,8 +335,6 @@ def certify(g: Graph, m: int, theorem: int) -> Certificate:
     Only the base Seidel matrix is solved: g runs as a block of one, see
     ``_certify_block``.
     """
-    if theorem not in _MEMBERS:
-        raise ValueError("theorem must be 1 or 2")
     # each member is theorem twin steps: refuse them before the base solve
     _check_blowup(g.n, m, theorem)
     return _certify_block(g.adj[None], m, theorem)[1][0]

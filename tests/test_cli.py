@@ -124,6 +124,24 @@ def test_construct_and_certify_respect_cap(capsys, monkeypatch):
     assert "blow-up order 8 exceeds dimension cap 7" in _out(capsys)[1]
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_closed_form_respects_cap(capsys, json_flag):
+    # refused by the one cap check, before any closed form is expanded
+    for argv, order in ((["--lemma", "1", "--m", "5001"], 10002),
+                        (["--lemma", "2", "--m", "5001"], 10002),
+                        (["--theorem", "2", "--m", "71"], 10082)):
+        assert run(["closed-form", "A_", *argv, *json_flag]) == 2
+        assert _out(capsys) == (
+            "", f"seidelkit: blow-up order {order} exceeds dimension cap 10000")
+    # order 10000, at the cap, is still predicted
+    assert run(["closed-form", "A_", "--lemma", "1", "--m", "5000",
+                *json_flag]) == 0
+    out, err = _out(capsys)
+    assert err == ""
+    if not json_flag:
+        assert out == "{9999^1, -1^9999}"
+
+
 # -- compare / certify -----------------------------------------------------------
 
 def test_compare_k3_p3(capsys):

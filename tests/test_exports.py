@@ -1,7 +1,8 @@
 """Every name a module exports in ``__all__`` exists on that module and has
 a caller, every public name the package re-exports is in its module's
 ``__all__``, the scan reaches the spectral layer only through ``theory``,
-and no module reads the environment."""
+no module reads the environment, and each blow-up parameter rule is raised
+at one site."""
 
 import ast
 import importlib
@@ -122,3 +123,22 @@ def test_no_module_reads_the_environment():
             reads += [f"{path.name}:{node.lineno} os.{name}" for name in names
                       if name in ("environ", "getenv", "environb", "getenvb")]
     assert reads == []
+
+
+def test_each_blowup_rule_is_raised_at_one_site():
+    # the theorem and m rules belong to ``graphs._check_blowup``, which
+    # every public entry calls; a second copy could drift from the first
+    sites = {"theorem must be 1 or 2": [],
+             "blow-up multiplicity must be >= 2": []}
+    for path in sorted((ROOT / "src" / "seidelkit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            text = "".join(part.value for part in ast.walk(node.exc)
+                           if isinstance(part, ast.Constant)
+                           and isinstance(part.value, str))
+            for message, raised in sites.items():
+                if message in text:
+                    raised.append(f"{path.name}:{node.lineno}")
+    assert {message: len(raised) for message, raised in sites.items()} == {
+        message: 1 for message in sites}, sites

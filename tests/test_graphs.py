@@ -285,16 +285,6 @@ def test_clique_blowup_matches_formula():
         assert np.array_equal(result.adj, expected)
 
 
-def test_blowup_argument_errors():
-    g = from_nx(nx.complete_graph(2))
-    with pytest.raises(ValueError):
-        blowup(g, 1)
-    with pytest.raises(ValueError):
-        clique_blowup(g, 0)
-    with pytest.raises(ValueError):
-        construct(g, 5001, "dm")  # order 10002, past the cap
-
-
 def test_construct_kinds():
     g = from_nx(nx.path_graph(3))
     assert construct(g, 2, "dm") == blowup(g, 2)

@@ -28,16 +28,12 @@ from conftest import (CONFIG_KEYS, ENTRY_KEYS, FAILURE_KEYS, REPORT_KEYS,
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ScanConfig(m=1)
-    with pytest.raises(ValueError):
-        ScanConfig(m=2, theorem=3)
+    # m and the theorem: tests/test_theory.py's argument table
     with pytest.raises(ValueError):
         ScanConfig(m=2, max_order=DEFAULT_MAX_DIM + 1)  # past the construction cap
     assert ScanConfig(m=2, max_order=DEFAULT_MAX_DIM).max_order == DEFAULT_MAX_DIM
     with pytest.raises(ValueError):
         scan_stream(["A_"], ScanConfig(m=2), jobs=0)
-    assert ScanConfig(m=2, theorem=2).order_factor == 4
 
 
 def test_empty_stream():
@@ -216,7 +212,7 @@ def test_line_cost_reads_the_order_of_a_valid_line(line, pair):
     theorem, m = pair
     n = graph_from_graph6(line).n
     config = ScanConfig(m=m, theorem=theorem, max_order=DEFAULT_MAX_DIM)
-    order = config.order_factor * n
+    order = m ** theorem * n
     assert search._line_cost(config, line) == 8 * order * order
     # over max_order the line is skipped, and costs nothing
     assert search._line_cost(ScanConfig(m=m, theorem=theorem,
@@ -511,7 +507,7 @@ def test_blocks_report_as_one_line_at_a_time(catalog_lines, monkeypatch,
 
     def recording(adj, m, theorem, **kwargs):
         assert kwargs == {"screen": True}
-        order = config.order_factor * adj.shape[-1]
+        order = config.m ** config.theorem * adj.shape[-1]
         sizes.append((len(adj), 8 * order ** 2 * len(adj)))
         return certify_block(adj, m, theorem, **kwargs)
 

@@ -223,7 +223,7 @@ def test_inertia_zero_tolerance():
     assert [(i.n_pos, i.n_zero, i.n_neg) for i in inertias] == [
         (1, 2, 1), (1, 2, 1)]
     # the hypothesis check counts signs with the same counter
-    assert [h.inertia for h in _hypotheses(values, 2)] == inertias
+    assert [h.inertia for h in _hypotheses(values, 2, 1)] == inertias
 
 
 # -- grouping and formatting --------------------------------------------------------

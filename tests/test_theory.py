@@ -9,12 +9,12 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from seidelkit import (KINDS, ClosedFormSpectrum, Graph, blowup,
+from seidelkit import (KINDS, ClosedFormSpectrum, Graph, ScanConfig, blowup,
                        blowup_seidel_spectrum, certify, charpoly_exact,
                        clique_blowup, clique_blowup_seidel_spectrum,
                        compare_spectra, complement,
                        composed_blowup_seidel_spectra, construct,
-                       hypothesis_from_spectrum, seidel_matrix,
+                       hypothesis_from_spectrum, scan_stream, seidel_matrix,
                        seidel_spectrum, spectrum_from_values, to_json)
 from seidelkit import spectral, theory
 from seidelkit.cli import run
@@ -87,8 +87,6 @@ def test_closed_form_padding_counts():
 
 def test_closed_form_argument_errors():
     sigma = spectrum_from_values([1.0, -1.0])
-    with pytest.raises(ValueError):
-        clique_blowup_seidel_spectrum(sigma, 1)
     with pytest.raises(ValueError):
         ClosedFormSpectrum((1.0,), ((1, 1),), 2, 5)  # counts do not add up
 
@@ -260,8 +258,6 @@ def test_hypothesis_power_two_bound():
     rep = hypothesis_from_spectrum(spectrum_from_values([0.3, -0.3]), 2, 2)
     assert rep.bound == 0.25
     assert rep.satisfied
-    with pytest.raises(ValueError):
-        hypothesis_from_spectrum(spectrum_from_values([1.0]), 2, 3)
 
 
 # -- certificates ------------------------------------------------------------------
@@ -645,6 +641,80 @@ def test_certify_refuses_an_order_over_the_cap_before_solving(monkeypatch):
     with pytest.raises(ValueError,
                        match="blow-up order 10002 exceeds dimension cap 10000"):
         certify(from_nx(nx.complete_graph(2)), 5001, 1)
+
+
+_K2 = from_nx(nx.complete_graph(2))
+_SIGMA = spectrum_from_values([1.0, -1.0])  # the Seidel spectrum of K2
+_THEOREM = "theorem must be 1 or 2"
+_MULTIPLICITY = "blow-up multiplicity must be >= 2, got 1"
+
+
+def _over(order):
+    return f"blow-up order {order} exceeds dimension cap 10000"
+
+
+# every public entry that takes m, at m = 1, at theorem (or power) 3 where
+# it takes one, and at an order over the cap where it builds something:
+# K2 at m = 5001 is order 10002, at m = 71 and two twin steps 10082
+_ARGUMENT_CASES = {
+    "construct-m1": (lambda: construct(_K2, 1, "dm"), _MULTIPLICITY),
+    "construct-cap1": (lambda: construct(_K2, 5001, "dmstar"), _over(10002)),
+    "construct-cap2": (lambda: construct(_K2, 71, "t2-right"), _over(10082)),
+    "blowup-m1": (lambda: blowup(_K2, 1), _MULTIPLICITY),
+    "blowup-cap": (lambda: blowup(_K2, 5001), _over(10002)),
+    "clique_blowup-m1": (lambda: clique_blowup(_K2, 1), _MULTIPLICITY),
+    "clique_blowup-cap": (lambda: clique_blowup(_K2, 5001), _over(10002)),
+    "certify-m1": (lambda: certify(_K2, 1, 1), _MULTIPLICITY),
+    "certify-theorem3": (lambda: certify(_K2, 2, 3), _THEOREM),
+    "certify-cap1": (lambda: certify(_K2, 5001, 1), _over(10002)),
+    "certify-cap2": (lambda: certify(_K2, 71, 2), _over(10082)),
+    "blowup_seidel_spectrum-m1": (
+        lambda: blowup_seidel_spectrum(_SIGMA, 1), _MULTIPLICITY),
+    "blowup_seidel_spectrum-cap": (
+        lambda: blowup_seidel_spectrum(_SIGMA, 5001), _over(10002)),
+    "clique_blowup_seidel_spectrum-m1": (
+        lambda: clique_blowup_seidel_spectrum(_SIGMA, 1), _MULTIPLICITY),
+    "clique_blowup_seidel_spectrum-cap": (
+        lambda: clique_blowup_seidel_spectrum(_SIGMA, 5001), _over(10002)),
+    "composed_blowup_seidel_spectra-m1": (
+        lambda: composed_blowup_seidel_spectra(_SIGMA, 1), _MULTIPLICITY),
+    "composed_blowup_seidel_spectra-cap": (
+        lambda: composed_blowup_seidel_spectra(_SIGMA, 71), _over(10082)),
+    "hypothesis_from_spectrum-m1": (
+        lambda: hypothesis_from_spectrum(_SIGMA, 1), _MULTIPLICITY),
+    "hypothesis_from_spectrum-power3": (
+        lambda: hypothesis_from_spectrum(_SIGMA, 2, 3), _THEOREM),
+    "ScanConfig-m1": (lambda: ScanConfig(m=1), _MULTIPLICITY),
+    "ScanConfig-theorem3": (lambda: ScanConfig(m=2, theorem=3), _THEOREM),
+    "ScanConfig-cap": (lambda: ScanConfig(m=2, max_order=10001),
+                       "max_order 10001 exceeds the construction cap 10000"),
+}
+
+
+@pytest.mark.parametrize("case", _ARGUMENT_CASES)
+def test_every_entry_checks_its_arguments_by_one_rule(case, monkeypatch):
+    call, message = _ARGUMENT_CASES[case]
+
+    def unreachable(mat):
+        raise AssertionError("a refused call solved a matrix")
+
+    # refused before anything is solved, certify's base included
+    monkeypatch.setattr(theory, "sym_eigenvalues", unreachable)
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
+def test_entries_that_build_nothing_accept_any_order():
+    # m**theorem over the cap: the scan skips every line on its own order
+    config = ScanConfig(m=200, theorem=2)
+    report = scan_stream(["A_", "C~"], config)
+    assert report.totals["skipped"] == report.totals["scanned"] == 2
+    assert [skip.order for skip in report.skipped] == [80000, 160000]
+    # a hypothesis report is no construction
+    for m, power in ((5001, 1), (71, 2)):
+        rep = hypothesis_from_spectrum(_SIGMA, m, power)
+        assert rep.bound == ((m - 1) / m) ** power and rep.satisfied
 
 
 def test_base_residual_measures_the_base_solve(monkeypatch):
