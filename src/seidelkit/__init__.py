@@ -19,8 +19,9 @@ from .spectral import (GROUP_TOL, NUM_TOL, ZERO_TOL, ConvergenceError,
                        Inertia, IntPolynomial, Spectrum, charpoly_exact,
                        seidel_inertia, seidel_matrix, seidel_spectrum,
                        spectrum_from_values, sym_eigenvalues)
-from .theory import (ENERGY_TOL, Certificate, ClosedFormSpectrum,
-                     HypothesisReport, blowup_seidel_spectrum, certify,
+from .theory import (ENERGY_TOL, Certificate, CertificateBlock,
+                     ClosedFormSpectrum, HypothesisReport,
+                     blowup_seidel_spectrum, certify,
                      clique_blowup_seidel_spectrum, compare_spectra,
                      composed_blowup_seidel_spectra, hypothesis_from_spectrum)
 from .search import (NUMERIC_MAX_ORDER, PairReport, ScanConfig, ScanEntry,

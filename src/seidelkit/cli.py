@@ -137,9 +137,10 @@ def _load_graph(token, file=None):
     return graph_from_graph6(token)
 
 
-def _emit(args, obj, text: str) -> int:
-    """Print ``obj`` as JSON under ``--json``, else ``text``; exit code 0."""
-    print(to_json(obj) if args.json else text)
+def _emit(args, obj, text) -> int:
+    """Print ``obj`` as JSON under ``--json``, else ``text()``, which is
+    built only then; exit code 0."""
+    print(to_json(obj) if args.json else text())
     return 0
 
 
@@ -150,34 +151,34 @@ def _emit(args, obj, text: str) -> int:
 
 def _cmd_spectrum(args) -> int:
     spec = seidel_spectrum(_load_graph(args.graph, args.file))
-    return _emit(args, spec, spec.format_grouped())
+    return _emit(args, spec, spec.format_grouped)
 
 
 def _cmd_energy(args) -> int:
     energy = seidel_spectrum(_load_graph(args.graph, args.file)).energy()
-    return _emit(args, {"energy": energy}, _sig(energy))
+    return _emit(args, {"energy": energy}, lambda: _sig(energy))
 
 
 def _cmd_inertia(args) -> int:
     inertia = seidel_inertia(_load_graph(args.graph, args.file))
     return _emit(args, inertia,
-                 f"({inertia.n_pos}, {inertia.n_zero}, {inertia.n_neg})")
+                 lambda: f"({inertia.n_pos}, {inertia.n_zero}, {inertia.n_neg})")
 
 
 def _cmd_charpoly(args) -> int:
     poly = charpoly_exact(seidel_matrix(_load_graph(args.graph, args.file)))
-    return _emit(args, {"coefficients": poly.to_list()}, poly.format_text())
+    return _emit(args, {"coefficients": poly.to_list()}, poly.format_text)
 
 
 def _cmd_complement(args) -> int:
     line = graph_to_graph6(complement(_load_graph(args.graph, args.file)))
-    return _emit(args, {"graph6": line}, line)
+    return _emit(args, {"graph6": line}, lambda: line)
 
 
 def _cmd_construct(args) -> int:
     result = construct(_load_graph(args.graph, args.file), args.m, args.kind)
     line = graph_to_graph6(result)
-    return _emit(args, {"graph6": line, "order": result.n}, line)
+    return _emit(args, {"graph6": line, "order": result.n}, lambda: line)
 
 
 def _cmd_closed_form(args) -> int:
@@ -189,7 +190,7 @@ def _cmd_closed_form(args) -> int:
     else:
         left, right = composed_blowup_seidel_spectra(sigma, args.m)
         forms = {"spectrum_a": left, "spectrum_b": right}
-    return _emit(args, forms, "\n".join(
+    return _emit(args, forms, lambda: "\n".join(
         ("" if len(forms) == 1 else f"{key}: ") + cf.format_grouped()
         for key, cf in forms.items()))
 
@@ -201,8 +202,8 @@ def _cmd_compare(args) -> int:
                                                seidel_spectrum(g2))
     return _emit(args, {"equienergetic": equal, "energy_delta": delta,
                         "cospectral": cospectral},
-                 f"equienergetic={equal} delta={_sig(delta)} "
-                 f"cospectral={cospectral}")
+                 lambda: f"equienergetic={equal} delta={_sig(delta)} "
+                         f"cospectral={cospectral}")
 
 
 def _cmd_certify(args) -> int:

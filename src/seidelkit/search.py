@@ -15,9 +15,9 @@ only, and one construction and proof per member.
 ``--jobs`` workers, on one BLAS thread each, take whole chunks once the
 lines' headers add up to more than ``_FORK_BYTES`` of that work.
 Output ordering follows input line numbers, so a scan is deterministic
-regardless of the chunk, block and worker counts; the JSON rendering is
-canonical (sorted keys), takes the report's records field by field
-(``to_json``), and is byte-identical across all of them.
+regardless of the chunk, block and worker counts.  The certificates stay
+their blocks' columns, ``theory.CertificateBlock``, with no object per row;
+the JSON rendering is canonical (``to_json``) and byte-identical across all.
 
 Accounting invariant, enforced by construction:
 
@@ -28,22 +28,24 @@ import csv
 import ctypes
 import glob
 import io
+import json
 import math
 import os
 from collections import Counter, defaultdict
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from contextlib import suppress
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, is_dataclass
 from functools import cache, partial
 from itertools import accumulate, chain, islice
-from operator import attrgetter
 from json.encoder import encode_basestring_ascii as _quote
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from .graphs import (DEFAULT_MAX_DIM, Graph6Error, _check_blowup,
                      _graph6_header, graph_from_graph6)
-from .theory import Certificate, _certify_block
+from .theory import Certificate, CertificateBlock, _certify_block, _fields
 
 __all__ = [
     "NUMERIC_MAX_ORDER",
@@ -101,13 +103,14 @@ class ScanConfig:
                              f"construction cap {DEFAULT_MAX_DIM}")
 
 
-@dataclass(frozen=True)
-class ScanEntry:
-    """One certified line: ``kind`` is "certified" or "refuted"."""
+class ScanEntry(NamedTuple):
+    """One certified line: ``kind`` is "certified" or "refuted", and its
+    certificate is row ``row`` of ``block``, ``block.certificate(row)``."""
 
     line: int
     kind: str
-    certificate: Certificate
+    block: CertificateBlock
+    row: int
 
 
 @dataclass(frozen=True)
@@ -129,7 +132,8 @@ class PairReport:
 
     ``totals`` maps each count name (see the module docstring, plus
     ``hypothesis_satisfied``, ``boundary_flagged`` and ``violations``) to
-    its value.
+    its value.  ``certificates`` holds a :class:`ScanEntry` per certified
+    or refuted line, in line order.
     """
 
     config: ScanConfig
@@ -149,8 +153,9 @@ class PairReport:
 
 
 def _scan_chunk(config: ScanConfig, chunk) -> list[tuple]:
-    """Process (line number, text) pairs; returns one (tag, line, ...)
-    record per pair, in order, whose tag is the totals bucket of the line.
+    """Process (line number, text) pairs; returns one (line, tag, ...)
+    record per pair, in order, whose tag is the totals bucket of the line:
+    a :class:`ScanEntry` for a certified or refuted line.
 
     Every line is decoded on its own.  The graphs that reach the solve wait
     in equal-order blocks until their member matrices would pass
@@ -162,11 +167,11 @@ def _scan_chunk(config: ScanConfig, chunk) -> list[tuple]:
         try:
             g = graph_from_graph6(text)
         except Graph6Error as exc:
-            records[line_no] = ("parse_failed", line_no, str(exc))
+            records[line_no] = (line_no, "parse_failed", str(exc))
             continue
         order = config.m ** config.theorem * g.n
         if order > config.max_order:
-            records[line_no] = ("skipped", line_no, order)
+            records[line_no] = (line_no, "skipped", order)
             continue
         # the int64 Seidel matrix of one member of this line
         cost = 8 * order * order
@@ -186,11 +191,11 @@ def _run_blocks(config: ScanConfig, waiting: dict, records: dict) -> None:
     for block in waiting.values():
         rows, certs = _certify_block(np.stack([g.adj for _, g in block]),
                                      config.m, config.theorem, screen=True)
-        records.update((line_no, ("hypothesis_failed", line_no))
+        records.update((line_no, (line_no, "hypothesis_failed"))
                        for line_no, _ in block)
-        for k, cert in zip(rows.tolist(), certs):
-            kind = "certified" if cert.hypothesis.satisfied else "refuted"
-            records[block[k][0]] = (kind, block[k][0], cert)
+        for k, row in enumerate(rows.tolist()):
+            kind = "certified" if certs.satisfied[k] else "refuted"
+            records[block[row][0]] = ScanEntry(block[row][0], kind, certs, k)
     waiting.clear()
 
 
@@ -261,24 +266,22 @@ def scan_stream(lines, config: ScanConfig, jobs: int = 1) -> PairReport:
         chunks = map(worker, _chunks(tasks, _CHUNK_LINES))
     records = [record for chunk in chunks for record in chunk]
 
-    tags = Counter(record[0] for record in records)
-    entries = [ScanEntry(line=r[1], kind=r[0], certificate=r[2])
-               for r in records if r[0] in ("certified", "refuted")]
+    tags = Counter(record[1] for record in records)
+    entries = tuple(r for r in records if type(r) is ScanEntry)
     totals = {tag: tags[tag] for tag in ("parse_failed", "skipped",
                                          "hypothesis_failed", "certified",
                                          "refuted")}
     totals.update(
         scanned=len(records), hypothesis_satisfied=tags["certified"],
-        boundary_flagged=sum(e.certificate.hypothesis.boundary for e in entries),
-        violations=sum(e.certificate.theorem_violation for e in entries))
-    failures = tuple(ScanFailure(line=r[1], error=r[2])
-                     for r in records if r[0] == "parse_failed")
-    skips = tuple(ScanSkip(line=r[1], order=r[2],
+        boundary_flagged=sum(e.block.boundary[e.row] for e in entries),
+        violations=sum(e.block.theorem_violation[e.row] for e in entries))
+    failures = tuple(ScanFailure(line=r[0], error=r[2])
+                     for r in records if r[1] == "parse_failed")
+    skips = tuple(ScanSkip(line=r[0], order=r[2],
                            reason="constructed order exceeds max_order")
-                  for r in records if r[0] == "skipped")
-    return PairReport(config=config, totals=totals,
-                      certificates=tuple(entries), failures=failures,
-                      skipped=skips)
+                  for r in records if r[1] == "skipped")
+    return PairReport(config=config, totals=totals, certificates=entries,
+                      failures=failures, skipped=skips)
 
 
 # ---------------------------------------------------------------------------
@@ -287,20 +290,15 @@ def scan_stream(lines, config: ScanConfig, jobs: int = 1) -> PairReport:
 
 
 def to_json(obj) -> str:
-    """Canonical JSON text of ``obj``: sorted keys, a 2-space indent, ASCII
-    escapes and no trailing newline.
+    """Canonical JSON text of ``obj``: ``json.dumps(x, sort_keys=True,
+    indent=2)`` of the same value ``x`` with each dataclass replaced by a
+    dict of its fields, so with sorted keys, ASCII escapes, ``NaN`` and
+    ``Infinity`` for special floats and no trailing newline.  Dict keys
+    must be strings; a value that ``json`` refuses raises ``TypeError``.
 
-    Dataclasses render as objects over their fields, tuples and lists as
-    arrays, and leaves as ``json`` renders them: ``NaN`` and ``Infinity``
-    for special floats, the ``float``/``int`` repr for their subclasses.
-    Dict keys must be strings.  The text is byte for byte
-    ``json.dumps(x, sort_keys=True, indent=2)`` of the same value with each
-    dataclass replaced by a dict of its fields.  Any other type raises
-    ``TypeError``.
-
-    A tuple or list of instances of one dataclass, such as a report's
-    certificates, is rendered by column: each field of the run at once,
-    and each row filled into the layout that one instance uses.
+    A :class:`PairReport` renders each of its certificates as an object of
+    its ``certificate``, ``kind`` and ``line``, and the certificates of one
+    block at once, by column (``_template``).
     """
     return _render(obj, "\n")
 
@@ -308,42 +306,44 @@ def to_json(obj) -> str:
 def _render(obj, nl: str) -> str:
     """``obj`` as JSON, nested under ``nl``: a newline and the indent of
     the line that holds ``obj``."""
-    cls = type(obj)
-    leaf = _LEAVES.get(cls)
-    if leaf is not None:
+    leaf = _LEAVES.get(type(obj))
+    if leaf is not None and (leaf is not float.__repr__ or math.isfinite(obj)):
         return leaf(obj)
-    nested = _NESTED.get(cls)
-    if nested is None:
-        _register(cls)
-        return _render(obj, nl)
-    return nested(obj, nl)
+    if isinstance(obj, (tuple, list)):
+        return _bracket(_column(obj, nl + "  "), nl)
+    if type(obj) is PairReport:
+        return _report(obj, nl)
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return _template(type(obj), obj, nl)[0] % ()
+    if isinstance(obj, dict):
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("keys must be str")
+        template, pairs = _layout(tuple(obj), nl)
+        return template % tuple(_render(obj[key], nl + "  ") for key, _ in pairs)
+    # a special float or a subclass of a leaf type, or else TypeError
+    return json.dumps(obj)
 
 
-def _items(values, nl: str) -> list[str]:
-    """Each of ``values`` rendered under ``nl``, leaves without a call of
-    ``_render``."""
-    return [leaf(value) if (leaf := _LEAVES.get(type(value))) else
-            _render(value, nl) for value in values]
+_LEAVES = {str: _quote, int: int.__repr__, float: float.__repr__,
+           bool: {False: "false", True: "true"}.__getitem__}
 
 
-_SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float(x: float) -> str:
-    text = float.__repr__(x)
-    return _SPECIAL_FLOATS.get(text, text)
-
-
-def _leaves(leaf, values) -> list[str]:
-    """Each of ``values``, leaves that ``leaf`` renders, rendered; finite
-    floats without the special-value lookup."""
-    if leaf is _float and all(map(math.isfinite, values)):
-        return list(map(float.__repr__, values))
-    return list(map(leaf, values))
-
-
-def _array(seq, nl: str) -> str:
-    return _bracket(_column(list(seq), nl + "  "), nl)
+def _column(values, nl: str) -> list[str]:
+    """Each of ``values`` rendered under ``nl``: leaves of one type, finite
+    if floats, by one ``map``, and instances of one dataclass as a record
+    of their columns, by ``_template``."""
+    kinds = set(map(type, values))
+    cls = kinds.pop() if len(kinds) == 1 else None
+    leaf = _LEAVES.get(cls)
+    if leaf is not None and (leaf is not float.__repr__
+                             or all(map(math.isfinite, values))):
+        return list(map(leaf, values))
+    if is_dataclass(cls):
+        template, texts = _template(cls, SimpleNamespace(**{
+            name: [getattr(v, name) for v in values] for name, _ in _fields(cls)}), nl)
+        return [template % row for row in zip(*texts)] if texts else [
+            template % ()] * len(values)
+    return [_render(value, nl) for value in values]
 
 
 def _bracket(texts: list[str], nl: str) -> str:
@@ -354,105 +354,71 @@ def _bracket(texts: list[str], nl: str) -> str:
     return "[" + inner + ("," + inner).join(texts) + nl + "]"
 
 
-# Rows of a run rendered at once: each column of a slice is held as a
-# list, so slices bound that memory on long reports.
-_RUN_ROWS = 128
-
-
-def _rows(cls, objs, nl: str) -> list[str]:
-    """The text of each of ``objs``, instances of the dataclass ``cls``,
-    as ``_dataclass`` renders it at ``nl``, rendered field by field."""
-    template, names = _layout(cls, nl)
-    if not names:
-        return [template] * len(objs)
-    inner = nl + "  "
-    columns = [_column(list(map(attrgetter(name), objs)), inner)
-               for name in names]
-    return [template % row for row in zip(*columns)]
-
-
-def _column(values, nl: str) -> list[str]:
-    """Each of ``values`` rendered under ``nl``: leaves of one type by one
-    ``map``, instances of one dataclass by ``_rows`` on ``_RUN_ROWS`` at a
-    time, tuples whose items are leaves of one type by one rendering of all
-    their items, and anything else once per distinct object."""
-    kinds = set(map(type, values))
-    if len(kinds) == 1:
-        cls = kinds.pop()
-        leaf = _LEAVES.get(cls)
-        if leaf is not None:
-            return _leaves(leaf, values)
-        if is_dataclass(cls):
-            return [row for start in range(0, len(values), _RUN_ROWS)
-                    for row in _rows(cls, values[start:start + _RUN_ROWS], nl)]
-        if cls is tuple:
-            items = list(chain.from_iterable(values))
-            kinds = set(map(type, items)) or {float}
-            leaf = _LEAVES.get(kinds.pop()) if len(kinds) == 1 else None
-            if leaf is not None:
-                texts = iter(_leaves(leaf, items))
-                return [_bracket(list(islice(texts, len(row))), nl)
-                        for row in values]
-    texts = {}
-    for value in values:
-        if id(value) not in texts:
-            texts[id(value)] = _render(value, nl)
-    return [texts[id(value)] for value in values]
-
-
-def _object(mapping: dict, nl: str) -> str:
-    if not mapping:
-        return "{}"
-    inner = nl + "  "
-    items = []
-    for key, value in sorted(mapping.items()):
-        if not isinstance(key, str):
-            raise TypeError(f"keys must be str, not {type(key).__name__}")
-        items.append(_quote(key) + ": " + _render(value, inner))
-    return "{" + inner + ("," + inner).join(items) + nl + "}"
-
-
 @cache
-def _layout(cls, nl: str) -> tuple[str, tuple[str, ...]]:
-    """A dataclass's ``%`` template at indent ``nl``, with its keys sorted
-    and rendered, and its field names in that order."""
-    names = tuple(sorted(f.name for f in fields(cls)))
-    if not names:
-        return "{}", names
+def _layout(keys, nl: str) -> tuple[str, tuple[tuple[str, type], ...]]:
+    """The ``%`` template of an object at indent ``nl`` whose keys are a
+    dataclass's fields or a tuple of names, sorted and rendered; with each
+    key in that order and its type if a dataclass field is one, else None."""
+    pairs = sorted(((name, None) for name in keys) if type(keys) is tuple
+                   else _fields(keys))
+    if not pairs:
+        return "{}", ()
     inner = nl + "  "
     items = ("," + inner).join(_quote(name).replace("%", "%%") + ": %s"
-                               for name in names)
-    return "{" + inner + items + nl + "}", names
+                               for name, _ in pairs)
+    return "{" + inner + items + nl + "}", tuple(pairs)
 
 
-def _dataclass(obj, nl: str) -> str:
-    template, names = _layout(type(obj), nl)
-    return template % tuple(_items([getattr(obj, name) for name in names],
-                                   nl + "  "))
+def _template(cls, columns, nl: str) -> tuple[str, list[list[str]]]:
+    """The ``_layout`` template of the dataclass ``cls`` at ``nl``, filled
+    from ``columns``: an instance of ``cls``, whose every field is filled
+    in, or a record of columns that ``theory._record`` reads, in which each
+    list leaves ``%s`` slots and the rest is filled in.  Returns it with the
+    rendered columns of its slots, in order."""
+    template, pairs = _layout(cls, nl)
+    inner = nl + "  "
+    slots, texts = [], []
+    for name, kind in pairs:
+        value = getattr(columns, name, columns)
+        if kind is not None and isinstance(value, (kind, SimpleNamespace)):
+            slot, nested = _template(kind, value, inner)
+            texts += nested
+        elif type(value) is not list or not isinstance(columns, SimpleNamespace):
+            slot = _render(value, inner).replace("%", "%%")
+        elif set(map(type, value)) == {list} and len(set(map(len, value))) == 1:
+            # rows of one width: an array of a slot per item
+            width = len(value[0])
+            slot = _bracket(["%s"] * width, inner)
+            items = _column(list(chain.from_iterable(value)), inner + "  ")
+            texts += [items[k::width] for k in range(width)]
+        else:
+            slot = "%s"
+            texts.append(_column(value, inner))
+        slots.append(slot)
+    return template % tuple(slots), texts
 
 
-_LEAVES = {
-    str: _quote,
-    int: int.__repr__,
-    float: _float,
-    bool: {False: "false", True: "true"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-}
-_NESTED = {tuple: _array, list: _array, dict: _object}
-
-
-def _register(cls) -> None:
-    """File ``cls``, a type in neither table, under its writer: a dataclass,
-    or a subclass of a JSON type, tried in ``json``'s order."""
-    if is_dataclass(cls):
-        _NESTED[cls] = _dataclass
-        return
-    for base in (str, int, float, tuple, list, dict):
-        if issubclass(cls, base):
-            table = _LEAVES if base in _LEAVES else _NESTED
-            table[cls] = table[base]
-            return
-    raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+def _report(report: PairReport, nl: str) -> str:
+    """``report`` as a dataclass renders, its certificates from their blocks."""
+    template, pairs = _layout(PairReport, nl)
+    inner, deeper = nl + "  ", nl + "    "
+    # the pieces of the certificates array, joined once: each entry's
+    # layout with its certificate, kind and line in its slots
+    head, kind, line, tail = _layout(("certificate", "kind", "line"),
+                                     deeper)[0].split("%s")
+    certificates, pieces = {}, ["["]  # each block's, rendered at once, by id
+    for e in report.certificates:
+        if id(e.block) not in certificates:
+            cert, columns = _template(Certificate, e.block, deeper + "  ")
+            certificates[id(e.block)] = [cert % row for row in zip(*columns)]
+        pieces += (deeper, head, certificates[id(e.block)][e.row], kind,
+                   _quote(e.kind), line, str(e.line), tail, ",")
+    pieces[-1] = inner + "]" if len(pieces) > 1 else "[]"
+    entries = "".join(pieces)
+    del certificates, pieces  # freed before the report copies the array
+    return template % tuple(
+        entries if name == "certificates"
+        else _render(getattr(report, name), inner) for name, _ in pairs)
 
 
 def report_to_json(report: PairReport) -> str:
@@ -473,16 +439,15 @@ _sig = "{:.12g}".format
 
 def report_to_csv(report: PairReport) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, lineterminator="\n",
-                            extrasaction="ignore")
-    writer.writeheader()
-    for entry in report.certificates:
-        cert = entry.certificate
-        row = {**vars(cert.hypothesis), **vars(cert), "line": entry.line,
-               "kind": entry.kind,
-               "hypothesis_satisfied": cert.hypothesis.satisfied}
-        writer.writerow({key: _sig(value) if isinstance(value, float) else value
-                         for key, value in row.items()})
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_CSV_FIELDS)
+    for e in report.certificates:
+        # each field from its block's column at the entry's row
+        values = [getattr(e.block, name.removeprefix("hypothesis_"))
+                  for name in _CSV_FIELDS[2:]]
+        values = [v[e.row] if type(v) is list else v for v in values]
+        writer.writerow([e.line, e.kind, *(_sig(v) if type(v) is float else v
+                                           for v in values)])
     return buf.getvalue()
 
 
@@ -499,13 +464,13 @@ def report_to_text(report: PairReport) -> str:
         f"boundary_flagged={t['boundary_flagged']} "
         f"violations={t['violations']}",
     ]
-    for entry in report.certificates:
-        cert = entry.certificate
+    for e in report.certificates:
+        b, k = e.block, e.row
         lines.append(
-            f"line {entry.line}: {cert.graph6} [{entry.kind}] "
-            f"SE_a={_sig(cert.energy_a)} SE_b={_sig(cert.energy_b)} "
-            f"equienergetic={cert.equienergetic} cospectral={cert.cospectral}"
-            + (" VIOLATION" if cert.theorem_violation else ""))
+            f"line {e.line}: {b.graph6[k]} [{e.kind}] SE_a={_sig(b.energy_a[k])} "
+            f"SE_b={_sig(b.energy_b[k])} equienergetic={b.equienergetic[k]} "
+            f"cospectral={b.cospectral[k]}"
+            + (" VIOLATION" if b.theorem_violation[k] else ""))
     for failure in report.failures:
         lines.append(f"line {failure.line}: parse error: {failure.error}")
     for skip in report.skipped:

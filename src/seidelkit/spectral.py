@@ -135,18 +135,14 @@ class Inertia:
     n_zero: int
     n_neg: int
 
-    @property
-    def balanced(self) -> bool:
-        return self.n_pos == self.n_neg and self.n_zero == 0
 
-
-def _inertias(values: np.ndarray) -> list[Inertia]:
-    """Inertia of each row of the (B, n) array ``values``: its counts of
-    eigenvalues above ZERO_TOL, within it, and below -ZERO_TOL."""
-    n = values.shape[1]
-    return [Inertia(pos, n - pos - neg, neg) for pos, neg in zip(
-        np.count_nonzero(values > ZERO_TOL, axis=1).tolist(),
-        np.count_nonzero(values < -ZERO_TOL, axis=1).tolist())]
+def _sign_counts(values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The inertia counts of each row of the (B, n) array ``values``, as
+    three arrays: its eigenvalues above ZERO_TOL, within it, and below
+    -ZERO_TOL."""
+    pos = np.count_nonzero(values > ZERO_TOL, axis=1)
+    neg = np.count_nonzero(values < -ZERO_TOL, axis=1)
+    return pos, values.shape[1] - pos - neg, neg
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +178,8 @@ def seidel_spectrum(g: Graph) -> Spectrum:
 
 def seidel_inertia(g: Graph) -> Inertia:
     """Positive / zero / negative counts of the Seidel eigenvalues."""
-    return _inertias(sym_eigenvalues(seidel_matrix(g)[None]))[0]
+    counts = _sign_counts(sym_eigenvalues(seidel_matrix(g)[None]))
+    return Inertia(*(int(count[0]) for count in counts))
 
 
 # ---------------------------------------------------------------------------

@@ -21,18 +21,22 @@ integer pass over its twin rows: its equitable quotient and its padding.
 
 ``_certify_block`` runs the pipeline on a block, a stack of graphs of one
 order, with one numpy call per stage: build, solve, bound screen, proof.
-Only rows that meet the bound get a hypothesis report.  ``certify`` is a
-block of one; ``search.scan_stream`` passes whole blocks, screened.
+It returns the certificates of the rows that meet the bound as one
+:class:`CertificateBlock` of columns, with no object per row.  ``certify``
+is a block of one, and builds its one :class:`Certificate` from it;
+``search.scan_stream`` passes whole blocks, screened, and renders them.
 """
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 
 from .graphs import KINDS, Graph, _check_blowup, _graph6_lines, _twin_steps
-from .spectral import (NUM_TOL, ZERO_TOL, Inertia, Spectrum, _inertias,
+from .spectral import (NUM_TOL, ZERO_TOL, Inertia, Spectrum, _sign_counts,
                        seidel_matrix, spectrum_from_values, sym_eigenvalues)
 
 __all__ = [
@@ -40,6 +44,7 @@ __all__ = [
     "ClosedFormSpectrum",
     "HypothesisReport",
     "Certificate",
+    "CertificateBlock",
     "blowup_seidel_spectrum",
     "clique_blowup_seidel_spectrum",
     "composed_blowup_seidel_spectra",
@@ -84,19 +89,17 @@ class ClosedFormSpectrum:
         vals.sort(reverse=True)
         return tuple(vals)
 
-    def energy(self) -> float:
-        return (math.fsum(map(abs, self.mapped))
-                + sum(abs(value) * mult for value, mult in self.padding))
-
     def format_grouped(self) -> str:
         return spectrum_from_values(self.values()).format_grouped()
 
 
 def _closed_forms(values: np.ndarray, m: int,
-                  kind: str) -> tuple[list[ClosedFormSpectrum], int, int]:
+                  kind: str) -> tuple[SimpleNamespace, ClosedFormSpectrum]:
     """Closed forms of construct(G, m, kind) for graphs G of one order, from
-    their spectra, the rows of ``values``; with the integer scale and shift
-    that map each eigenvalue of G.
+    their spectra, the rows of ``values``, as columns: row k of ``mapped``
+    is scale * values[k] + shift, and ``padding`` and ``order`` are every
+    row's; with row 0 as a :class:`ClosedFormSpectrum`, whose count check
+    holds for every row.
 
     Each twin step maps S to J_m (x) (S + eps I) - eps I, with eps = +1 for
     independent and -1 for clique twins: every eigenvalue v, mapped or
@@ -111,27 +114,50 @@ def _closed_forms(values: np.ndarray, m: int,
         padding = [(m * v + eps * (m - 1), mult) for v, mult in padding]
         padding.append((-eps, (m - 1) * order))
         scale, shift, order = m * scale, m * shift + eps * (m - 1), m * order
-    padding = tuple(padding)
-    forms = [ClosedFormSpectrum(tuple(row), padding, m, order)
-             for row in (scale * values + shift).tolist()]
-    return forms, scale, shift
+    forms = SimpleNamespace(mapped=(scale * values + shift).tolist(),
+                            padding=tuple(padding), m=m, order=order,
+                            scale=scale, shift=shift)
+    return forms, _record(ClosedFormSpectrum, forms, 0)
 
 
 def blowup_seidel_spectrum(sigma: Spectrum, m: int) -> ClosedFormSpectrum:
     """Seidel spectrum of blowup(G, m): s -> m*s + (m-1), padded with -1."""
-    return _closed_forms(np.array([sigma.values]), m, "dm")[0][0]
+    return _closed_forms(np.array([sigma.values]), m, "dm")[1]
 
 
 def clique_blowup_seidel_spectrum(sigma: Spectrum, m: int) -> ClosedFormSpectrum:
     """Seidel spectrum of clique_blowup(G, m): s -> m*s - (m-1), padded with +1."""
-    return _closed_forms(np.array([sigma.values]), m, "dmstar")[0][0]
+    return _closed_forms(np.array([sigma.values]), m, "dmstar")[1]
 
 
 def composed_blowup_seidel_spectra(
         sigma: Spectrum, m: int) -> tuple[ClosedFormSpectrum, ClosedFormSpectrum]:
     """Closed forms of clique_blowup(blowup(G,m),m) and blowup(clique_blowup(G,m),m)."""
-    return tuple(_closed_forms(np.array([sigma.values]), m, kind)[0][0]
+    return tuple(_closed_forms(np.array([sigma.values]), m, kind)[1]
                  for kind in ("t2-left", "t2-right"))
+
+
+def _record(cls, columns, row: int):
+    """Row ``row`` of the record ``columns`` as a ``cls``.  Each field reads
+    the attribute of its name: a list has a value per row (a list row is a
+    tuple), anything else is every row's; a dataclass field reads its
+    attribute or else ``columns``.  ``search._template`` reads alike."""
+    values = {}
+    for name, nested in _fields(cls):
+        if nested is not None:
+            value = _record(nested, getattr(columns, name, columns), row)
+        elif type(value := getattr(columns, name)) is list:
+            value = value[row]
+            value = tuple(value) if type(value) is list else value
+        values[name] = value
+    return cls(**values)
+
+
+@cache
+def _fields(cls) -> tuple[tuple[str, type | None], ...]:
+    """(name, type if a dataclass else None) of each field of ``cls``."""
+    return tuple((field.name, field.type if is_dataclass(field.type) else None)
+                 for field in fields(cls))
 
 
 # ---------------------------------------------------------------------------
@@ -194,24 +220,24 @@ def hypothesis_from_spectrum(sigma: Spectrum, m: int,
     """Evaluate the magnitude bound and sign balance on a known spectrum,
     at the theorem ``power``; it builds nothing, so at any order."""
     _check_blowup(0, m, power)
-    return _hypotheses(np.array([sigma.values]), m, power)[0]
+    return _record(HypothesisReport,
+                   _hypotheses(np.array([sigma.values]), m, power), 0)
 
 
-def _hypotheses(values: np.ndarray, m: int,
-                theorem: int) -> list[HypothesisReport]:
-    """``hypothesis_from_spectrum`` of each spectrum of a block of graphs of
-    one order, given as the rows of ``values``."""
+def _hypotheses(values: np.ndarray, m: int, theorem: int) -> SimpleNamespace:
+    """The hypothesis columns of graphs of one order, whose spectra are the
+    rows of ``values``: a list per field of :class:`HypothesisReport` and
+    :class:`Inertia`, a value per row, and ``m`` and ``bound`` once."""
     bound = ((m - 1) / m) ** theorem
-    reports = []
-    for low, inertia in zip(np.abs(values).min(axis=1).tolist(),
-                            _inertias(values)):
-        margin = low - bound
-        reports.append(HypothesisReport(
-            m=m, bound=bound, min_abs_eigenvalue=low,
-            balanced=inertia.balanced, inertia=inertia,
-            satisfied=inertia.balanced and margin >= -ZERO_TOL, margin=margin,
-            boundary=abs(margin) <= ZERO_TOL))
-    return reports
+    low = np.abs(values).min(axis=1)
+    margin = (low - bound).tolist()
+    pos, zero, neg = (count.tolist() for count in _sign_counts(values))
+    balanced = [p == q and not z for p, z, q in zip(pos, zero, neg)]
+    return SimpleNamespace(
+        m=m, bound=bound, min_abs_eigenvalue=low.tolist(), margin=margin,
+        n_pos=pos, n_zero=zero, n_neg=neg, balanced=balanced,
+        satisfied=[ok and x >= -ZERO_TOL for ok, x in zip(balanced, margin)],
+        boundary=[abs(x) <= ZERO_TOL for x in margin])
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +353,19 @@ _MEMBERS = {t: tuple(kind for kind, steps in KINDS.items() if len(steps) == t)
             for t in (1, 2)}
 
 
+class CertificateBlock(SimpleNamespace):
+    """The certificates of a block of graphs of one order, as columns: an
+    attribute per field of :class:`Certificate`, :class:`HypothesisReport`
+    and :class:`Inertia`, a list with a value per row (``graph6``,
+    ``margin``, ``n_pos``, ...) or, for ``theorem``, ``m`` and ``bound``,
+    one value.  ``closed_a`` and ``closed_b`` are the members' closed forms
+    as ``_closed_forms`` gives them, each with its scale and shift."""
+
+    def certificate(self, row: int) -> Certificate:
+        """Row ``row`` as a :class:`Certificate`."""
+        return _record(Certificate, self, row)
+
+
 def certify(g: Graph, m: int, theorem: int) -> Certificate:
     """Certify the single (theorem=1) or composed (theorem=2) pair of g.
 
@@ -337,20 +376,22 @@ def certify(g: Graph, m: int, theorem: int) -> Certificate:
     """
     # each member is theorem twin steps: refuse them before the base solve
     _check_blowup(g.n, m, theorem)
-    return _certify_block(g.adj[None], m, theorem)[1][0]
+    return _certify_block(g.adj[None], m, theorem)[1].certificate(0)
 
 
-def _certify_block(adj: np.ndarray, m: int, theorem: int,
-                   screen: bool = False) -> tuple[np.ndarray, list[Certificate]]:
-    """(rows, certificates) at m and theorem of the (B, n, n) int8 adjacency
-    stack ``adj``: the indices of the rows certified, and their certificates.
+def _certify_block(adj: np.ndarray, m: int, theorem: int, screen: bool = False
+                   ) -> tuple[np.ndarray, CertificateBlock | None]:
+    """(rows, block) at m and theorem of the (B, n, n) int8 adjacency stack
+    ``adj``: the indices of the rows certified, and their certificates as
+    one :class:`CertificateBlock`, or None if there are none.
 
     The Seidel matrices are built and solved by one stacked call each.  With
     ``screen``, only the rows that meet the bound (``bound_met``) go on.
     Each member is built for them by one stacked construction and its
     closed form proven by one integer pass over its twin rows,
     ``_member_proven``, before the next member is built.  Energies and
-    verdicts come from the closed forms.
+    verdicts come from the closed forms, each energy and residual a
+    ``math.fsum`` over its row.
     """
     s_g = seidel_matrix(adj)
     values = sym_eigenvalues(s_g)
@@ -360,50 +401,45 @@ def _certify_block(adj: np.ndarray, m: int, theorem: int,
         margins = np.abs(values).min(axis=1) - ((m - 1) / m) ** theorem
         rows = np.flatnonzero(margins >= -ZERO_TOL)
         if not len(rows):
-            return rows, []
+            return rows, None
         adj, s_g, values = adj[rows], s_g[rows], values[rows]
-    hypotheses = _hypotheses(values, m, theorem)
+    hypothesis = _hypotheses(values, m, theorem)
     n = adj.shape[-1]
-    agrees = np.ones(len(adj), dtype=bool)
-    proven = np.ones(len(adj), dtype=bool)
-    forms, spectra = [], []
+    agrees, proven = np.ones((2, len(adj)), dtype=bool)
+    closed, energies, spectra = [], [], []
     for kind in _MEMBERS[theorem]:
-        member, scale, shift = _closed_forms(values, m, kind)
-        padding = member[0].padding
+        forms = _closed_forms(values, m, kind)[0]
         s = seidel_matrix(_twin_steps(adj, m, KINDS[kind]))
-        quotient, twins = _member_proven(s, s_g, m, scale, shift, padding)
+        quotient, twins = _member_proven(s, s_g, m, forms.scale, forms.shift,
+                                         forms.padding)
         agrees &= quotient
         proven &= twins
         del s, quotient, twins
         # each member's whole closed spectrum, one sorted row per graph
-        spectrum = np.empty((len(adj), member[0].order))
-        spectrum[:, :n] = scale * values + shift
-        spectrum[:, n:] = np.repeat(*zip(*padding))
+        spectrum = np.empty((len(adj), forms.order))
+        spectrum[:, :n] = forms.scale * values + forms.shift
+        spectrum[:, n:] = np.repeat(*zip(*forms.padding))
         spectrum.sort(axis=1)
-        forms.append(member)
+        padding = sum(abs(value) * mult for value, mult in forms.padding)
+        energies.append([math.fsum(map(abs, row)) + padding
+                         for row in forms.mapped])
+        closed.append(forms)
         spectra.append(spectrum)
-    energies = [[form.energy() for form in member] for member in forms]
-    verdicts = _pair_verdicts(*map(np.array, energies), *spectra)
-
+    same, delta, cospectral = (verdict.tolist() for verdict in _pair_verdicts(
+        *map(np.array, energies), *spectra))
+    # where the bound holds but the signs are unbalanced, the pair must NOT
+    # be equienergetic
+    violation = [not equal if ok else equal and x >= -ZERO_TOL for equal, ok, x
+                 in zip(same, hypothesis.satisfied, hypothesis.margin)]
     # the base solve against the trace, 0, and the squared Frobenius norm
     frobenius = n * (n - 1)
-    certs = []
-    for (row, hyp, graph6, closed_a, closed_b, energy_a, energy_b, same, gap,
-         cospectral, agree, exact) in zip(
-            values.tolist(), hypotheses, _graph6_lines(adj), *forms,
-            *energies, *(column.tolist() for column in (*verdicts, agrees,
-                                                        proven))):
-        residual = max(abs(math.fsum(row)) / max(1.0, math.fsum(map(abs, row))),
-                       abs(math.fsum(map(operator.mul, row, row)) - frobenius)
-                       / max(1, frobenius))
-        # where the bound holds but the signs are unbalanced, the pair must
-        # NOT be equienergetic
-        violation = not same if hyp.satisfied else same and hyp.bound_met()
-        certs.append(Certificate(
-            theorem=theorem, graph6=graph6, m=m, hypothesis=hyp,
-            closed_a=closed_a, closed_b=closed_b,
-            energy_a=energy_a, energy_b=energy_b, energy_delta=gap,
-            equienergetic=same, cospectral=cospectral,
-            closed_form_agrees=agree, exact_multiplicities_verified=exact,
-            base_residual=residual, theorem_violation=violation))
-    return rows, certs
+    residuals = [max(abs(math.fsum(row)) / max(1.0, math.fsum(map(abs, row))),
+                     abs(math.fsum(map(operator.mul, row, row)) - frobenius)
+                     / max(1, frobenius)) for row in values.tolist()]
+    return rows, CertificateBlock(
+        theorem=theorem, graph6=_graph6_lines(adj), **vars(hypothesis),
+        closed_a=closed[0], closed_b=closed[1], energy_a=energies[0],
+        energy_b=energies[1], energy_delta=delta, equienergetic=same,
+        cospectral=cospectral, closed_form_agrees=agrees.tolist(),
+        exact_multiplicities_verified=proven.tolist(),
+        base_residual=residuals, theorem_violation=violation)

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from networkx.generators.atlas import graph_atlas_g
 
 import networkx as nx
 
-from seidelkit import Graph, construct, graph_to_graph6, search
+from seidelkit import Graph, ScanEntry, construct, graph_to_graph6, search
 
 
 def from_nx(g) -> Graph:
@@ -274,9 +275,18 @@ NESTED = {"hypothesis": HYPOTHESIS_KEYS, "inertia": INERTIA_KEYS,
           "certificate": CERTIFICATE_KEYS}
 
 
+def plain_entry(entry: ScanEntry) -> SimpleNamespace:
+    """A scan entry as the report format shows it: its line, its kind and
+    its certificate, row ``entry.row`` of its block as a ``Certificate``."""
+    return SimpleNamespace(line=entry.line, kind=entry.kind,
+                           certificate=entry.block.certificate(entry.row))
+
+
 def to_plain(obj):
-    """``obj`` with each dataclass made a dict over its fields and each
-    tuple a list, ready for ``json.dumps``."""
+    """``obj`` with each dataclass and scan entry made a dict over its
+    fields and each tuple a list, ready for ``json.dumps``."""
+    if isinstance(obj, ScanEntry):
+        return to_plain(vars(plain_entry(obj)))
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_plain(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}

@@ -203,7 +203,7 @@ def test_criterion_9_scan_determinism_and_oracle(catalog_lines, pool_starts):
             n_neg = sum(1 for e in eigs if e < -1e-7)
             if bound_ok and n_pos == n_neg and n_pos + n_neg == len(eigs):
                 expected.add(line)
-        found = {e.certificate.graph6 for e in serial.certificates
+        found = {e.block.graph6[e.row] for e in serial.certificates
                  if e.kind == "certified"}
         assert found == expected
         assert serial.totals["violations"] == 0

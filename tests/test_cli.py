@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import seidelkit
-from seidelkit import (blowup, blowup_seidel_spectrum, certify,
-                       charpoly_exact, clique_blowup,
+from seidelkit import (ClosedFormSpectrum, blowup, blowup_seidel_spectrum,
+                       certify, charpoly_exact, clique_blowup,
                        clique_blowup_seidel_spectrum, compare_spectra,
                        complement, composed_blowup_seidel_spectra, construct,
                        graph_from_graph6, graph_to_graph6, graphs,
@@ -140,6 +140,20 @@ def test_closed_form_respects_cap(capsys, json_flag):
     assert err == ""
     if not json_flag:
         assert out == "{9999^1, -1^9999}"
+
+
+def test_closed_form_json_builds_no_text(capsys, monkeypatch):
+    assert run(["closed-form", "A_", "--theorem", "2", "--m", "70",
+                "--json"]) == 0
+    expected = _out(capsys)
+
+    def unreachable(self):
+        raise AssertionError("the text form was built under --json")
+
+    monkeypatch.setattr(ClosedFormSpectrum, "format_grouped", unreachable)
+    assert run(["closed-form", "A_", "--theorem", "2", "--m", "70",
+                "--json"]) == 0
+    assert _out(capsys) == expected
 
 
 # -- compare / certify -----------------------------------------------------------

@@ -24,7 +24,7 @@ from seidelkit.cli import run
 from seidelkit.search import report_to_csv, report_to_text
 from conftest import (CONFIG_KEYS, ENTRY_KEYS, FAILURE_KEYS, REPORT_KEYS,
                       SKIP_KEYS, TOTALS_KEYS, check_json_object, jacobi_desc,
-                      jacobi_member, reference_json, seidel_of)
+                      jacobi_member, plain_entry, reference_json, seidel_of)
 
 
 def test_config_validation():
@@ -50,7 +50,7 @@ def test_single_k2_line_m3():
     assert report.totals["certified"] == 1
     [entry] = report.certificates
     assert entry.line == 1 and entry.kind == "certified"
-    cert = entry.certificate
+    cert = entry.block.certificate(entry.row)
     assert abs(cert.energy_a - 10.0) < 1e-8
     assert abs(cert.energy_b - 10.0) < 1e-8
     assert cert.equienergetic
@@ -73,7 +73,7 @@ def test_scan_four_vertex_catalog(catalog_graphs, catalog_lines):
         n_neg = sum(1 for e in eigs if e < -1e-7)
         if bound_ok and n_pos == n_neg and n_pos + n_neg == len(eigs):
             expected_satisfied.add(line)
-    found = {e.certificate.graph6 for e in report.certificates
+    found = {e.block.graph6[e.row] for e in report.certificates
              if e.kind == "certified"}
     assert found == expected_satisfied
 
@@ -273,7 +273,7 @@ def test_report_json_round_trip():
     assert doc["totals"] == report.totals
     assert len(doc["certificates"]) == 2
     for entry_doc, entry in zip(doc["certificates"], report.certificates):
-        check_json_object(entry_doc, entry, ENTRY_KEYS)
+        check_json_object(entry_doc, plain_entry(entry), ENTRY_KEYS)
     [failure_doc] = doc["failures"]
     check_json_object(failure_doc, report.failures[0], FAILURE_KEYS)
     [skip_doc] = doc["skipped"]
@@ -443,6 +443,35 @@ def test_report_json_is_byte_for_byte_pinned(catalog_lines, theorem, m):
             == _GOLDEN_REPORTS[theorem, m])
 
 
+# digests of the CSV and text reports on the same lines
+_GOLDEN_CSV = {
+    (1, 2): "66d59772b8c7ca53d7c751a0c069e44631bfa4cd1acda4644b40a69d3a740b92",
+    (1, 3): "69f21f5c82edd89bb556685caf1746d22a8905c228aca534287f151560ad5f66",
+    (2, 2): "42e9be23f40ad5ca26b61d57b9a97cb651d4165de970db3de3757a178ce57981",
+}
+_GOLDEN_TEXT = {
+    (1, 2): "b097118cb0b6d5d16525f6bb51ab462db1a634711bd0f276ec80bdf88ee86348",
+    (1, 3): "2ccba744fb989f044314c6c37083c6eb101d497887c4e0314cbaf146c6424917",
+    (2, 2): "a86ba146d69a7f29e9f059aad981002d9c6282d6cd01841f7fc5169978310b36",
+}
+
+
+@pytest.mark.parametrize("theorem, m", sorted(_GOLDEN_REPORTS))
+def test_every_report_format_is_pinned_and_the_same_through_a_pool(
+        catalog_lines, pool_starts, theorem, m):
+    lines = [*catalog_lines, "garbage!", "A", "\u00e9"]
+    config = ScanConfig(m=m, theorem=theorem)
+    serial = scan_stream(lines, config)
+    pooled = scan_stream(lines, config, jobs=2)
+    assert pool_starts == ([2] if (os.cpu_count() or 1) > 1 else [])
+    for render in (report_to_json, report_to_csv, report_to_text):
+        assert render(pooled) == render(serial)
+    for render, golden in ((report_to_csv, _GOLDEN_CSV),
+                           (report_to_text, _GOLDEN_TEXT)):
+        text = render(serial)
+        assert hashlib.sha256(text.encode()).hexdigest() == golden[theorem, m]
+
+
 def test_report_csv_format():
     report = scan_stream(["A_"], ScanConfig(m=2))
     csv_text = report_to_csv(report)
@@ -471,7 +500,7 @@ def test_write_report_to_file(tmp_path):
 def test_scan_theorem_two():
     report = scan_stream(["A_"], ScanConfig(m=2, theorem=2))
     [entry] = report.certificates
-    cert = entry.certificate
+    cert = entry.block.certificate(entry.row)
     assert abs(cert.energy_a - 18.0) < 1e-8
     # the scan proves every certificate's closed forms
     assert cert.closed_form_agrees is True
@@ -540,7 +569,7 @@ def test_scan_certifies_as_certify_does_on_the_lines_that_meet_the_bound(
         cert = certify(graph_from_graph6(line), m, theorem)
         if cert.hypothesis.bound_met():
             entry = entries.pop(line_no)
-            assert entry.certificate == cert
+            assert entry.block.certificate(entry.row) == cert
             assert entry.kind == ("certified" if cert.hypothesis.satisfied
                                   else "refuted")
     # every other line failed the hypothesis

@@ -11,7 +11,7 @@ from seidelkit import (ZERO_TOL, ConvergenceError, IntPolynomial,
                        seidel_matrix, seidel_spectrum, spectrum_from_values,
                        sym_eigenvalues)
 from seidelkit.cli import run
-from seidelkit.spectral import _inertias, integer_root_multiplicity
+from seidelkit.spectral import _sign_counts, integer_root_multiplicity
 from seidelkit.theory import _hypotheses
 from conftest import (JacobiConvergenceError, from_nx, jacobi_desc, poly_eval,
                       poly_mul, random_simple_graph)
@@ -202,28 +202,30 @@ def test_spectrum_negates_under_complement():
 # -- inertia ----------------------------------------------------------------------
 
 def test_inertia_cases():
-    assert (seidel_inertia(from_nx(nx.complete_graph(2)))
-            == _inertias(np.array([[1.0, -1.0]]))[0])
     i2 = seidel_inertia(from_nx(nx.complete_graph(2)))
     assert (i2.n_pos, i2.n_zero, i2.n_neg) == (1, 0, 1)
-    assert i2.balanced
+    assert [count.tolist() for count in _sign_counts(
+        np.array([[1.0, -1.0]]))] == [[1], [0], [1]]
     i3 = seidel_inertia(from_nx(nx.complete_graph(3)))
     assert (i3.n_pos, i3.n_zero, i3.n_neg) == (2, 0, 1)
-    assert not i3.balanced
     i5 = seidel_inertia(from_nx(nx.cycle_graph(5)))
     assert (i5.n_pos, i5.n_zero, i5.n_neg) == (2, 1, 2)
-    assert not i5.balanced  # zero eigenvalue spoils balance
+    # balance is the hypothesis check's: a zero eigenvalue spoils it
+    for g, balanced in ((nx.complete_graph(2), True),
+                        (nx.complete_graph(3), False), (nx.cycle_graph(5), False)):
+        values = np.array([seidel_spectrum(from_nx(g)).values])
+        assert _hypotheses(values, 2, 1).balanced == [balanced]
 
 
 def test_inertia_zero_tolerance():
     tol = ZERO_TOL
     values = np.array([[1.0, tol / 2, -tol / 2, -1.0],
                        [2 * tol, tol, -tol, -2 * tol]])
-    inertias = _inertias(values)
-    assert [(i.n_pos, i.n_zero, i.n_neg) for i in inertias] == [
-        (1, 2, 1), (1, 2, 1)]
+    counts = [count.tolist() for count in _sign_counts(values)]
+    assert counts == [[1, 1], [2, 2], [1, 1]]
     # the hypothesis check counts signs with the same counter
-    assert [h.inertia for h in _hypotheses(values, 2, 1)] == inertias
+    hypotheses = _hypotheses(values, 2, 1)
+    assert [hypotheses.n_pos, hypotheses.n_zero, hypotheses.n_neg] == counts
 
 
 # -- grouping and formatting --------------------------------------------------------
