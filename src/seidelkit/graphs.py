@@ -209,7 +209,7 @@ def graph_from_graph6(text: str | bytes) -> Graph:
         return Graph._trusted(bits.take(_bit_positions(n)))
     adj = np.zeros((n, n), dtype=np.int8)
     payload = np.frombuffer(data, np.uint8, end - start, start)
-    adj.reshape(-1)[_lower(n)] = _SIX_BITS[payload].reshape(-1)[:nbits]
+    adj.reshape(-1)[_lower.__wrapped__(n)] = _SIX_BITS[payload].reshape(-1)[:nbits]
     return Graph._trusted(adj | adj.T)
 
 
@@ -227,10 +227,14 @@ def _bit_positions(n: int) -> np.ndarray:
     return positions
 
 
+@lru_cache(maxsize=None)
 def _lower(n: int) -> np.ndarray:
-    """Flat indices of the strict lower triangle of order n, row-major:
-    (1,0), (2,0), (2,1), (3,0), ..., graph6's bit order transposed."""
-    return np.flatnonzero(np.tri(n, k=-1, dtype=bool))
+    """Flat row-major indices of the strict lower triangle of order n,
+    graph6's bit order transposed.  Cached: long forms, whose n^2/2
+    indices would stay pinned, call ``_lower.__wrapped__``."""
+    lower = np.flatnonzero(np.tri(n, k=-1, dtype=bool))
+    lower.setflags(write=False)
+    return lower
 
 
 def graph_to_graph6(g: Graph) -> str:
@@ -243,16 +247,17 @@ def _graph6_lines(adj: np.ndarray) -> list[str]:
     (B, n, n) stack."""
     n = adj.shape[-1]
     if n <= 62:
-        head = bytes([n + 63])
+        head, lower = bytes([n + 63]), _lower(n)
     elif n <= _GRAPH6_MAX_ORDER:
         head = bytes([126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)])
+        lower = _lower.__wrapped__(n)
     else:
         raise ValueError(f"graph order {n} exceeds graph6 long form")
     adj = adj.reshape(-1, n, n)
     nbits = n * (n - 1) // 2
     bits = np.zeros((len(adj), nbits + (-nbits) % 6), dtype=np.uint8)
     # adj[j, i] over the lower indices is adj[i, j] in graph6 order
-    bits[:, :nbits] = adj.swapaxes(1, 2).reshape(len(adj), -1)[:, _lower(n)]
+    bits[:, :nbits] = adj.swapaxes(1, 2).reshape(len(adj), -1)[:, lower]
     chunks = bits.reshape(len(adj), -1, 6) @ np.array([32, 16, 8, 4, 2, 1],
                                                       dtype=np.uint8)
     return [(head + row.tobytes()).decode("ascii") for row in chunks + 63]

@@ -20,11 +20,10 @@ base Seidel matrix and proves each member's closed form exactly, by one
 integer pass over its twin rows: its equitable quotient and its padding.
 
 ``_certify_block`` runs the pipeline on a block, a stack of graphs of one
-order, with one numpy call per stage: build, solve, bound screen, proof.
-It returns the certificates of the rows that meet the bound as one
+order, with one numpy call per stage: build, solve, screen (``_hypotheses``),
+proof.  It returns the certificates of the rows that meet the bound as one
 :class:`CertificateBlock` of columns, with no object per row.  ``certify``
-is a block of one, and builds its one :class:`Certificate` from it;
-``search.scan_stream`` passes whole blocks, screened, and renders them.
+is a block of one; ``search.scan_stream`` passes whole blocks, screened.
 """
 
 import math
@@ -83,23 +82,23 @@ class ClosedFormSpectrum:
                 f"closed form accounts for {total} eigenvalues, expected {self.order}")
 
     def values(self) -> tuple[float, ...]:
-        vals = list(self.mapped)
-        for value, mult in self.padding:
-            vals.extend([float(value)] * mult)
-        vals.sort(reverse=True)
-        return tuple(vals)
+        return tuple(_whole(np.array([self.mapped]), self.padding)[0].tolist())
 
     def format_grouped(self) -> str:
         return spectrum_from_values(self.values()).format_grouped()
 
 
-def _closed_forms(values: np.ndarray, m: int,
-                  kind: str) -> tuple[SimpleNamespace, ClosedFormSpectrum]:
+def _whole(mapped: np.ndarray, padding) -> np.ndarray:
+    """Each row of ``mapped`` with ``padding``, sorted descending."""
+    pad = np.repeat(*np.array(padding, dtype=np.int64).reshape(-1, 2).T)
+    return np.sort(np.hstack([mapped, np.tile(pad, (len(mapped), 1))]), axis=1)[:, ::-1]
+
+
+def _closed_forms(values: np.ndarray, m: int, kind: str) -> SimpleNamespace:
     """Closed forms of construct(G, m, kind) for graphs G of one order, from
     their spectra, the rows of ``values``, as columns: row k of ``mapped``
     is scale * values[k] + shift, and ``padding`` and ``order`` are every
-    row's; with row 0 as a :class:`ClosedFormSpectrum`, whose count check
-    holds for every row.
+    row's; :class:`ClosedFormSpectrum` and each member's proof check its count.
 
     Each twin step maps S to J_m (x) (S + eps I) - eps I, with eps = +1 for
     independent and -1 for clique twins: every eigenvalue v, mapped or
@@ -114,26 +113,28 @@ def _closed_forms(values: np.ndarray, m: int,
         padding = [(m * v + eps * (m - 1), mult) for v, mult in padding]
         padding.append((-eps, (m - 1) * order))
         scale, shift, order = m * scale, m * shift + eps * (m - 1), m * order
-    forms = SimpleNamespace(mapped=(scale * values + shift).tolist(),
-                            padding=tuple(padding), m=m, order=order,
-                            scale=scale, shift=shift)
-    return forms, _record(ClosedFormSpectrum, forms, 0)
+    return SimpleNamespace(mapped=(scale * values + shift).tolist(),
+                           padding=tuple(padding), m=m, order=order,
+                           scale=scale, shift=shift)
 
 
 def blowup_seidel_spectrum(sigma: Spectrum, m: int) -> ClosedFormSpectrum:
     """Seidel spectrum of blowup(G, m): s -> m*s + (m-1), padded with -1."""
-    return _closed_forms(np.array([sigma.values]), m, "dm")[1]
+    return _record(ClosedFormSpectrum,
+                   _closed_forms(np.array([sigma.values]), m, "dm"), 0)
 
 
 def clique_blowup_seidel_spectrum(sigma: Spectrum, m: int) -> ClosedFormSpectrum:
     """Seidel spectrum of clique_blowup(G, m): s -> m*s - (m-1), padded with +1."""
-    return _closed_forms(np.array([sigma.values]), m, "dmstar")[1]
+    return _record(ClosedFormSpectrum,
+                   _closed_forms(np.array([sigma.values]), m, "dmstar"), 0)
 
 
 def composed_blowup_seidel_spectra(
         sigma: Spectrum, m: int) -> tuple[ClosedFormSpectrum, ClosedFormSpectrum]:
     """Closed forms of clique_blowup(blowup(G,m),m) and blowup(clique_blowup(G,m),m)."""
-    return tuple(_closed_forms(np.array([sigma.values]), m, kind)[1]
+    return tuple(_record(ClosedFormSpectrum,
+                         _closed_forms(np.array([sigma.values]), m, kind), 0)
                  for kind in ("t2-left", "t2-right"))
 
 
@@ -212,6 +213,7 @@ class HypothesisReport:
     boundary: bool
 
     def bound_met(self) -> bool:
+        """The one bound rule, also on a record of margin columns."""
         return self.margin >= -ZERO_TOL
 
 
@@ -221,23 +223,28 @@ def hypothesis_from_spectrum(sigma: Spectrum, m: int,
     at the theorem ``power``; it builds nothing, so at any order."""
     _check_blowup(0, m, power)
     return _record(HypothesisReport,
-                   _hypotheses(np.array([sigma.values]), m, power), 0)
+                   _hypotheses(np.array([sigma.values]), m, power)[1], 0)
 
 
-def _hypotheses(values: np.ndarray, m: int, theorem: int) -> SimpleNamespace:
-    """The hypothesis columns of graphs of one order, whose spectra are the
-    rows of ``values``: a list per field of :class:`HypothesisReport` and
-    :class:`Inertia`, a value per row, and ``m`` and ``bound`` once."""
+def _hypotheses(values: np.ndarray, m: int, theorem: int, screen: bool = False
+                ) -> tuple[np.ndarray, SimpleNamespace]:
+    """(rows, columns): the rows of ``values``, spectra of graphs of one
+    order, that are kept (all, or with ``screen`` those meeting the bound),
+    and their hypothesis columns and ``met``, as a :class:`CertificateBlock`
+    holds them.  Only here are the bound, margins and ``met`` computed."""
     bound = ((m - 1) / m) ** theorem
     low = np.abs(values).min(axis=1)
-    margin = (low - bound).tolist()
-    pos, zero, neg = (count.tolist() for count in _sign_counts(values))
-    balanced = [p == q and not z for p, z, q in zip(pos, zero, neg)]
-    return SimpleNamespace(
-        m=m, bound=bound, min_abs_eigenvalue=low.tolist(), margin=margin,
-        n_pos=pos, n_zero=zero, n_neg=neg, balanced=balanced,
-        satisfied=[ok and x >= -ZERO_TOL for ok, x in zip(balanced, margin)],
-        boundary=[abs(x) <= ZERO_TOL for x in margin])
+    margin = low - bound
+    met = HypothesisReport.bound_met(SimpleNamespace(margin=margin))
+    pos, zero, neg = _sign_counts(values)
+    balanced = (pos == neg) & (zero == 0)
+    rows = np.flatnonzero(met) if screen else np.arange(len(values))
+    columns = dict(min_abs_eigenvalue=low, margin=margin, n_pos=pos,
+                   n_zero=zero, n_neg=neg, balanced=balanced, met=met,
+                   satisfied=met & balanced, boundary=met & (margin <= ZERO_TOL))
+    return rows, SimpleNamespace(m=m, bound=bound, **{
+        name: (column[rows] if screen else column).tolist()
+        for name, column in columns.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +363,10 @@ _MEMBERS = {t: tuple(kind for kind, steps in KINDS.items() if len(steps) == t)
 class CertificateBlock(SimpleNamespace):
     """The certificates of a block of graphs of one order, as columns: an
     attribute per field of :class:`Certificate`, :class:`HypothesisReport`
-    and :class:`Inertia`, a list with a value per row (``graph6``,
-    ``margin``, ``n_pos``, ...) or, for ``theorem``, ``m`` and ``bound``,
-    one value.  ``closed_a`` and ``closed_b`` are the members' closed forms
-    as ``_closed_forms`` gives them, each with its scale and shift."""
+    and :class:`Inertia` and ``met``, a list with a value per row (``graph6``,
+    ``met``, ...) or, for ``theorem``, ``m`` and ``bound``, one value.
+    ``closed_a`` and ``closed_b`` are the members' closed forms as
+    ``_closed_forms`` gives them, each with its scale and shift."""
 
     def certificate(self, row: int) -> Certificate:
         """Row ``row`` as a :class:`Certificate`."""
@@ -386,7 +393,7 @@ def _certify_block(adj: np.ndarray, m: int, theorem: int, screen: bool = False
     one :class:`CertificateBlock`, or None if there are none.
 
     The Seidel matrices are built and solved by one stacked call each.  With
-    ``screen``, only the rows that meet the bound (``bound_met``) go on.
+    ``screen``, only the rows that meet the bound go on (``_hypotheses``).
     Each member is built for them by one stacked construction and its
     closed form proven by one integer pass over its twin rows,
     ``_member_proven``, before the next member is built.  Energies and
@@ -395,44 +402,29 @@ def _certify_block(adj: np.ndarray, m: int, theorem: int, screen: bool = False
     """
     s_g = seidel_matrix(adj)
     values = sym_eigenvalues(s_g)
-    rows = np.arange(len(adj))
+    rows, hypothesis = _hypotheses(values, m, theorem, screen)
     if screen:
-        # the margin of each row's report, against bound_met's slack
-        margins = np.abs(values).min(axis=1) - ((m - 1) / m) ** theorem
-        rows = np.flatnonzero(margins >= -ZERO_TOL)
         if not len(rows):
             return rows, None
         adj, s_g, values = adj[rows], s_g[rows], values[rows]
-    hypothesis = _hypotheses(values, m, theorem)
-    n = adj.shape[-1]
+    closed = [_closed_forms(values, m, kind) for kind in _MEMBERS[theorem]]
     agrees, proven = np.ones((2, len(adj)), dtype=bool)
-    closed, energies, spectra = [], [], []
-    for kind in _MEMBERS[theorem]:
-        forms = _closed_forms(values, m, kind)[0]
+    energies = []
+    for kind, forms in zip(_MEMBERS[theorem], closed):
         s = seidel_matrix(_twin_steps(adj, m, KINDS[kind]))
         quotient, twins = _member_proven(s, s_g, m, forms.scale, forms.shift,
                                          forms.padding)
         agrees &= quotient
         proven &= twins
         del s, quotient, twins
-        # each member's whole closed spectrum, one sorted row per graph
-        spectrum = np.empty((len(adj), forms.order))
-        spectrum[:, :n] = forms.scale * values + forms.shift
-        spectrum[:, n:] = np.repeat(*zip(*forms.padding))
-        spectrum.sort(axis=1)
         padding = sum(abs(value) * mult for value, mult in forms.padding)
         energies.append([math.fsum(map(abs, row)) + padding
                          for row in forms.mapped])
-        closed.append(forms)
-        spectra.append(spectrum)
     same, delta, cospectral = (verdict.tolist() for verdict in _pair_verdicts(
-        *map(np.array, energies), *spectra))
-    # where the bound holds but the signs are unbalanced, the pair must NOT
-    # be equienergetic
-    violation = [not equal if ok else equal and x >= -ZERO_TOL for equal, ok, x
-                 in zip(same, hypothesis.satisfied, hypothesis.margin)]
+        *map(np.array, energies), *(_whole(f.scale * values + f.shift, f.padding)
+                                    for f in closed)))
     # the base solve against the trace, 0, and the squared Frobenius norm
-    frobenius = n * (n - 1)
+    frobenius = adj.shape[-1] * (adj.shape[-1] - 1)
     residuals = [max(abs(math.fsum(row)) / max(1.0, math.fsum(map(abs, row))),
                      abs(math.fsum(map(operator.mul, row, row)) - frobenius)
                      / max(1, frobenius)) for row in values.tolist()]
@@ -442,4 +434,6 @@ def _certify_block(adj: np.ndarray, m: int, theorem: int, screen: bool = False
         energy_b=energies[1], energy_delta=delta, equienergetic=same,
         cospectral=cospectral, closed_form_agrees=agrees.tolist(),
         exact_multiplicities_verified=proven.tolist(),
-        base_residual=residuals, theorem_violation=violation)
+        base_residual=residuals, theorem_violation=[
+            ok and equal != bal for equal, ok, bal
+            in zip(same, hypothesis.met, hypothesis.balanced)])

@@ -1,8 +1,8 @@
 """Every name a module exports in ``__all__`` exists on that module and has
 a caller, every public name the package re-exports is in its module's
 ``__all__``, the scan reaches the spectral layer only through ``theory``,
-no module reads the environment, and each blow-up parameter rule is raised
-at one site."""
+no module reads the environment, each blow-up parameter rule is raised at
+one site, and the bound rule's slack has no second copy."""
 
 import ast
 import importlib
@@ -142,3 +142,14 @@ def test_each_blowup_rule_is_raised_at_one_site():
                     raised.append(f"{path.name}:{node.lineno}")
     assert {message: len(raised) for message, raised in sites.items()} == {
         message: 1 for message in sites}, sites
+
+
+def test_the_bound_rule_has_no_second_copy():
+    # ``HypothesisReport.bound_met`` is the one bound rule, which the block
+    # pipeline's screen and verdicts read through ``theory._hypotheses``; a
+    # second copy of its slack could drift from the first
+    sites = [f"{path.name}:{number}"
+             for path in sorted((ROOT / "src" / "seidelkit").glob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             if ">= -ZERO_TOL" in line]
+    assert len(sites) <= 1, sites

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seidelkit import (DEFAULT_MAX_DIM, Graph, Graph6Error, ScanConfig,
                        certify, graph_from_graph6, graph_to_graph6,
@@ -555,6 +555,8 @@ def test_blocks_report_as_one_line_at_a_time(catalog_lines, monkeypatch,
 @given(st.lists(st.tuples(st.integers(1, 8), st.integers(0, 2 ** 32 - 1)),
                 min_size=1, max_size=12),
        st.sampled_from([(1, 2), (1, 3), (2, 2), (2, 3)]))
+# a row of each kind: the bound met or not, with balanced signs or not
+@example([(2, 0), (3, 0), (5, 0), (6, 0)], (2, 2))
 def test_scan_certifies_as_certify_does_on_the_lines_that_meet_the_bound(
         graphs, pair):
     theorem, m = pair
@@ -567,11 +569,15 @@ def test_scan_certifies_as_certify_does_on_the_lines_that_meet_the_bound(
     entries = {entry.line: entry for entry in report.certificates}
     for line_no, line in enumerate(lines, start=1):
         cert = certify(graph_from_graph6(line), m, theorem)
-        if cert.hypothesis.bound_met():
+        hyp = cert.hypothesis
+        # every verdict reads the one bound rule, below the bound as well
+        assert hyp.satisfied == (hyp.balanced and hyp.bound_met())
+        assert cert.theorem_violation == (
+            hyp.bound_met() and cert.equienergetic != hyp.balanced)
+        if hyp.bound_met():
             entry = entries.pop(line_no)
             assert entry.block.certificate(entry.row) == cert
-            assert entry.kind == ("certified" if cert.hypothesis.satisfied
-                                  else "refuted")
+            assert entry.kind == ("certified" if hyp.satisfied else "refuted")
     # every other line failed the hypothesis
     assert entries == {}
     assert report.totals["hypothesis_failed"] == len(lines) - len(

@@ -214,7 +214,7 @@ def test_inertia_cases():
     for g, balanced in ((nx.complete_graph(2), True),
                         (nx.complete_graph(3), False), (nx.cycle_graph(5), False)):
         values = np.array([seidel_spectrum(from_nx(g)).values])
-        assert _hypotheses(values, 2, 1).balanced == [balanced]
+        assert _hypotheses(values, 2, 1)[1].balanced == [balanced]
 
 
 def test_inertia_zero_tolerance():
@@ -224,7 +224,7 @@ def test_inertia_zero_tolerance():
     counts = [count.tolist() for count in _sign_counts(values)]
     assert counts == [[1, 1], [2, 2], [1, 1]]
     # the hypothesis check counts signs with the same counter
-    hypotheses = _hypotheses(values, 2, 1)
+    hypotheses = _hypotheses(values, 2, 1)[1]
     assert [hypotheses.n_pos, hypotheses.n_zero, hypotheses.n_neg] == counts
 
 

@@ -16,9 +16,9 @@ from seidelkit import (KINDS, ClosedFormSpectrum, Graph, ScanConfig, blowup,
                        composed_blowup_seidel_spectra, construct,
                        hypothesis_from_spectrum, scan_stream, seidel_matrix,
                        seidel_spectrum, spectrum_from_values, to_json)
-from seidelkit import spectral, theory
+from seidelkit import graph_from_graph6, spectral, theory
 from seidelkit.cli import run
-from seidelkit.spectral import integer_root_multiplicity
+from seidelkit.spectral import ZERO_TOL, integer_root_multiplicity
 from seidelkit.theory import _closed_forms, _member_proven
 from conftest import (CERTIFICATE_KEYS, cells_balanced, check_json_object,
                       explicit_proofs, from_nx, jacobi_desc, jacobi_member,
@@ -260,6 +260,41 @@ def test_hypothesis_power_two_bound():
     assert rep.satisfied
 
 
+# Two graphs, at theorem 2, with exactly one Seidel eigenvalue under the bound
+# (by an exact root count of the characteristic polynomial), whose margins
+# the ZERO_TOL slack of the bound rule still accepts.
+_UNDER_THE_BOUND = [
+    pytest.param("cYIkFyyB_{Jq_QWMZuEl]}A@VgBhGhgvMannrai?hehwK}mVts_cfGhjlc"
+                 "{DWPG~Noc{J`?YyEI|VnZM^QolUm|T`hOF[tpRAS]ie^PuOM", 2, id="W1"),
+    pytest.param(r"gSbRiMA\ZOsmY~UrgV[pSkpnOJP}aVzh]MRZLU\mBPuOrKO]qrIen}_BZDJ"
+                 r"zVn~{ycJsm]edWNs\~UOi{vJy?C?DrUUxkos]|FT~\ODdUq?@pxWPjzs_VV"
+                 r"W@\_eDr@\DGim", 3, id="W2"),
+]
+
+
+@pytest.mark.parametrize("line, m", _UNDER_THE_BOUND)
+def test_margins_under_the_bound_sit_in_the_slack(line, m):
+    hyp = certify(graph_from_graph6(line), m, 2).hypothesis
+    assert -ZERO_TOL <= hyp.margin < 0
+    assert hyp.boundary
+
+
+_SLACK = "the bound is met within ZERO_TOL slack, not decided exactly"
+
+
+@pytest.mark.xfail(strict=True, reason=_SLACK)
+@pytest.mark.parametrize("line, m", _UNDER_THE_BOUND)
+def test_certify_refuses_the_hypothesis_under_the_bound(line, m):
+    assert not certify(graph_from_graph6(line), m, 2).hypothesis.satisfied
+
+
+@pytest.mark.xfail(strict=True, reason=_SLACK)
+@pytest.mark.parametrize("line, m", _UNDER_THE_BOUND)
+def test_scan_files_lines_under_the_bound_as_hypothesis_failed(line, m):
+    report = scan_stream([line], ScanConfig(m=m, theorem=2))
+    assert report.totals["hypothesis_failed"] == 1
+
+
 # -- certificates ------------------------------------------------------------------
 
 def test_certify_k2_family():
@@ -366,7 +401,7 @@ def test_certificate_padding_multiplicities_hold_exactly():
 def _member_args(g, m, kind, count=1):
     """(S_G stack, scale, shift, padding) of construct(g, m, kind), for a
     stack of ``count`` offered matrices."""
-    forms = _closed_forms(np.array([seidel_spectrum(g).values]), m, kind)[0]
+    forms = _closed_forms(np.array([seidel_spectrum(g).values]), m, kind)
     s_g = np.repeat(seidel_matrix(g)[None], count, axis=0)
     return s_g, forms.scale, forms.shift, forms.padding
 
