@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from . import __version__
-from .graphs import (KINDS, Graph6Error, complement, construct,
+from .graphs import (KINDS, Graph6Error, _check_blowup, complement, construct,
                      graph_from_graph6, graph_to_graph6)
 from .spectral import (ConvergenceError, charpoly_exact, seidel_inertia,
                        seidel_matrix, seidel_spectrum)
@@ -182,7 +182,10 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_closed_form(args) -> int:
-    sigma = seidel_spectrum(_load_graph(args.graph, args.file))
+    g = _load_graph(args.graph, args.file)
+    # refused before the solve: a lemma is one twin step, theorem 2 two
+    _check_blowup(g.n, args.m, args.theorem or 1)
+    sigma = seidel_spectrum(g)
     if args.lemma == 1:
         forms = {"spectrum": blowup_seidel_spectrum(sigma, args.m)}
     elif args.lemma == 2:

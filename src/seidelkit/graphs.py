@@ -132,22 +132,10 @@ _SEVEN_BITS = np.pad(_SIX_BITS, ((0, 0), (0, 1)))
 _NON_GRAPH6 = re.compile(rb"[^?-~]")  # a byte outside 63..126
 
 
-def _payload_fault(data: bytes, start: int, end: int) -> Graph6Error:
-    """The error of the first fault of the payload data[start:], which
-    should end at ``end``: its length, a byte out of range, or nonzero
-    padding bits, which all sit in its last byte."""
-    if len(data) < end:
-        return Graph6Error("truncated bit payload", len(data))
-    if len(data) > end:
-        return Graph6Error("trailing garbage after bit payload", end)
-    bad = _NON_GRAPH6.search(data, start)
-    if bad:
-        return Graph6Error("payload byte out of graph6 range", bad.start())
-    return Graph6Error("nonzero padding bits", end - 1)
-
-
 def _graph6_header(text: str | bytes) -> tuple[int, bytes, int]:
-    """(n, line bytes, payload offset) of a graph6 line; the payload unread."""
+    """(n, line bytes, payload offset) of a graph6 line that decodes.  The
+    one check of a line: its header, then its payload's length, byte range
+    and padding bits; the first fault raises :class:`Graph6Error`."""
     if isinstance(text, str):
         if not text.isascii():
             i = next(i for i, ch in enumerate(text) if ord(ch) > 127)
@@ -171,22 +159,31 @@ def _graph6_header(text: str | bytes) -> tuple[int, bytes, int]:
         raise Graph6Error("size byte out of graph6 range", 0)
     if b0 == 63:
         raise Graph6Error("order-zero graph not supported", 0)
-    if b0 != 126:
-        return b0 - 63, data, 1
-    # long form: 126 then 18 bits in three bytes
-    if len(data) >= 2 and data[1] == 126:
-        raise Graph6Error("graph order beyond supported long form", 1)
-    if len(data) < 4:
-        raise Graph6Error("truncated long-form size field", len(data))
-    n = 0
-    for i in (1, 2, 3):
-        b = data[i]
-        if b < 63 or b > 126:
-            raise Graph6Error("size byte out of graph6 range", i)
-        n = (n << 6) | (b - 63)
-    if n <= 62:
-        raise Graph6Error("non-canonical long-form size field", 1)
-    return n, data, 4
+    n, start = b0 - 63, 1
+    if b0 == 126:  # long form: 126 then 18 bits in three bytes
+        if len(data) >= 2 and data[1] == 126:
+            raise Graph6Error("graph order beyond supported long form", 1)
+        if len(data) < 4:
+            raise Graph6Error("truncated long-form size field", len(data))
+        n, start = 0, 4
+        for i in (1, 2, 3):
+            b = data[i]
+            if b < 63 or b > 126:
+                raise Graph6Error("size byte out of graph6 range", i)
+            n = (n << 6) | (b - 63)
+        if n <= 62:
+            raise Graph6Error("non-canonical long-form size field", 1)
+    nbits = n * (n - 1) // 2
+    end = start + (nbits + 5) // 6
+    if len(data) < end:
+        raise Graph6Error("truncated bit payload", len(data))
+    if len(data) > end:
+        raise Graph6Error("trailing garbage after bit payload", end)
+    if bad := _NON_GRAPH6.search(data, start):
+        raise Graph6Error("payload byte out of graph6 range", bad.start())
+    if (data[end - 1] - 63) & ((1 << -nbits % 6) - 1):  # in the last byte
+        raise Graph6Error("nonzero padding bits", end - 1)
+    return n, data, start
 
 
 def graph_from_graph6(text: str | bytes) -> Graph:
@@ -194,22 +191,17 @@ def graph_from_graph6(text: str | bytes) -> Graph:
 
     Raises :class:`Graph6Error` (with byte offset) on malformed headers,
     out-of-range bytes, truncated or oversized payloads, and nonzero
-    padding bits.
+    padding bits, all found by ``_graph6_header``; only the build is here.
     """
     n, data, start = _graph6_header(text)
-    nbits = n * (n - 1) // 2
-    end = start + (nbits + 5) // 6
-    if (len(data) != end or _NON_GRAPH6.search(data, start)
-            or (data[end - 1] - 63) & ((1 << -nbits % 6) - 1)):
-        raise _payload_fault(data, start, end)
-
     # symmetric, 0/1 and loop-free by construction: no re-validation
     if n <= 62:  # one gather from a cached map; the size byte leads
         bits = _SEVEN_BITS[np.frombuffer(data, np.uint8)]
         return Graph._trusted(bits.take(_bit_positions(n)))
     adj = np.zeros((n, n), dtype=np.int8)
-    payload = np.frombuffer(data, np.uint8, end - start, start)
-    adj.reshape(-1)[_lower.__wrapped__(n)] = _SIX_BITS[payload].reshape(-1)[:nbits]
+    lower = _lower.__wrapped__(n)
+    payload = np.frombuffer(data, np.uint8, offset=start)
+    adj.reshape(-1)[lower] = _SIX_BITS[payload].reshape(-1)[:len(lower)]
     return Graph._trusted(adj | adj.T)
 
 

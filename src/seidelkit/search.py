@@ -13,7 +13,7 @@ together at ``_BLOCK_BYTES`` of member matrices.  Each block is one
 screen against the bound, a hypothesis report for the lines that meet it
 only, and one construction and proof per member.
 ``--jobs`` workers, on one BLAS thread each, take whole chunks once the
-lines' headers add up to more than ``_FORK_BYTES`` of that work.
+lines that decode add up to more than ``_FORK_BYTES`` of that work.
 Output ordering follows input line numbers, so a scan is deterministic
 regardless of the chunk, block and worker counts.  The certificates stay
 their blocks' columns, ``theory.CertificateBlock``, with no object per row;
@@ -36,7 +36,7 @@ from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, is_dataclass
 from functools import cache, partial
-from itertools import accumulate, chain, islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -157,10 +157,11 @@ def _scan_chunk(config: ScanConfig, chunk) -> list[tuple]:
     record per pair, in order, whose tag is the totals bucket of the line:
     a :class:`ScanEntry` for a certified or refuted line.
 
-    Every line is decoded on its own.  The graphs that reach the solve wait
-    in equal-order blocks until their member matrices would pass
-    ``_BLOCK_BYTES``; then every waiting block runs.  Module-level so worker
-    processes can unpickle it.
+    Every line is decoded on its own, and ``_line_cost`` of its order skips
+    it or budgets it.  The graphs that reach the solve wait in equal-order
+    blocks until their member matrices would pass ``_BLOCK_BYTES``; then
+    every waiting block runs.  Module-level so worker processes can
+    unpickle it.
     """
     records, waiting, held = {}, defaultdict(list), 0
     for line_no, text in chunk:
@@ -169,12 +170,10 @@ def _scan_chunk(config: ScanConfig, chunk) -> list[tuple]:
         except Graph6Error as exc:
             records[line_no] = (line_no, "parse_failed", str(exc))
             continue
-        order = config.m ** config.theorem * g.n
-        if order > config.max_order:
+        order, cost = _line_cost(config, g.n)
+        if not cost:
             records[line_no] = (line_no, "skipped", order)
             continue
-        # the int64 Seidel matrix of one member of this line
-        cost = 8 * order * order
         if held + cost > _BLOCK_BYTES:
             _run_blocks(config, waiting, records)
             held = 0
@@ -205,16 +204,12 @@ def _chunks(tasks, size: int):
         yield chunk
 
 
-def _line_cost(config: ScanConfig, text) -> int:
-    """The bytes ``_scan_chunk`` budgets for a line, read from its header and
-    length alone: 0 for a line that fails there or is skipped."""
-    try:
-        n, data, start = _graph6_header(text)
-    except Graph6Error:
-        return 0
+def _line_cost(config: ScanConfig, n: int) -> tuple[int, int]:
+    """The one rule for a line whose graph has order n: its constructed
+    order, and the bytes a block budgets for it, the int64 Seidel matrix of
+    one member, or 0 for a line over ``max_order``, which is skipped."""
     order = config.m ** config.theorem * n
-    whole = len(data) - start == (n * (n - 1) // 2 + 5) // 6
-    return 8 * order * order if whole and order <= config.max_order else 0
+    return order, 8 * order * order if order <= config.max_order else 0
 
 
 def _cap_blas() -> None:
@@ -240,8 +235,8 @@ def scan_stream(lines, config: ScanConfig, jobs: int = 1) -> PairReport:
     """
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    tasks = ((i, line.strip()) for i, line in enumerate(lines, start=1)
-             if line.strip())
+    tasks = ((i, text) for i, line in enumerate(lines, start=1)
+             if (text := line.strip()))
 
     worker = partial(_scan_chunk, config)
     if jobs > 1:
@@ -249,8 +244,13 @@ def scan_stream(lines, config: ScanConfig, jobs: int = 1) -> PairReport:
         # every worker starts up front: no more than can be kept busy, and
         # none for less work than pays for starting them
         jobs = min(jobs, len(tasks), os.cpu_count() or 1)
-        work = accumulate(_line_cost(config, text) for _, text in tasks)
-        if jobs > 1 and all(total <= _FORK_BYTES for total in work):
+        work = 0
+        for _, text in tasks if jobs > 1 else ():
+            with suppress(Graph6Error):  # a line that fails costs nothing
+                work += _line_cost(config, _graph6_header(text)[0])[1]
+            if work > _FORK_BYTES:
+                break
+        else:  # not past _FORK_BYTES
             jobs = 1
     if jobs > 1:
         # about four chunks per worker: few enough that the per-chunk

@@ -140,8 +140,8 @@ def _sign_counts(values: np.ndarray) -> tuple[np.ndarray, ...]:
     """The inertia counts of each row of the (B, n) array ``values``, as
     three arrays: its eigenvalues above ZERO_TOL, within it, and below
     -ZERO_TOL."""
-    pos = np.count_nonzero(values > ZERO_TOL, axis=1)
-    neg = np.count_nonzero(values < -ZERO_TOL, axis=1)
+    pos = (values > ZERO_TOL).sum(axis=1)
+    neg = (values < -ZERO_TOL).sum(axis=1)
     return pos, values.shape[1] - pos - neg, neg
 
 

@@ -17,6 +17,7 @@ from seidelkit import (ClosedFormSpectrum, blowup, blowup_seidel_spectrum,
                        graph_from_graph6, graph_to_graph6, graphs,
                        seidel_inertia, seidel_matrix, seidel_spectrum,
                        spectral)
+from seidelkit import cli
 from seidelkit.cli import run
 from conftest import reference_json
 
@@ -125,14 +126,20 @@ def test_construct_and_certify_respect_cap(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
-def test_closed_form_respects_cap(capsys, json_flag):
-    # refused by the one cap check, before any closed form is expanded
-    for argv, order in ((["--lemma", "1", "--m", "5001"], 10002),
-                        (["--lemma", "2", "--m", "5001"], 10002),
-                        (["--theorem", "2", "--m", "71"], 10082)):
-        assert run(["closed-form", "A_", *argv, *json_flag]) == 2
-        assert _out(capsys) == (
-            "", f"seidelkit: blow-up order {order} exceeds dimension cap 10000")
+def test_closed_form_respects_cap(capsys, monkeypatch, json_flag):
+    # refused by the one cap check, before the base spectrum is solved: at
+    # n = 1500 that solve took most of the time of the refusal
+    def unreachable(g):
+        raise AssertionError("the base spectrum was solved")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "seidel_spectrum", unreachable)
+        for argv, order in ((["--lemma", "1", "--m", "5001"], 10002),
+                            (["--lemma", "2", "--m", "5001"], 10002),
+                            (["--theorem", "2", "--m", "71"], 10082)):
+            assert run(["closed-form", "A_", *argv, *json_flag]) == 2
+            assert _out(capsys) == ("", f"seidelkit: blow-up order {order} "
+                                        "exceeds dimension cap 10000")
     # order 10000, at the cap, is still predicted
     assert run(["closed-form", "A_", "--lemma", "1", "--m", "5000",
                 *json_flag]) == 0

@@ -2,7 +2,8 @@
 a caller, every public name the package re-exports is in its module's
 ``__all__``, the scan reaches the spectral layer only through ``theory``,
 no module reads the environment, each blow-up parameter rule is raised at
-one site, and the bound rule's slack has no second copy."""
+one site, and neither the bound rule's slack nor a line's budget bytes
+have a second copy."""
 
 import ast
 import importlib
@@ -144,12 +145,25 @@ def test_each_blowup_rule_is_raised_at_one_site():
         message: 1 for message in sites}, sites
 
 
+def _sites(text: str) -> list[str]:
+    """file:line of each source line under ``src/seidelkit`` holding ``text``."""
+    return [f"{path.name}:{number}"
+            for path in sorted((ROOT / "src" / "seidelkit").glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if text in line]
+
+
 def test_the_bound_rule_has_no_second_copy():
     # ``HypothesisReport.bound_met`` is the one bound rule, which the block
     # pipeline's screen and verdicts read through ``theory._hypotheses``; a
     # second copy of its slack could drift from the first
-    sites = [f"{path.name}:{number}"
-             for path in sorted((ROOT / "src" / "seidelkit").glob("*.py"))
-             for number, line in enumerate(path.read_text().splitlines(), 1)
-             if ">= -ZERO_TOL" in line]
+    sites = _sites(">= -ZERO_TOL")
+    assert len(sites) <= 1, sites
+
+
+def test_the_line_budget_has_no_second_copy():
+    # ``search._line_cost`` is the one rule for a line's budget bytes, which
+    # the blocks and the ``--jobs`` pre-pass both read; a second copy could
+    # count a line the other skips
+    sites = _sites("8 * order * order")
     assert len(sites) <= 1, sites

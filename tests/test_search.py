@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from seidelkit import (DEFAULT_MAX_DIM, Graph, Graph6Error, ScanConfig,
                        certify, graph_from_graph6, graph_to_graph6,
@@ -153,7 +153,6 @@ def test_scan_starts_no_more_workers_than_cpus_or_lines(monkeypatch):
 
     # "A_" and "Bw" alone, 128 + 288 bytes, pass it; "junk" counts nothing
     monkeypatch.setattr(search, "_FORK_BYTES", 256)
-    assert search._line_cost(ScanConfig(m=2), "junk") == 0
     assert report_to_json(scan_stream(lines, ScanConfig(m=2))) == serial
     report = scan_stream(lines, ScanConfig(m=2), jobs=100_000)
     assert report_to_json(report) == serial
@@ -211,31 +210,88 @@ def _graph6_lines(draw):
 def test_line_cost_reads_the_order_of_a_valid_line(line, pair):
     theorem, m = pair
     n = graph_from_graph6(line).n
+    assert search._graph6_header(line)[0] == n  # the pre-pass's read
     config = ScanConfig(m=m, theorem=theorem, max_order=DEFAULT_MAX_DIM)
     order = m ** theorem * n
-    assert search._line_cost(config, line) == 8 * order * order
+    assert search._line_cost(config, n) == (order, 8 * order * order)
     # over max_order the line is skipped, and costs nothing
     assert search._line_cost(ScanConfig(m=m, theorem=theorem,
-                                        max_order=order - 1), line) == 0
-    # so does a line with a byte too few or too many, which fails to decode
+                                        max_order=order - 1), n) == (order, 0)
+    # a line with a byte too few or too many fails both reads
     text = line.rstrip("\r\n" if isinstance(line, str) else b"\r\n")
     extra = "?" if isinstance(line, str) else b"?"
     for bad in (text[:-1], text + extra):
         with pytest.raises(Graph6Error):
             graph_from_graph6(bad)
-        assert search._line_cost(config, bad) == 0
+        with pytest.raises(Graph6Error):
+            search._graph6_header(bad)
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(st.one_of(st.binary(max_size=12), st.text(max_size=12)))
+@example("A\x7f")  # a payload byte out of range
+@example(b"Bx")  # nonzero padding bits
 def test_line_cost_never_raises(line):
-    cost = search._line_cost(ScanConfig(m=2), line)
+    # the pre-pass's count of a line: Graph6Error is the only fault
+    config, cost = ScanConfig(m=2), 0
+    try:
+        cost = search._line_cost(config, search._graph6_header(line)[0])[1]
+    except Graph6Error:
+        pass
     try:
         g = graph_from_graph6(line)
     except Graph6Error:
-        assert cost >= 0  # counted if its header and length fit the payload
+        assert cost == 0
     else:
         assert cost == 8 * (2 * g.n) ** 2
+
+
+class _Forked(Exception):
+    """Raised where a scan would start its pool."""
+
+
+def _forks(config: ScanConfig, text, fork_bytes: int) -> bool:
+    """Whether a ``--jobs 2`` scan of two copies of ``text`` starts a pool,
+    that is, whether its pre-pass counts them past ``fork_bytes``."""
+    def pool(*args, **kwargs):
+        raise _Forked
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "ProcessPoolExecutor", pool)
+        patch.setattr(search, "_FORK_BYTES", fork_bytes)
+        patch.setattr(os, "cpu_count", lambda: 2)
+        try:
+            scan_stream([text, text], config, jobs=2)
+        except _Forked:
+            return True
+    return False
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.one_of(_graph6_lines(),
+                 # a byte too few or too many
+                 _graph6_lines().map(lambda line: line.strip()[:-1]),
+                 _graph6_lines().map(
+                     lambda line: line.strip() + line.strip()[-1:]),
+                 st.binary(max_size=12), st.text(max_size=12)),
+       st.sampled_from([(1, 2), (1, 3), (2, 2)]),
+       st.sampled_from([64, 200, DEFAULT_MAX_DIM]))
+@example("A\x7f", (1, 2), DEFAULT_MAX_DIM)  # a payload byte out of range
+@example(b"Bx", (1, 2), DEFAULT_MAX_DIM)  # nonzero padding bits
+def test_fork_pre_pass_counts_a_line_exactly_when_the_scan_builds_it(
+        line, pair, max_order):
+    # the member bytes of a line that decodes within max_order, else none
+    text = line.strip()
+    assume(text)  # a blank line is not scanned
+    theorem, m = pair
+    config = ScanConfig(m=m, theorem=theorem, max_order=max_order)
+    try:
+        order = m ** theorem * graph_from_graph6(text).n
+        cost = 8 * order * order if order <= max_order else 0
+    except Graph6Error:
+        cost = 0
+    assert _forks(config, text, 2 * cost - 1)
+    assert not _forks(config, text, 2 * cost)
 
 
 def _blas_threads(path):
