@@ -13,7 +13,8 @@ together at ``_BLOCK_BYTES`` of member matrices.  Each block is one
 screen against the bound, a hypothesis report for the lines that meet it
 only, and one construction and proof per member.
 ``--jobs`` workers, on one BLAS thread each, take whole chunks once the
-lines that decode add up to more than ``_FORK_BYTES`` of that work.
+lines that decode add up to more than ``_FORK_BYTES`` of that work; the
+pool's modules load only then, so a scan below it never imports them.
 Output ordering follows input line numbers, so a scan is deterministic
 regardless of the chunk, block and worker counts.  The certificates stay
 their blocks' columns, ``theory.CertificateBlock``, with no object per row;
@@ -24,15 +25,11 @@ Accounting invariant, enforced by construction:
     scanned == certified + refuted + hypothesis_failed + parse_failed + skipped
 """
 
-import csv
-import ctypes
-import glob
 import io
 import json
 import math
 import os
 from collections import Counter, defaultdict
-from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, is_dataclass
 from functools import cache, partial
@@ -215,6 +212,8 @@ def _line_cost(config: ScanConfig, n: int) -> tuple[int, int]:
 def _cap_blas() -> None:
     """Pool initializer: numpy's bundled OpenBLAS, if any, on one thread, so
     that the workers' BLAS threads do not oversubscribe the cores."""
+    import ctypes  # only pool workers run this, so only they import these
+    import glob
     libs = os.path.dirname(np.__file__) + ".libs/libscipy_openblas64_*"
     for path in glob.glob(libs):
         with suppress(OSError, AttributeError):
@@ -257,6 +256,9 @@ def scan_stream(lines, config: ScanConfig, jobs: int = 1) -> PairReport:
         # pickling cost stays small next to sub-millisecond lines
         size = min(_CHUNK_LINES, -(-len(tasks) // (4 * jobs)))
         todo, chunks = list(_chunks(tasks, size)), []
+        # imported only to fork: they cost a fresh process about 15 ms
+        from concurrent.futures.process import (BrokenProcessPool,
+                                                ProcessPoolExecutor)
         try:
             with ProcessPoolExecutor(jobs, initializer=_cap_blas) as pool:
                 chunks.extend(pool.map(worker, todo))
@@ -438,6 +440,7 @@ _sig = "{:.12g}".format
 
 
 def report_to_csv(report: PairReport) -> str:
+    import csv  # a fresh process imports it for a CSV report only
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_FIELDS)

@@ -45,6 +45,11 @@ def catalog_lines(catalog_graphs):
     return [graph_to_graph6(g) for g in catalog_graphs]
 
 
+# The pool class ``scan_stream`` looks up when it forks, and only then: the
+# one place a test swaps the process pool.
+POOL = "concurrent.futures.process.ProcessPoolExecutor"
+
+
 @pytest.fixture
 def pool_starts(monkeypatch):
     """The worker counts of the real process pools ``scan_stream`` starts,
@@ -61,7 +66,7 @@ def pool_starts(monkeypatch):
             started.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(POOL, RecordingPool)
     monkeypatch.setattr(search, "_FORK_BYTES", 1 << 12)
     return started
 

@@ -320,6 +320,45 @@ def test_warm_up_scan_loads_no_module_after_the_cli(tmp_path):
     assert [name for name in loaded if not name.startswith("encodings.")] == []
 
 
+def test_only_a_scan_that_forks_loads_the_pool(tmp_path, catalog_lines):
+    # certify and scans under the fork threshold, at any --jobs, import
+    # neither the process pool nor csv; a CSV report loads csv, and a scan
+    # past the threshold, lowered as in ``pool_starts``, loads the pool
+    catalog = tmp_path / "cold.g6"
+    catalog.write_text("\n".join(catalog_lines[:60] + ["not graph6"]) + "\n")
+    scan = ["scan", str(catalog), "--m", "2", "--out"]
+    script = "\n".join([
+        "import json, os, sys",
+        "import seidelkit.cli",
+        "from seidelkit import search",
+        "run, codes = seidelkit.cli.run, []",
+        "codes.append(run(['certify', '--theorem', '2', '--m', '3', 'A_']))",
+        f"scan = {scan!r}",
+        "for jobs in ('1', '2'):",
+        "    codes.append(run(scan + [f'jobs{jobs}.json', '--jobs', jobs]))",
+        "cold = [name for name in ('multiprocessing', 'concurrent.futures',",
+        "                          'csv', 'glob') if name in sys.modules]",
+        "codes.append(run(scan + ['report.csv', '--format', 'csv']))",
+        "csv_loaded = 'csv' in sys.modules",
+        "search._FORK_BYTES = 1 << 12",
+        "codes.append(run(scan + ['forked.json', '--jobs', '2']))",
+        "print(json.dumps([codes, cold, csv_loaded, os.cpu_count() or 1,",
+        "                  'concurrent.futures.process' in sys.modules]))"])
+    src = os.path.dirname(os.path.dirname(seidelkit.__file__))
+    result = subprocess.run([sys.executable, "-c", script], check=True,
+                            capture_output=True, text=True, timeout=120,
+                            cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
+    codes, cold, csv_loaded, cpus, pool_loaded = json.loads(
+        result.stdout.splitlines()[-1])
+    assert codes == [0] * 5
+    assert cold == []
+    assert csv_loaded
+    assert pool_loaded == (cpus > 1)  # on one CPU, --jobs 2 runs serially
+    serial = (tmp_path / "jobs1.json").read_bytes()
+    assert (tmp_path / "jobs2.json").read_bytes() == serial
+    assert (tmp_path / "forked.json").read_bytes() == serial
+
+
 def test_scan_stdin_and_output_file(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"A_\n")))
     out_path = tmp_path / "report.csv"

@@ -22,9 +22,10 @@ from seidelkit import (DEFAULT_MAX_DIM, Graph, Graph6Error, ScanConfig,
 from seidelkit import search
 from seidelkit.cli import run
 from seidelkit.search import report_to_csv, report_to_text
-from conftest import (CONFIG_KEYS, ENTRY_KEYS, FAILURE_KEYS, REPORT_KEYS,
-                      SKIP_KEYS, TOTALS_KEYS, check_json_object, jacobi_desc,
-                      jacobi_member, plain_entry, reference_json, seidel_of)
+from conftest import (CONFIG_KEYS, ENTRY_KEYS, FAILURE_KEYS, POOL,
+                      REPORT_KEYS, SKIP_KEYS, TOTALS_KEYS, check_json_object,
+                      jacobi_desc, jacobi_member, plain_entry, reference_json,
+                      seidel_of)
 
 
 def test_config_validation():
@@ -141,7 +142,7 @@ class _InProcessPool:
 def test_scan_starts_no_more_workers_than_cpus_or_lines(monkeypatch):
     started = []
     monkeypatch.setattr(_InProcessPool, "started", started)
-    monkeypatch.setattr(search, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(POOL, _InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     lines = ["A_", "Bw", "junk", "C~", "Bo", "@"]
     serial = report_to_json(scan_stream(lines, ScanConfig(m=2)))
@@ -182,7 +183,7 @@ def test_broken_pool_reruns_the_lost_chunks_in_process(catalog_lines,
         return scan_chunk(config, chunk)
 
     monkeypatch.setattr(BreakingPool, "started", started)
-    monkeypatch.setattr(search, "ProcessPoolExecutor", BreakingPool)
+    monkeypatch.setattr(POOL, BreakingPool)
     monkeypatch.setattr(search, "_scan_chunk", recording)
     monkeypatch.setattr(search, "_FORK_BYTES", 1 << 12)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -257,7 +258,7 @@ def _forks(config: ScanConfig, text, fork_bytes: int) -> bool:
         raise _Forked
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(search, "ProcessPoolExecutor", pool)
+        patch.setattr(POOL, pool)
         patch.setattr(search, "_FORK_BYTES", fork_bytes)
         patch.setattr(os, "cpu_count", lambda: 2)
         try:
@@ -309,10 +310,10 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     assert _blas_threads(paths[0]) == before  # the parent keeps its threads
 
     # without the library, or without the symbol, a silent no-op
-    monkeypatch.setattr(search.glob, "glob", lambda pattern: [])
+    monkeypatch.setattr(glob, "glob", lambda pattern: [])
     search._cap_blas()
-    monkeypatch.setattr(search.glob, "glob", lambda pattern: paths)
-    monkeypatch.setattr(search.ctypes, "CDLL", lambda path: object())
+    monkeypatch.setattr(glob, "glob", lambda pattern: paths)
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
     search._cap_blas()
     monkeypatch.undo()
     assert _blas_threads(paths[0]) == before
