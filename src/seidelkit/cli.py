@@ -16,8 +16,8 @@ import sys
 from . import __version__
 from .graphs import (KINDS, Graph6Error, _check_blowup, complement, construct,
                      graph_from_graph6, graph_to_graph6)
-from .spectral import (ConvergenceError, charpoly_exact, seidel_inertia,
-                       seidel_matrix, seidel_spectrum)
+from .spectral import (CHARPOLY_MAX_ORDER, ConvergenceError, charpoly_exact,
+                       seidel_inertia, seidel_matrix, seidel_spectrum)
 from .search import (NUMERIC_MAX_ORDER, ScanConfig, _sig, scan_stream,
                      to_json, write_report)
 from .theory import (blowup_seidel_spectrum, certify,
@@ -56,7 +56,8 @@ def _build_parser() -> _Parser:
     graph_command("energy", _cmd_energy, "Seidel energy (sum of absolute eigenvalues)")
     graph_command("inertia", _cmd_inertia, "positive/zero/negative Seidel eigenvalue counts")
     graph_command("charpoly", _cmd_charpoly,
-                  "exact characteristic polynomial of the Seidel matrix")
+                  "exact characteristic polynomial of the Seidel matrix "
+                  f"(order <= {CHARPOLY_MAX_ORDER})")
     graph_command("complement", _cmd_complement, "graph6 of the edge complement")
 
     p = graph_command("construct", _cmd_construct, "build a blow-up graph, print its graph6")
@@ -102,7 +103,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--out", default=None, help="write the report to this path")
     p.add_argument("--jobs", type=int, default=1, help="worker processes on "
-                   "one BLAS thread each, for catalogs over 64 MiB of matrices")
+                   "one BLAS thread each, for catalogs over 20 MiB of matrices")
     p.add_argument("--max-order", type=int, default=NUMERIC_MAX_ORDER,
                    help="skip graphs whose constructed order exceeds this "
                         f"(default {NUMERIC_MAX_ORDER}, at most the "

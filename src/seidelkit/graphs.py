@@ -282,40 +282,35 @@ def _check_blowup(n: int, m: int, steps: int) -> None:
 
 
 def _twin_steps(adj: np.ndarray, m: int, steps) -> np.ndarray:
-    """Apply twin steps at multiplicity m to an int8 adjacency matrix, or to
-    each matrix of a (B, n, n) stack: False adds independent twins, J_m (x)
-    A, and True clique twins, J_m (x) (A + I) - I.  Vertex k*N + v of a
-    step's result is copy k of vertex v of its order-N input."""
+    """Apply twin steps at multiplicity m to an int8 adjacency matrix A of
+    order n: False adds independent twins, J_m (x) A, and True clique twins,
+    J_m (x) (A + I) - I.  Vertex k*N + v of a step's result is copy k of
+    vertex v of its order-N input.  The steps compose into one Kronecker
+    sum, J_M (x) A + A_K (x) I_n, with K the steps on one vertex, M = m^t
+    copies; it is built so."""
     _check_blowup(adj.shape[-1], m, len(steps))
+    k = np.zeros((1, 1), dtype=np.int8)
     for clique in steps:
-        order = adj.shape[-1]
-        if clique:
-            adj = (np.tile(adj + np.eye(order, dtype=np.int8), (m, m))
-                   - np.eye(m * order, dtype=np.int8))
-        else:
-            # m x m copies of A, a valid adjacency since A is one
-            adj = np.tile(adj, (m, m))
-    return adj
+        k = np.tile(k + clique * np.eye(len(k), dtype=np.int8), (m, m))
+        k -= clique * np.eye(len(k), dtype=np.int8)
+    n, size = adj.shape[-1], len(k)
+    out = np.tile(adj, (size, size))
+    # A_K at the diagonal of every n x n block: entry (c*n + v, d*n + v)
+    np.einsum("cvdv->cdv", out.reshape(size, n, size, n))[...] += k[..., None]
+    return out
 
 
 def blowup(g: Graph, m: int) -> Graph:
-    """Replace every vertex by m independent twins.
-
-    The result has adjacency J_m (x) A(g): copies (i,u) and (j,v) are
-    adjacent exactly when uv is an edge of g, so every original edge turns
-    into a complete bipartite block on the two twin classes and twin
-    classes themselves stay independent.  Simple, on m*n vertices.
-    """
+    """Replace every vertex by m independent twins, J_m (x) A(g): each
+    edge of g becomes a complete bipartite block on two twin classes.
+    Simple, on m*n vertices."""
     return Graph._trusted(_twin_steps(g.adj, m, (False,)))
 
 
 def clique_blowup(g: Graph, m: int) -> Graph:
-    """Replace every vertex by m mutually adjacent twins.
-
-    The result has adjacency J_m (x) (A(g) + I) - I: edges of g become
-    complete bipartite blocks and each twin class forms a clique.  Simple,
-    on m*n vertices.
-    """
+    """Replace every vertex by m mutually adjacent twins, J_m (x) (A(g) +
+    I) - I: as ``blowup``, and each twin class is a clique.  Simple, on m*n
+    vertices."""
     return Graph._trusted(_twin_steps(g.adj, m, (True,)))
 
 

@@ -8,10 +8,11 @@ parse failures and dimension-cap skips are recorded, never fatal.
 
 Lines are read in chunks.  Each line of a chunk is decoded on its own, and
 the graphs that reach the solve are grouped by order into blocks, capped
-together at ``_BLOCK_BYTES`` of member matrices.  Each block is one
+together at ``_BLOCK_BYTES`` of base Seidel matrices.  Each block is one
 ``theory._certify_block``: one stacked Seidel build and eigensolve call, a
-screen against the bound, a hypothesis report for the lines that meet it
-only, and one construction and proof per member.
+screen against the bound, and a hypothesis report and closed forms for the
+lines that meet it only; no member is built, each construction's closed
+form is proven once per (m, kind).
 ``--jobs`` workers, on one BLAS thread each, take whole chunks once the
 lines that decode add up to more than ``_FORK_BYTES`` of that work; the
 pool's modules load only then, so a scan below it never imports them.
@@ -64,15 +65,17 @@ NUMERIC_MAX_ORDER = 2_000
 # blocks.
 _CHUNK_LINES = 4096
 
-# Cap on B * N**2 * 8 bytes, the int64 Seidel matrices of one member for a
-# block of B graphs at constructed order N, summed over the blocks waiting
-# to run.  A line over the cap on its own runs as a block of one.
-_BLOCK_BYTES = 1 << 24
+# Cap on B * n**2 * 8 bytes, the int64 base Seidel matrices of a block of B
+# graphs of order n, summed over the blocks waiting to run.  A line over the
+# cap on its own runs as a block of one.  4 MiB: G(300, 1/2) lines peaked
+# at 7.8 MiB (tracemalloc), not 35.7 as at 16 MiB, for up to 8 % more time.
+_BLOCK_BYTES = 1 << 22
 
 # Work, in the bytes ``_BLOCK_BYTES`` counts, that a catalog must pass for
 # ``jobs > 1`` to start a pool.  Two BLAS-capped workers broke even with
-# serial at 40-60 MiB on 2 cores, at constructed orders 20-64 and 600.
-_FORK_BYTES = 1 << 26
+# serial at 16-22 MiB on 2 cores, on copies of a catalog of orders 10-32
+# and on G(300, 1/2) lines, at theorem 1, m = 2.
+_FORK_BYTES = 20 << 20
 
 
 @dataclass(frozen=True)
@@ -156,7 +159,7 @@ def _scan_chunk(config: ScanConfig, chunk) -> list[tuple]:
 
     Every line is decoded on its own, and ``_line_cost`` of its order skips
     it or budgets it.  The graphs that reach the solve wait in equal-order
-    blocks until their member matrices would pass ``_BLOCK_BYTES``; then
+    blocks until their Seidel matrices would pass ``_BLOCK_BYTES``; then
     every waiting block runs.  Module-level so worker processes can
     unpickle it.
     """
@@ -203,10 +206,10 @@ def _chunks(tasks, size: int):
 
 def _line_cost(config: ScanConfig, n: int) -> tuple[int, int]:
     """The one rule for a line whose graph has order n: its constructed
-    order, and the bytes a block budgets for it, the int64 Seidel matrix of
-    one member, or 0 for a line over ``max_order``, which is skipped."""
+    order, and the bytes a block budgets for it, its int64 base Seidel
+    matrix, or 0 for a line over ``max_order``, which is skipped."""
     order = config.m ** config.theorem * n
-    return order, 8 * order * order if order <= config.max_order else 0
+    return order, 8 * n * n if order <= config.max_order else 0
 
 
 def _cap_blas() -> None:

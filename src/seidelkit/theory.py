@@ -16,8 +16,8 @@ a constant of fixed sign:
 so the pair is equienergetic exactly when G has equally many positive and
 negative Seidel eigenvalues and none at zero.  ``certify`` checks that
 equivalence instance by instance, in both directions.  It solves only the
-base Seidel matrix and proves each member's closed form exactly, by one
-integer pass over its twin rows: its equitable quotient and its padding.
+base Seidel matrix; each construction's closed form is proven exactly once
+per (m, kind), on the construction of one vertex (``_kind_proven``).
 
 ``_certify_block`` runs the pipeline on a block, a stack of graphs of one
 order, with one numpy call per stage: build, solve, screen (``_hypotheses``),
@@ -259,10 +259,10 @@ class Certificate:
     ``theorem`` selects the construction pair: 1 compares blowup(G, m)
     against clique_blowup(G, m); 2 compares the two mixed double blow-ups.
     Energies and verdicts come from the closed forms.  ``closed_form_agrees``
-    means both members' equitable quotients were proven, and
+    means the equitable quotients of both members' K were proven, and
     ``exact_multiplicities_verified`` that their twin differences are
     eigenvectors for the padding values and fill the rest of the space:
-    with both, each closed form is its member's spectrum.
+    with both, each closed form is its member's spectrum (``_kind_proven``).
     ``base_residual`` is the larger relative residual of the base
     eigensolve against trace 0 and squared Frobenius norm n(n-1).
     ``theorem_violation`` is true when the energies contradict the
@@ -312,47 +312,47 @@ class Certificate:
 
 
 def _member_proven(s: np.ndarray, s_g: np.ndarray, m: int, scale: int,
-                   shift: int, padding) -> tuple[np.ndarray, np.ndarray]:
-    """(quotient proven, padding proven) arrays for the (B, N, N) stack s of
-    one member's Seidel matrices, offered as t twin steps at multiplicity m
-    on the (B, n, n) Seidel stack s_g, with closed form scale*sigma + shift
-    plus ``padding``: one (value, mult) block per step, the first step's
-    first.  s is changed during the pass and restored.
-
-    The pass walks the steps from last to first (README.md, "Proving the
-    closed forms").  Before the step from order r to m*r, row u of R is the
-    sum of the rows u + c*m*r of s.  Less value at (u, u + c*m*r), the m
-    copy groups of rows of R are equal exactly when the step's lifted twin
-    differences x = 1 (x) (e_v - e_{kr+v}) satisfy x s = value x; their sum
-    is the next R.  At the end R = P^T s for the indicator matrix P of the
-    cells i mod n, and R = Q = scale*S_G + shift*I, tiled, is s P = P Q.
-    Each x sums to zero on every cell and has a coordinate, kr + v, that no
-    other x of its step touches: with distinct values and (m-1)*n*m^i of
-    them at step i, they are independent and fill the complement of P's
-    span, so the closed form is the whole spectrum of s.
-    """
-    b, order, n = len(s), s.shape[-1], s_g.shape[-1]
+                   shift: int, padding) -> tuple[bool, bool]:
+    """(quotient proven, padding proven) for the Seidel matrix s, offered
+    as t twin steps at multiplicity m on the Seidel matrix s_g, with closed
+    form scale*sigma + shift plus ``padding``, one (value, mult) block per
+    step, the first step's first: one integer pass over the twin rows of s,
+    last step first (README.md, "Proving the closed forms").  s is changed
+    during the pass and restored."""
+    order, n = len(s), len(s_g)
     if not padding or order != n * m ** len(padding):
-        return np.zeros(b, dtype=bool), np.zeros(b, dtype=bool)
+        return False, False
     values = [value for value, _ in padding]
-    twins = np.full(b, len(set(values)) == len(values) and all(
-        mult == (m - 1) * n * m ** i for i, (_, mult) in enumerate(padding)))
+    twins = len(set(values)) == len(values) and all(
+        mult == (m - 1) * n * m ** i for i, (_, mult) in enumerate(padding))
     # R holds ``held`` subtracted at its lifted diagonal; summing the copies
     # carries it onto the next R's lifted diagonal, and onto Q at the end
     r, held = s, 0
     for i in reversed(range(len(padding))):
         size = n * m ** (i + 1)
-        lifted = np.einsum("bucu->bcu", r.reshape(b, size, -1, size))
+        lifted = np.einsum("ucu->cu", r.reshape(size, -1, size))
         lifted -= values[i] - held
         held = values[i]
-        copies = r.reshape(b, m, size // m, order)
-        twins &= (copies[:, 1:] == copies[:, :1]).all(axis=(1, 2, 3))
-        r = copies.sum(axis=1)
-    np.einsum("bii->bi", s)[...] += values[-1]
+        copies = r.reshape(m, size // m, order)
+        twins &= bool((copies[1:] == copies[:1]).all())
+        r = copies.sum(axis=0)
+    np.einsum("ii->i", s)[...] += values[-1]
     q = scale * s_g
-    np.einsum("bvv->bv", q)[...] += shift - held
-    quotient = (r.reshape(b, n, -1, n) == q[:, :, None]).all(axis=(1, 2, 3))
-    return quotient, twins
+    np.einsum("vv->v", q)[...] += shift - held
+    return bool((r.reshape(n, -1, n) == q[:, None]).all()), twins
+
+
+@cache
+def _kind_proven(m: int, kind: str) -> tuple[bool, bool]:
+    """``_member_proven`` of K = construct(K_1, m, kind) against its closed
+    form, once per (m, kind).  A construction on any G is J_M (x) A +
+    A_K (x) I_n (``graphs._twin_steps``), so this proves its closed form
+    for every G (README.md, "Proving the closed forms")."""
+    point = np.zeros((1, 1), dtype=np.int8)
+    forms = _closed_forms(np.zeros((1, 1)), m, kind)
+    return _member_proven(seidel_matrix(_twin_steps(point, m, KINDS[kind])),
+                          seidel_matrix(point), m, forms.scale, forms.shift,
+                          forms.padding)
 
 
 # the two members of pair theorem t: the construction kinds of t twin steps
@@ -394,29 +394,21 @@ def _certify_block(adj: np.ndarray, m: int, theorem: int, screen: bool = False
 
     The Seidel matrices are built and solved by one stacked call each.  With
     ``screen``, only the rows that meet the bound go on (``_hypotheses``).
-    Each member is built for them by one stacked construction and its
-    closed form proven by one integer pass over its twin rows,
-    ``_member_proven``, before the next member is built.  Energies and
-    verdicts come from the closed forms, each energy and residual a
-    ``math.fsum`` over its row.
+    No member is built: every row of a member's kind at m is proven by one
+    proof of K, ``_kind_proven``.  Energies and verdicts come from the
+    closed forms, each energy and residual a ``math.fsum`` over its row.
     """
-    s_g = seidel_matrix(adj)
-    values = sym_eigenvalues(s_g)
+    values = sym_eigenvalues(seidel_matrix(adj))
     rows, hypothesis = _hypotheses(values, m, theorem, screen)
     if screen:
         if not len(rows):
             return rows, None
-        adj, s_g, values = adj[rows], s_g[rows], values[rows]
+        adj, values = adj[rows], values[rows]
     closed = [_closed_forms(values, m, kind) for kind in _MEMBERS[theorem]]
-    agrees, proven = np.ones((2, len(adj)), dtype=bool)
+    agrees, proven = map(all, zip(*(_kind_proven(m, kind)
+                                    for kind in _MEMBERS[theorem])))
     energies = []
-    for kind, forms in zip(_MEMBERS[theorem], closed):
-        s = seidel_matrix(_twin_steps(adj, m, KINDS[kind]))
-        quotient, twins = _member_proven(s, s_g, m, forms.scale, forms.shift,
-                                         forms.padding)
-        agrees &= quotient
-        proven &= twins
-        del s, quotient, twins
+    for forms in closed:
         padding = sum(abs(value) * mult for value, mult in forms.padding)
         energies.append([math.fsum(map(abs, row)) + padding
                          for row in forms.mapped])
@@ -432,8 +424,8 @@ def _certify_block(adj: np.ndarray, m: int, theorem: int, screen: bool = False
         theorem=theorem, graph6=_graph6_lines(adj), **vars(hypothesis),
         closed_a=closed[0], closed_b=closed[1], energy_a=energies[0],
         energy_b=energies[1], energy_delta=delta, equienergetic=same,
-        cospectral=cospectral, closed_form_agrees=agrees.tolist(),
-        exact_multiplicities_verified=proven.tolist(),
+        cospectral=cospectral, closed_form_agrees=[agrees] * len(values),
+        exact_multiplicities_verified=[proven] * len(values),
         base_residual=residuals, theorem_violation=[
             ok and equal != bal for equal, ok, bal
             in zip(same, hypothesis.met, hypothesis.balanced)])

@@ -7,7 +7,11 @@ eigensolver in plain Python, an oracle independent of the package's LAPACK
 (``eigvalsh``) path, ``to_plain`` with ``json.dumps`` is the reference
 for the package's own JSON writer, and ``explicit_proofs``, a gather over
 explicit padding eigenvectors, is the reference for the package's
-one-pass proof of each member's closed form.
+one-pass proof of a closed form.  ``tile_twin_steps`` builds a
+construction one twin step at a time, the reference for the package's
+Kronecker-sum build, and ``stacked_member_proven`` proves the closed form
+of each built member of a stack, the per-graph reference for the
+package's one proof per (m, kind).
 """
 
 import dataclasses
@@ -245,6 +249,51 @@ def explicit_proofs(s, s_g, m, scale, shift, padding):
     counted = (len(vectors) == len(set(values)) == len(values)
                and sum(mult for _, mult in padding) == order - n)
     return quotient, counted & padding_eigen_ok(s, padding, vectors)
+
+
+def tile_twin_steps(adj, m, steps):
+    """Apply twin steps at multiplicity m to an int8 adjacency matrix, or to
+    each matrix of a (B, n, n) stack, one step at a time: False adds
+    independent twins, J_m (x) A, and True clique twins, J_m (x) (A + I) - I.
+    Vertex k*N + v of a step's result is copy k of vertex v of its order-N
+    input."""
+    for clique in steps:
+        order = adj.shape[-1]
+        if clique:
+            adj = (np.tile(adj + np.eye(order, dtype=np.int8), (m, m))
+                   - np.eye(m * order, dtype=np.int8))
+        else:
+            adj = np.tile(adj, (m, m))
+    return adj
+
+
+def stacked_member_proven(s, s_g, m, scale, shift, padding):
+    """(quotient proven, padding proven) arrays for the (B, N, N) stack s of
+    one member's Seidel matrices, offered as t twin steps at multiplicity m
+    on the (B, n, n) Seidel stack s_g, with closed form scale*sigma + shift
+    plus ``padding``: the package's pass (``theory._member_proven``, README
+    "Proving the closed forms") run on every built member of a stack at
+    once.  s is changed during the pass and restored."""
+    b, order, n = len(s), s.shape[-1], s_g.shape[-1]
+    if not padding or order != n * m ** len(padding):
+        return np.zeros(b, dtype=bool), np.zeros(b, dtype=bool)
+    values = [value for value, _ in padding]
+    twins = np.full(b, len(set(values)) == len(values) and all(
+        mult == (m - 1) * n * m ** i for i, (_, mult) in enumerate(padding)))
+    r, held = s, 0
+    for i in reversed(range(len(padding))):
+        size = n * m ** (i + 1)
+        lifted = np.einsum("bucu->bcu", r.reshape(b, size, -1, size))
+        lifted -= values[i] - held
+        held = values[i]
+        copies = r.reshape(b, m, size // m, order)
+        twins &= (copies[:, 1:] == copies[:, :1]).all(axis=(1, 2, 3))
+        r = copies.sum(axis=1)
+    np.einsum("bii->bi", s)[...] += values[-1]
+    q = scale * s_g
+    np.einsum("bvv->bv", q)[...] += shift - held
+    quotient = (r.reshape(b, n, -1, n) == q[:, :, None]).all(axis=(1, 2, 3))
+    return quotient, twins
 
 
 def random_simple_graph(rng, n, p=0.5):

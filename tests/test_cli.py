@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import seidelkit
-from seidelkit import (ClosedFormSpectrum, blowup, blowup_seidel_spectrum,
+from seidelkit import (ClosedFormSpectrum, Graph, blowup, blowup_seidel_spectrum,
                        certify, charpoly_exact, clique_blowup,
                        clique_blowup_seidel_spectrum, compare_spectra,
                        complement, composed_blowup_seidel_spectra, construct,
@@ -60,6 +60,32 @@ def test_charpoly(capsys):
     assert run(["charpoly", "Bo"]) == 0
     out, _ = _out(capsys)
     assert out == "x^3 - 3x - 2"
+
+
+def test_charpoly_refuses_an_order_over_the_cap(capsys, monkeypatch):
+    # refused before the first big-integer product, with one message, as
+    # text or JSON; one long line would otherwise stall the command
+    def unreachable(a, b):
+        raise AssertionError("a product was computed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_int_matmul", unreachable)
+        line = graph_to_graph6(Graph(np.zeros((61, 61), dtype=np.int8)))
+        for json_flag in ([], ["--json"]):
+            assert run(["charpoly", line, *json_flag]) == 2
+            assert _out(capsys) == ("", "seidelkit: characteristic "
+                                        "polynomial order 61 exceeds exact "
+                                        "cap 60")
+    # at the cap it runs: K_60's Seidel matrix I - J has charpoly
+    # (x - 1)^59 (x + 59)
+    k60 = graph_to_graph6(Graph(np.ones((60, 60), dtype=np.int8)
+                                - np.eye(60, dtype=np.int8)))
+    assert run(["charpoly", k60, "--json"]) == 0
+    coefficients = [1]
+    for root in [1] * 59 + [-59]:
+        coefficients = [a - root * b for a, b
+                        in zip(coefficients + [0], [0] + coefficients)]
+    assert json.loads(_out(capsys)[0]) == {"coefficients": coefficients}
 
 
 def test_complement_roundtrip(capsys):

@@ -165,5 +165,5 @@ def test_the_line_budget_has_no_second_copy():
     # ``search._line_cost`` is the one rule for a line's budget bytes, which
     # the blocks and the ``--jobs`` pre-pass both read; a second copy could
     # count a line the other skips
-    sites = _sites("8 * order * order")
+    sites = _sites("8 * n * n")
     assert len(sites) <= 1, sites

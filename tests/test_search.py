@@ -152,8 +152,8 @@ def test_scan_starts_no_more_workers_than_cpus_or_lines(monkeypatch):
                                           jobs=jobs)) == serial
     assert started == []
 
-    # "A_" and "Bw" alone, 128 + 288 bytes, pass it; "junk" counts nothing
-    monkeypatch.setattr(search, "_FORK_BYTES", 256)
+    # "A_" and "Bw" alone, 32 + 72 bytes, pass it; "junk" counts nothing
+    monkeypatch.setattr(search, "_FORK_BYTES", 64)
     assert report_to_json(scan_stream(lines, ScanConfig(m=2))) == serial
     report = scan_stream(lines, ScanConfig(m=2), jobs=100_000)
     assert report_to_json(report) == serial
@@ -214,7 +214,7 @@ def test_line_cost_reads_the_order_of_a_valid_line(line, pair):
     assert search._graph6_header(line)[0] == n  # the pre-pass's read
     config = ScanConfig(m=m, theorem=theorem, max_order=DEFAULT_MAX_DIM)
     order = m ** theorem * n
-    assert search._line_cost(config, n) == (order, 8 * order * order)
+    assert search._line_cost(config, n) == (order, 8 * n * n)
     # over max_order the line is skipped, and costs nothing
     assert search._line_cost(ScanConfig(m=m, theorem=theorem,
                                         max_order=order - 1), n) == (order, 0)
@@ -244,7 +244,7 @@ def test_line_cost_never_raises(line):
     except Graph6Error:
         assert cost == 0
     else:
-        assert cost == 8 * (2 * g.n) ** 2
+        assert cost == 8 * g.n ** 2
 
 
 class _Forked(Exception):
@@ -281,14 +281,15 @@ def _forks(config: ScanConfig, text, fork_bytes: int) -> bool:
 @example(b"Bx", (1, 2), DEFAULT_MAX_DIM)  # nonzero padding bits
 def test_fork_pre_pass_counts_a_line_exactly_when_the_scan_builds_it(
         line, pair, max_order):
-    # the member bytes of a line that decodes within max_order, else none
+    # the base matrix bytes of a line that decodes within max_order, else
+    # none
     text = line.strip()
     assume(text)  # a blank line is not scanned
     theorem, m = pair
     config = ScanConfig(m=m, theorem=theorem, max_order=max_order)
     try:
-        order = m ** theorem * graph_from_graph6(text).n
-        cost = 8 * order * order if order <= max_order else 0
+        n = graph_from_graph6(text).n
+        cost = 8 * n * n if m ** theorem * n <= max_order else 0
     except Graph6Error:
         cost = 0
     assert _forks(config, text, 2 * cost - 1)
@@ -593,13 +594,12 @@ def test_blocks_report_as_one_line_at_a_time(catalog_lines, monkeypatch,
 
     def recording(adj, m, theorem, **kwargs):
         assert kwargs == {"screen": True}
-        order = config.m ** config.theorem * adj.shape[-1]
-        sizes.append((len(adj), 8 * order ** 2 * len(adj)))
+        sizes.append((len(adj), 8 * adj.shape[-1] ** 2 * len(adj)))
         return certify_block(adj, m, theorem, **kwargs)
 
     monkeypatch.setattr(search, "_certify_block", recording)
     # one line per block; then mixed blocks, at most three n = 6 lines
-    for budget, chunk in ((1, 4096), (3 * 8 * config.max_order ** 2, 7)):
+    for budget, chunk in ((1, 4096), (3 * 8 * 6 ** 2, 7)):
         monkeypatch.setattr(search, "_BLOCK_BYTES", budget)
         monkeypatch.setattr(search, "_CHUNK_LINES", chunk)
         sizes.clear()

@@ -16,14 +16,15 @@ from seidelkit import (KINDS, ClosedFormSpectrum, Graph, ScanConfig, blowup,
                        composed_blowup_seidel_spectra, construct,
                        hypothesis_from_spectrum, scan_stream, seidel_matrix,
                        seidel_spectrum, spectrum_from_values, to_json)
-from seidelkit import graph_from_graph6, spectral, theory
+from seidelkit import graph_from_graph6, graphs, spectral, theory
 from seidelkit.cli import run
 from seidelkit.spectral import ZERO_TOL, integer_root_multiplicity
 from seidelkit.theory import _closed_forms, _member_proven
 from conftest import (CERTIFICATE_KEYS, cells_balanced, check_json_object,
                       explicit_proofs, from_nx, jacobi_desc, jacobi_member,
                       padding_eigen_ok, padding_eigenvectors, poly_mul,
-                      private_vectors, random_simple_graph)
+                      private_vectors, random_simple_graph,
+                      stacked_member_proven, tile_twin_steps)
 
 
 # -- closed-form spectra -------------------------------------------------------
@@ -398,25 +399,28 @@ def test_certificate_padding_multiplicities_hold_exactly():
 
 # -- the proof of each member's closed form: one twin-row pass ----------------
 
-def _member_args(g, m, kind, count=1):
-    """(S_G stack, scale, shift, padding) of construct(g, m, kind), for a
-    stack of ``count`` offered matrices."""
+def _member_args(g, m, kind):
+    """(S_G, scale, shift, padding) of construct(g, m, kind)."""
     forms = _closed_forms(np.array([seidel_spectrum(g).values]), m, kind)
-    s_g = np.repeat(seidel_matrix(g)[None], count, axis=0)
-    return s_g, forms.scale, forms.shift, forms.padding
+    return seidel_matrix(g), forms.scale, forms.shift, forms.padding
 
 
 def _proofs(s, g, m, kind):
     """(quotient proven, padding proven) arrays for a stack s of Seidel
-    matrices, each offered as construct(g, m, kind); s is left as it was,
-    and the explicit-vector oracle gives the same verdicts."""
-    s_g, scale, shift, padding = _member_args(g, m, kind, len(s))
+    matrices, each offered as construct(g, m, kind), by the package's pass
+    on each matrix; s is left as it was, and the stacked pass and the
+    explicit-vector oracle give the same verdicts."""
+    s_g, scale, shift, padding = _member_args(g, m, kind)
     before = s.copy()
-    verdicts = _member_proven(s, s_g, m, scale, shift, padding)
+    verdicts = np.array([_member_proven(one, s_g, m, scale, shift, padding)
+                         for one in s]).T
     assert np.array_equal(s, before)
-    for ours, oracle in zip(verdicts,
-                            explicit_proofs(s, s_g, m, scale, shift, padding)):
-        assert np.array_equal(ours, oracle)
+    stack = np.repeat(s_g[None], len(s), axis=0)
+    for oracle in (stacked_member_proven, explicit_proofs):
+        for ours, theirs in zip(verdicts,
+                                oracle(s, stack, m, scale, shift, padding)):
+            assert np.array_equal(ours, theirs)
+        assert np.array_equal(s, before)
     return verdicts
 
 
@@ -440,7 +444,7 @@ def test_exact_padding_check_agrees_with_charpoly(catalog_graphs, power, m):
             # every block is a root of at least its multiplicity, and the
             # proof's factorisation holds exactly: charpoly(Q) times each
             # block's (x - value)^mult
-            expected = list(charpoly_exact(scale * s_g[0]
+            expected = list(charpoly_exact(scale * s_g
                                            + shift * np.eye(g.n, dtype=int))
                             .coefficients)
             for value, mult in padding:
@@ -494,8 +498,7 @@ def test_exact_padding_check_needs_enough_independent_vectors(power):
             # the pass asks each block for exactly its step's count
             for wrong in (mult - 1, mult + 1):
                 changed = padding[:i] + ((value, wrong),) + padding[i + 1:]
-                assert not _member_proven(s[None], s_g, m, scale, shift,
-                                          changed)[1][0]
+                assert not _member_proven(s, s_g, m, scale, shift, changed)[1]
 
 
 @pytest.mark.parametrize("kind", list(KINDS))
@@ -515,7 +518,7 @@ def test_member_proof_holds_and_breaks_under_mutation(kind):
     # a wrong shift breaks the quotient
     s_g, scale, shift, padding = _member_args(g, m, kind)
     for wrong in (shift - 1, shift + 1, -shift):
-        assert not _member_proven(s[None], s_g, m, scale, wrong, padding)[0][0]
+        assert not _member_proven(s, s_g, m, scale, wrong, padding)[0]
 
     # a permuted vertex layout breaks the proof: vertex-major copies
     # (np.kron(X, J_m)) instead of copy-major ones, and a random relabelling
@@ -549,11 +552,11 @@ def test_padding_vector_off_the_cells_breaks_the_proof():
 
 def test_padding_proof_needs_the_full_count():
     g, m = from_nx(nx.cycle_graph(5)), 3
-    s = seidel_matrix(construct(g, m, "t2-left"))[None]
+    s = seidel_matrix(construct(g, m, "t2-left"))
     s_g, scale, shift, padding = _member_args(g, m, "t2-left")
 
     def padding_proven(blocks):
-        return _member_proven(s, s_g, m, scale, shift, blocks)[1][0]
+        return _member_proven(s, s_g, m, scale, shift, blocks)[1]
 
     assert padding_proven(padding)
     # one block fewer, blocks out of step order, a repeated value, or a
@@ -565,15 +568,17 @@ def test_padding_proof_needs_the_full_count():
     assert not padding_proven(((value, mult - 1), (other, rest)))
     assert not padding_proven(((value, mult - 1), (other, rest + 1)))
     # a missing block leaves the quotient proven on its own
-    assert _member_proven(s, s_g, m, scale, shift, padding)[0][0]
+    assert _member_proven(s, s_g, m, scale, shift, padding)[0]
 
     # in value*I + tile(S_G) every twin difference is an eigenvector for
     # value, so only the distinct-value check refuses two blocks of it
-    order, value = len(s[0]), 1
-    flat = value * np.eye(order, dtype=np.int64) + np.tile(s_g[0], (9, 9))
+    order, value = len(s), 1
+    flat = value * np.eye(order, dtype=np.int64) + np.tile(s_g, (9, 9))
     blocks = ((value, mult), (value, rest))
-    for proof in (_member_proven, explicit_proofs):
-        quotient, twins = proof(flat[None], s_g, m, order // g.n, value,
+    assert _member_proven(flat, s_g, m, order // g.n, value, blocks) == (
+        True, False)
+    for proof in (stacked_member_proven, explicit_proofs):
+        quotient, twins = proof(flat[None], s_g[None], m, order // g.n, value,
                                 blocks)
         assert quotient[0] and not twins[0]
 
@@ -614,41 +619,110 @@ def test_member_pass_matches_explicit_vector_oracle(n, m, kind, mutation,
     elif mutation == "shift":
         shift += data.draw(st.sampled_from([-1, 1]))
     before = s.copy()
-    ours = _member_proven(s[None], s_g, m, scale, shift, padding)
+    ours = _member_proven(s, s_g, m, scale, shift, padding)
     assert np.array_equal(s, before)
-    oracle = explicit_proofs(s[None], s_g, m, scale, shift, padding)
-    assert [bool(v[0]) for v in ours] == [bool(v[0]) for v in oracle]
+    for proof in (stacked_member_proven, explicit_proofs):
+        oracle = proof(s[None], s_g[None], m, scale, shift, padding)
+        assert list(ours) == [bool(v[0]) for v in oracle]
     if mutation == "none":
-        assert [bool(v[0]) for v in ours] == [True, True]
+        assert ours == (True, True)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(n=st.integers(1, 9), m=st.sampled_from([2, 3, 4]),
+       kind=st.sampled_from(list(KINDS)), data=st.data())
+def test_kronecker_build_is_the_tile_build_and_its_proof_covers_each_graph(
+        n, m, kind, data):
+    bits = data.draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                              max_size=n * (n - 1) // 2))
+    adj = np.zeros((n, n), dtype=np.int8)
+    adj[np.triu_indices(n, 1)] = bits
+    g = Graph(adj | adj.T)
+    member = construct(g, m, kind)
+    assert np.array_equal(member.adj, tile_twin_steps(g.adj, m, KINDS[kind]))
+    # S_member = J_M (x) S_G + S_K (x) I_n, with K the one-vertex graph's
+    k = seidel_matrix(construct(Graph(np.zeros((1, 1))), m, kind))
+    s = seidel_matrix(member)
+    assert np.array_equal(s, np.kron(np.ones_like(k), seidel_matrix(g))
+                          + np.kron(k, np.eye(n, dtype=np.int64)))
+    # the per-graph proof of the built member holds where the one proof of
+    # its (m, kind) does, and that proof holds
+    s_g, scale, shift, padding = _member_args(g, m, kind)
+    verdicts = stacked_member_proven(s[None], s_g[None], m, scale, shift,
+                                     padding)
+    assert theory._kind_proven(m, kind) == (True, True)
+    assert [bool(v[0]) for v in verdicts] == [True, True]
+
+
+@pytest.fixture
+def kind_proofs(monkeypatch):
+    """``theory._kind_proven`` with its cache cleared before and after."""
+    theory._kind_proven.cache_clear()
+    yield theory._kind_proven
+    monkeypatch.undo()
+    theory._kind_proven.cache_clear()
 
 
 @pytest.mark.parametrize("theorem", [1, 2])
-def test_corrupted_member_fails_only_its_row_of_the_block(
-        catalog_graphs, monkeypatch, theorem):
-    graphs = [g for g in catalog_graphs if g.n == 5][:6]
-    adj = np.stack([g.adj for g in graphs])
+@pytest.mark.parametrize("corrupt", ["k_matrix", "k_proof"])
+def test_corrupted_construction_fails_every_row_of_the_block(
+        catalog_graphs, monkeypatch, kind_proofs, theorem, corrupt):
+    fives = [g for g in catalog_graphs if g.n == 5][:6]
+    adj = np.stack([g.adj for g in fives])
     rows, block = theory._certify_block(adj, 2, theorem)
-    assert rows.tolist() == list(range(len(graphs)))
-    clean = [block.certificate(k) for k in range(len(graphs))]
-    assert clean == [certify(g, 2, theorem) for g in graphs]
+    assert rows.tolist() == list(range(len(fives)))
+    clean = [block.certificate(k) for k in range(len(fives))]
+    assert clean == [certify(g, 2, theorem) for g in fives]
     assert all(c.closed_form_agrees and c.exact_multiplicities_verified
                for c in clean)
 
-    twin_steps = theory._twin_steps
+    kind_proofs.cache_clear()
+    if corrupt == "k_matrix":
+        twin_steps = theory._twin_steps
 
-    def corrupt_row_3(a, *args):
-        members = twin_steps(a, *args).copy()
-        members[3, 0, 1] ^= 1  # one flipped edge, in row 3 only
-        members[3, 1, 0] ^= 1
-        return members
+        def corrupt_k(a, *args):
+            k = twin_steps(a, *args).copy()
+            k[0, 1] ^= 1  # one flipped edge of K
+            k[1, 0] ^= 1
+            return k
 
-    monkeypatch.setattr(theory, "_twin_steps", corrupt_row_3)
+        monkeypatch.setattr(theory, "_twin_steps", corrupt_k)
+    else:
+        member_proven = theory._member_proven
+
+        def corrupt_proof(s, *args):
+            s = s.copy()
+            s[0, 1] = s[1, 0] = -s[0, 1]
+            return member_proven(s, *args)
+
+        monkeypatch.setattr(theory, "_member_proven", corrupt_proof)
     _, corrupt = theory._certify_block(adj, 2, theorem)
-    expected = [k != 3 for k in range(len(graphs))]
-    assert corrupt.closed_form_agrees == expected
-    assert corrupt.exact_multiplicities_verified == expected
+    assert corrupt.closed_form_agrees == [False] * len(fives)
+    assert corrupt.exact_multiplicities_verified == [False] * len(fives)
     assert corrupt.energy_a == block.energy_a
     assert corrupt.equienergetic == block.equienergetic
+
+
+def test_no_member_is_built(catalog_lines, monkeypatch, kind_proofs):
+    built = []
+
+    def recording(adj, m, steps):
+        built.append((adj.shape, m, tuple(steps)))
+        return twin_steps(adj, m, steps)
+
+    twin_steps = graphs._twin_steps
+    for module in (graphs, theory):
+        monkeypatch.setattr(module, "_twin_steps", recording)
+    for theorem, m in ((1, 2), (2, 2), (1, 3)):
+        report = scan_stream(catalog_lines, ScanConfig(m=m, theorem=theorem))
+        assert report.totals["certified"]
+        certify(from_nx(nx.path_graph(4)), m, theorem)
+    cert = certify(from_nx(nx.path_graph(4)), 3, 2)
+    assert cert.closed_form_agrees and cert.exact_multiplicities_verified
+    # K alone, at n = 1, once per (m, kind): no graph or stack of graphs
+    assert built == [((1, 1), m, KINDS[kind])
+                     for theorem, m in ((1, 2), (2, 2), (1, 3), (2, 3))
+                     for kind in theory._MEMBERS[theorem]]
 
 
 @pytest.mark.parametrize("theorem", [1, 2])
