@@ -336,12 +336,22 @@ _LEAVES = {str: _quote, int: int.__repr__, float: float.__repr__,
 def _column(values, nl: str) -> list[str]:
     """Each of ``values`` rendered under ``nl``: leaves of one type, finite
     if floats, by one ``map``, and instances of one dataclass as a record
-    of their columns, by ``_template``."""
+    of their columns, by ``_template``.  A float column formats each
+    distinct value once, for this call only, and reuses its text for every
+    repeat: report columns repeat a few spectra and energies many times."""
     kinds = set(map(type, values))
     cls = kinds.pop() if len(kinds) == 1 else None
     leaf = _LEAVES.get(cls)
-    if leaf is not None and (leaf is not float.__repr__
-                             or all(map(math.isfinite, values))):
+    if cls is float:
+        distinct = set(values)
+        if not all(map(math.isfinite, distinct)):
+            leaf = None
+        elif len(distinct) < len(values):
+            texts = dict(zip(distinct, map(float.__repr__, distinct)))
+            if 0.0 in texts:  # the one key of 0.0 and -0.0: zeros by value
+                return [texts[v] if v else repr(v) for v in values]
+            leaf = texts.__getitem__
+    if leaf is not None:
         return list(map(leaf, values))
     if is_dataclass(cls):
         template, texts = _template(cls, SimpleNamespace(**{

@@ -60,15 +60,16 @@ class ConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def seidel_matrix(g: Graph | np.ndarray) -> np.ndarray:
-    """Seidel matrix J - I - 2A of a graph, as int64; given an adjacency
-    array, of it or of each matrix of its (B, n, n) stack.
+def seidel_matrix(g: Graph | np.ndarray, dtype=np.int64) -> np.ndarray:
+    """Seidel matrix J - I - 2A of a graph, as int64 unless ``dtype`` is
+    given; given an adjacency array, of it or of each matrix of its
+    (B, n, n) stack.
 
     Zero diagonal; -1 for adjacent pairs, +1 for non-adjacent pairs.
-    Built in one int64 buffer: 1 - 2A, then the diagonal zeroed.
+    Built in one buffer: 1 - 2A, then the diagonal zeroed.
     """
     adj = g.adj if isinstance(g, Graph) else g
-    s = adj.astype(np.int64)
+    s = adj.astype(dtype)
     s *= -2
     s += 1
     np.einsum("...ii->...i", s)[...] = 0

@@ -347,12 +347,14 @@ def _kind_proven(m: int, kind: str) -> tuple[bool, bool]:
     """``_member_proven`` of K = construct(K_1, m, kind) against its closed
     form, once per (m, kind).  A construction on any G is J_M (x) A +
     A_K (x) I_n (``graphs._twin_steps``), so this proves its closed form
-    for every G (README.md, "Proving the closed forms")."""
+    for every G (README.md, "Proving the closed forms").  S_K is int8:
+    its entries are +-1, the pass shifts its diagonal only by the last
+    step's padding value, +-1, and numpy sums int8 copies in int64."""
     point = np.zeros((1, 1), dtype=np.int8)
     forms = _closed_forms(np.zeros((1, 1)), m, kind)
-    return _member_proven(seidel_matrix(_twin_steps(point, m, KINDS[kind])),
-                          seidel_matrix(point), m, forms.scale, forms.shift,
-                          forms.padding)
+    return _member_proven(
+        seidel_matrix(_twin_steps(point, m, KINDS[kind]), np.int8),
+        seidel_matrix(point), m, forms.scale, forms.shift, forms.padding)
 
 
 # the two members of pair theorem t: the construction kinds of t twin steps

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from hypothesis import assume, example, given, settings, strategies as st
+from networkx.generators.atlas import graph_atlas_g
 
 from seidelkit import (DEFAULT_MAX_DIM, Graph, Graph6Error, ScanConfig,
                        certify, graph_from_graph6, graph_to_graph6,
@@ -24,8 +25,8 @@ from seidelkit.cli import run
 from seidelkit.search import report_to_csv, report_to_text
 from conftest import (CONFIG_KEYS, ENTRY_KEYS, FAILURE_KEYS, POOL,
                       REPORT_KEYS, SKIP_KEYS, TOTALS_KEYS, check_json_object,
-                      jacobi_desc, jacobi_member, plain_entry, reference_json,
-                      seidel_of)
+                      from_nx, jacobi_desc, jacobi_member, plain_entry,
+                      reference_json, seidel_of)
 
 
 def test_config_validation():
@@ -483,6 +484,49 @@ def test_to_json_refuses_what_json_refuses_and_non_str_keys():
         to_json(_Triple(0, 1, {"x": {2: 3}}))
 
 
+# long float columns from a few values, so that values repeat: 0.0 beside
+# -0.0, NaN as one shared object and as objects apart, infinities, and
+# values of other types that hash and compare equal to a float (1, True)
+_REPEATED = [0.0, -0.0, 1.0, 0.1, 4.999999999999999, -2.5, 1e16, 5e-324]
+_MERGED = [math.nan, math.inf, -math.inf, np.float64(0.1), np.float64(-0.0),
+           np.float64(1.0), 1, True, False, 0]
+
+
+@st.composite
+def _repeating_columns(draw):
+    pool = draw(st.lists(st.one_of(st.sampled_from(_REPEATED), st.floats()),
+                         min_size=1, max_size=6))
+    pool += draw(st.lists(st.sampled_from(_MERGED), max_size=2))
+    values = st.sampled_from(pool)
+    if draw(st.booleans()):  # a new NaN object each time
+        values = st.one_of(values, st.builds(float, st.just("nan")))
+    return draw(st.lists(values, max_size=300))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_repeating_columns(), _repeating_columns())
+@example([1.0, 1, True, np.float64(1.0)] * 3, [0.0, -0.0, 0.0, 0.5, 0.5])
+@example([-0.0] * 3 + [0.5] * 2, [math.nan] * 3 + [float("nan")] * 2)
+def test_repeated_floats_render_as_each_value_alone(first, values):
+    rows = [_Pair(v, [v, w]) for v, w in zip(values, reversed(values))]
+    for obj in (first, values, tuple(values), rows, tuple(rows)):
+        # no text carries over from the column rendered before
+        assert to_json(obj) == reference_json(obj)
+
+
+def test_a_report_renders_alone_after_another():
+    zeros = [_Pair(0.0, [0.0, 1.0])] * 3, [_Pair(-0.0, [-0.0, 1])] * 3
+    for before, after in (zeros, zeros[::-1]):
+        to_json(before)
+        assert to_json(after) == reference_json(after)
+    first, second = (scan_stream(lines, ScanConfig(m=2, theorem=theorem))
+                     for theorem, lines in ((1, ["A_", "Bw", "C~"]),
+                                            (2, ["Bw", "C^", "C~"])))
+    alone = report_to_json(second)
+    report_to_json(first)
+    assert report_to_json(second) == alone == reference_json(second) + "\n"
+
+
 # digests of the canonical reports on the n <= 6 atlas and three bad lines
 _GOLDEN_REPORTS = {
     (1, 2): "feeb98cba2a392074febdbf48412867094b60364764e9778c4e5f7b1352ee4db",
@@ -499,6 +543,19 @@ def test_report_json_is_byte_for_byte_pinned(catalog_lines, theorem, m):
     assert text == reference_json(report) + "\n"
     assert (hashlib.sha256(text.encode()).hexdigest()
             == _GOLDEN_REPORTS[theorem, m])
+
+
+def test_report_json_of_the_whole_atlas_is_pinned():
+    # the 1252 graphs with 1 <= n <= 7 at theorem 1, m = 2: 650 of its 821
+    # certificates are at n = 7
+    lines = [graph_to_graph6(from_nx(g)) for g in graph_atlas_g()
+             if g.number_of_nodes() >= 1]
+    report = scan_stream(lines, ScanConfig(m=2, theorem=1))
+    assert len(lines) == 1252 and len(report.certificates) == 821
+    text = report_to_json(report)
+    assert text == reference_json(report) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d475403d314f5fde9ffb34d9b7ed3be44636a100b375a7c5261468ab109dec5c")
 
 
 # digests of the CSV and text reports on the same lines

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -661,6 +662,20 @@ def kind_proofs(monkeypatch):
     yield theory._kind_proven
     monkeypatch.undo()
     theory._kind_proven.cache_clear()
+
+
+def test_kind_proof_builds_k_in_int8(kind_proofs):
+    # K at M = 2000 as int64 alone is 30.5 MiB; int8 peaked at 7.6 MiB
+    tracemalloc.start()
+    try:
+        assert kind_proofs(2000, "dm") == (True, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 << 20
+    k = graphs._twin_steps(np.zeros((1, 1), dtype=np.int8), 3, KINDS["t2-left"])
+    assert np.array_equal(seidel_matrix(k, np.int8), seidel_matrix(k))
+    assert seidel_matrix(k).dtype == np.int64
 
 
 @pytest.mark.parametrize("theorem", [1, 2])
