@@ -25,5 +25,5 @@ from .theory import (ENERGY_TOL, Certificate, CertificateBlock,
                      clique_blowup_seidel_spectrum, compare_spectra,
                      composed_blowup_seidel_spectra, hypothesis_from_spectrum)
 from .search import (NUMERIC_MAX_ORDER, PairReport, ScanConfig, ScanEntry,
-                     ScanFailure, ScanSkip, report_to_json, scan_stream,
-                     to_json, write_report)
+                     ScanFailure, ScanSkip, scan_stream, to_json,
+                     write_report)

@@ -227,9 +227,7 @@ def _cmd_scan(args) -> int:
     else:
         with open(args.input, "rb") as fh:
             report = scan_stream(fh, config, jobs=args.jobs)
-    text = write_report(report, format=args.format, destination=args.out)
-    if args.out is None:
-        sys.stdout.write(text)
+    write_report(report, format=args.format, destination=args.out)
     return 3 if report.has_violations else 0
 
 

@@ -1,37 +1,29 @@
 """Bulk scanning of graph6 catalogs for certified equienergetic blow-up pairs.
 
-``scan_stream`` consumes graph6 lines, evaluates the eigenvalue-magnitude
-hypothesis on each graph, and certifies every graph that clears the bound:
-balanced instances are expected to yield equienergetic pairs ("certified"),
-unbalanced ones to yield non-equienergetic pairs ("refuted").  Per-line
-parse failures and dimension-cap skips are recorded, never fatal.
+``scan_stream`` decodes each graph6 line, tests the eigenvalue-magnitude
+hypothesis, and certifies every graph that meets the bound: "certified" if
+balanced (an equienergetic pair is expected), else "refuted".  Parse
+failures and lines over ``max_order`` are recorded, never fatal.
 
-Lines are read in chunks.  Each line of a chunk is decoded on its own, and
-the graphs that reach the solve are grouped by order into blocks, capped
-together at ``_BLOCK_BYTES`` of base Seidel matrices.  Each block is one
-``theory._certify_block``: one stacked Seidel build and eigensolve call, a
-screen against the bound, and a hypothesis report and closed forms for the
-lines that meet it only; no member is built, each construction's closed
-form is proven once per (m, kind).
-``--jobs`` workers, on one BLAS thread each, take whole chunks once the
-lines that decode add up to more than ``_FORK_BYTES`` of that work; the
-pool's modules load only then, so a scan below it never imports them.
-Output ordering follows input line numbers, so a scan is deterministic
-regardless of the chunk, block and worker counts.  The certificates stay
-their blocks' columns, ``theory.CertificateBlock``, with no object per row;
-the JSON rendering is canonical (``to_json``) and byte-identical across all.
+Lines are certified in chunks of equal-order blocks (``_scan_chunk``), in
+worker processes once a catalog passes ``_FORK_BYTES`` of work at
+``jobs > 1`` (``scan_stream``).  The certificates stay their blocks'
+columns (``theory.CertificateBlock``), and ``write_report`` writes the
+report in pieces, never the whole text.  Output follows input line order,
+and the JSON (``to_json``) is byte-identical whatever the chunk, block and
+worker counts.
 
 Accounting invariant, enforced by construction:
 
     scanned == certified + refuted + hypothesis_failed + parse_failed + skipped
 """
 
-import io
 import json
 import math
 import os
+import sys
 from collections import Counter, defaultdict
-from contextlib import suppress
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, is_dataclass
 from functools import cache, partial
 from itertools import chain, islice
@@ -54,7 +46,6 @@ __all__ = [
     "PairReport",
     "scan_stream",
     "write_report",
-    "report_to_json",
     "to_json",
 ]
 
@@ -246,7 +237,9 @@ def scan_stream(lines, config: ScanConfig, jobs: int = 1) -> PairReport:
         # every worker starts up front: no more than can be kept busy, and
         # none for less work than pays for starting them
         jobs = min(jobs, len(tasks), os.cpu_count() or 1)
-        work = 0
+        # no line costs more than one of the largest order max_order allows
+        top = _line_cost(config, config.max_order // config.m ** config.theorem)
+        work, jobs = 0, jobs if len(tasks) * top[1] > _FORK_BYTES else 1
         for _, text in tasks if jobs > 1 else ():
             with suppress(Graph6Error):  # a line that fails costs nothing
                 work += _line_cost(config, _graph6_header(text)[0])[1]
@@ -302,8 +295,7 @@ def to_json(obj) -> str:
     must be strings; a value that ``json`` refuses raises ``TypeError``.
 
     A :class:`PairReport` renders each of its certificates as an object of
-    its ``certificate``, ``kind`` and ``line``, and the certificates of one
-    block at once, by column (``_template``).
+    its ``certificate``, ``kind`` and ``line``, in the pieces of ``_report``.
     """
     return _render(obj, "\n")
 
@@ -317,7 +309,7 @@ def _render(obj, nl: str) -> str:
     if isinstance(obj, (tuple, list)):
         return _bracket(_column(obj, nl + "  "), nl)
     if type(obj) is PairReport:
-        return _report(obj, nl)
+        return "".join(_report(obj, nl))
     if is_dataclass(obj) and not isinstance(obj, type):
         return _template(type(obj), obj, nl)[0] % ()
     if isinstance(obj, dict):
@@ -413,32 +405,28 @@ def _template(cls, columns, nl: str) -> tuple[str, list[list[str]]]:
     return template % tuple(slots), texts
 
 
-def _report(report: PairReport, nl: str) -> str:
-    """``report`` as a dataclass renders, its certificates from their blocks."""
+def _report(report: PairReport, nl: str):
+    """``report`` as a dataclass renders, in pieces: the text up to its
+    certificates, each entry with the separator before it, and the rest.
+    A block's rows are rendered, by column, at its first entry and dropped
+    after its last: a writer holds the rows of one chunk's blocks at most."""
     template, pairs = _layout(PairReport, nl)
     inner, deeper = nl + "  ", nl + "    "
-    # the pieces of the certificates array, joined once: each entry's
-    # layout with its certificate, kind and line in its slots
-    head, kind, line, tail = _layout(("certificate", "kind", "line"),
-                                     deeper)[0].split("%s")
-    certificates, pieces = {}, ["["]  # each block's, rendered at once, by id
+    first, rest = template.split("%s", 1)  # "certificates" sorts first
+    entry = _layout(("certificate", "kind", "line"), deeper)[0]
+    yield first + "["
+    blocks, sep = {}, deeper  # each open block's template and rows, by id
     for e in report.certificates:
-        if id(e.block) not in certificates:
+        if id(e.block) not in blocks:
             cert, columns = _template(Certificate, e.block, deeper + "  ")
-            certificates[id(e.block)] = [cert % row for row in zip(*columns)]
-        pieces += (deeper, head, certificates[id(e.block)][e.row], kind,
-                   _quote(e.kind), line, str(e.line), tail, ",")
-    pieces[-1] = inner + "]" if len(pieces) > 1 else "[]"
-    entries = "".join(pieces)
-    del certificates, pieces  # freed before the report copies the array
-    return template % tuple(
-        entries if name == "certificates"
-        else _render(getattr(report, name), inner) for name, _ in pairs)
-
-
-def report_to_json(report: PairReport) -> str:
-    """Canonical JSON rendering (sorted keys, fixed layout, trailing newline)."""
-    return to_json(report) + "\n"
+            blocks[id(e.block)] = cert, list(zip(*columns))
+        cert, rows = blocks[id(e.block)]
+        if e.row == len(rows) - 1:
+            del blocks[id(e.block)]
+        yield sep + entry % (cert % rows[e.row], _quote(e.kind), e.line)
+        sep = "," + deeper
+    yield (inner if report.certificates else "") + "]" + rest % tuple(
+        _render(getattr(report, name), inner) for name, _ in pairs[1:])
 
 
 _CSV_FIELDS = [
@@ -452,61 +440,72 @@ _CSV_FIELDS = [
 _sig = "{:.12g}".format
 
 
-def report_to_csv(report: PairReport) -> str:
+def _csv(report: PairReport):
     import csv  # a fresh process imports it for a CSV report only
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_FIELDS)
+    # writerow returns what write returns: here the row's text
+    writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+    yield writer.writerow(_CSV_FIELDS)
     for e in report.certificates:
         # each field from its block's column at the entry's row
         values = [getattr(e.block, name.removeprefix("hypothesis_"))
                   for name in _CSV_FIELDS[2:]]
         values = [v[e.row] if type(v) is list else v for v in values]
-        writer.writerow([e.line, e.kind, *(_sig(v) if type(v) is float else v
-                                           for v in values)])
-    return buf.getvalue()
+        yield writer.writerow([e.line, e.kind, *(
+            _sig(v) if type(v) is float else v for v in values)])
+
+
+def _text(report: PairReport):
+    t, cfg = report.totals, report.config
+    yield (f"scan: pair construction {cfg.theorem}, m={cfg.m}, "
+           f"max_order={cfg.max_order}\n"
+           f"scanned={t['scanned']} certified={t['certified']} "
+           f"refuted={t['refuted']} hypothesis_failed={t['hypothesis_failed']} "
+           f"parse_failed={t['parse_failed']} skipped={t['skipped']}\n"
+           f"hypothesis_satisfied={t['hypothesis_satisfied']} "
+           f"boundary_flagged={t['boundary_flagged']} "
+           f"violations={t['violations']}\n")
+    for e in report.certificates:
+        b, k = e.block, e.row
+        yield (f"line {e.line}: {b.graph6[k]} [{e.kind}] "
+               f"SE_a={_sig(b.energy_a[k])} SE_b={_sig(b.energy_b[k])} "
+               f"equienergetic={b.equienergetic[k]} cospectral={b.cospectral[k]}"
+               + (" VIOLATION\n" if b.theorem_violation[k] else "\n"))
+    for failure in report.failures:
+        yield f"line {failure.line}: parse error: {failure.error}\n"
+    for skip in report.skipped:
+        yield f"line {skip.line}: skipped ({skip.reason}: {skip.order})\n"
+
+
+# the pieces of a report's text in each format, in order: JSON is the
+# canonical form, CSV carries one certificate summary per row, and text is
+# human-readable
+_FORMATS = {"json": lambda report: chain(_report(report, "\n"), ["\n"]),
+            "csv": _csv, "text": _text}
+
+
+def report_to_json(report: PairReport) -> str:
+    """Canonical JSON rendering (sorted keys, fixed layout, trailing newline)."""
+    return "".join(_FORMATS["json"](report))
+
+
+def report_to_csv(report: PairReport) -> str:
+    return "".join(_csv(report))
 
 
 def report_to_text(report: PairReport) -> str:
-    t = report.totals
-    cfg = report.config
-    lines = [
-        f"scan: pair construction {cfg.theorem}, m={cfg.m}, "
-        f"max_order={cfg.max_order}",
-        f"scanned={t['scanned']} certified={t['certified']} "
-        f"refuted={t['refuted']} hypothesis_failed={t['hypothesis_failed']} "
-        f"parse_failed={t['parse_failed']} skipped={t['skipped']}",
-        f"hypothesis_satisfied={t['hypothesis_satisfied']} "
-        f"boundary_flagged={t['boundary_flagged']} "
-        f"violations={t['violations']}",
-    ]
-    for e in report.certificates:
-        b, k = e.block, e.row
-        lines.append(
-            f"line {e.line}: {b.graph6[k]} [{e.kind}] SE_a={_sig(b.energy_a[k])} "
-            f"SE_b={_sig(b.energy_b[k])} equienergetic={b.equienergetic[k]} "
-            f"cospectral={b.cospectral[k]}"
-            + (" VIOLATION" if b.theorem_violation[k] else ""))
-    for failure in report.failures:
-        lines.append(f"line {failure.line}: parse error: {failure.error}")
-    for skip in report.skipped:
-        lines.append(f"line {skip.line}: skipped ({skip.reason}: {skip.order})")
-    return "\n".join(lines) + "\n"
+    return "".join(_text(report))
 
 
 def write_report(report: PairReport, format: str = "json",
-                 destination=None) -> str:
-    """Serialize a report; optionally write it to ``destination`` (path).
-
-    Returns the rendered text in all cases.  JSON is the canonical form;
-    CSV carries one certificate summary per row; text is human-readable.
-    """
-    render = {"json": report_to_json, "csv": report_to_csv,
-              "text": report_to_text}.get(format)
-    if render is None:
+                 destination=None) -> None:
+    """Write ``report`` in ``format`` to the path ``destination``, or to
+    ``sys.stdout`` if None, piece by piece: the whole text is never held.
+    ``report_to_<format>`` returns that text."""
+    pieces = _FORMATS.get(format)
+    if pieces is None:  # refused before anything is opened
         raise ValueError(f"unknown report format: {format!r}")
-    text = render(report)
-    if destination is not None:
-        with open(destination, "w", encoding="ascii") as fh:
-            fh.write(text)
-    return text
+    # one write per piece, into a 64 KiB buffer: the default, one 4 KiB file
+    # system block, wrote the atlas report 4 % slower, in more system calls
+    with (nullcontext(sys.stdout) if destination is None else open(
+            destination, "w", encoding="ascii", buffering=1 << 16)) as fh:
+        fh.writelines(pieces(report))

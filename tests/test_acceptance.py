@@ -20,8 +20,8 @@ from seidelkit import (ScanConfig, blowup, certify, charpoly_exact,
                        clique_blowup, compare_spectra,
                        blowup_seidel_spectrum, clique_blowup_seidel_spectrum,
                        complement, graph_from_graph6, graph_to_graph6,
-                       report_to_json, scan_stream, seidel_matrix,
-                       seidel_spectrum)
+                       scan_stream, seidel_matrix, seidel_spectrum)
+from seidelkit.search import report_to_json
 from seidelkit.spectral import integer_root_multiplicity
 from conftest import (from_nx, jacobi_desc, jacobi_member, random_simple_graph,
                       seidel_of)

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -10,13 +11,14 @@ import numpy as np
 import pytest
 
 import seidelkit
-from seidelkit import (ClosedFormSpectrum, Graph, blowup, blowup_seidel_spectrum,
-                       certify, charpoly_exact, clique_blowup,
-                       clique_blowup_seidel_spectrum, compare_spectra,
-                       complement, composed_blowup_seidel_spectra, construct,
+from seidelkit import (ClosedFormSpectrum, Graph, ScanConfig, blowup,
+                       blowup_seidel_spectrum, certify, charpoly_exact,
+                       clique_blowup, clique_blowup_seidel_spectrum,
+                       compare_spectra, complement,
+                       composed_blowup_seidel_spectra, construct,
                        graph_from_graph6, graph_to_graph6, graphs,
-                       seidel_inertia, seidel_matrix, seidel_spectrum,
-                       spectral)
+                       scan_stream, search, seidel_inertia, seidel_matrix,
+                       seidel_spectrum, spectral)
 from seidelkit import cli
 from seidelkit.cli import run
 from conftest import reference_json
@@ -393,6 +395,26 @@ def test_scan_stdin_and_output_file(tmp_path, capsys, monkeypatch):
     out, _ = _out(capsys)
     assert out == ""  # written to the file instead
     assert out_path.read_text().startswith("line,kind,graph6")
+
+
+@pytest.mark.parametrize("format", ["json", "csv", "text"])
+def test_scan_writes_what_report_to_returns(tmp_path, capsys, catalog_lines,
+                                            format):
+    # shuffled, so that the entries alternate between blocks
+    lines = [*catalog_lines, "garbage!", "A", "F~~~w"]
+    random.Random(5).shuffle(lines)
+    catalog = tmp_path / "catalog.g6"
+    catalog.write_text("\n".join(lines) + "\n")
+    render = {"json": search.report_to_json, "csv": search.report_to_csv,
+              "text": search.report_to_text}[format]
+    expected = render(scan_stream(lines, ScanConfig(m=2)))
+    scan = ["scan", str(catalog), "--m", "2", "--format", format]
+    assert run(scan) == 0
+    assert capsys.readouterr().out == expected
+    out = tmp_path / f"report.{format}"
+    assert run(scan + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == expected
 
 
 class _UnreadableInput(io.RawIOBase):

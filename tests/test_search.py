@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -19,10 +20,10 @@ from networkx.generators.atlas import graph_atlas_g
 
 from seidelkit import (DEFAULT_MAX_DIM, Graph, Graph6Error, ScanConfig,
                        certify, graph_from_graph6, graph_to_graph6,
-                       report_to_json, scan_stream, to_json, write_report)
-from seidelkit import search
+                       scan_stream, to_json, write_report)
+from seidelkit import graphs, search
 from seidelkit.cli import run
-from seidelkit.search import report_to_csv, report_to_text
+from seidelkit.search import report_to_csv, report_to_json, report_to_text
 from conftest import (CONFIG_KEYS, ENTRY_KEYS, FAILURE_KEYS, POOL,
                       REPORT_KEYS, SKIP_KEYS, TOTALS_KEYS, check_json_object,
                       from_nx, jacobi_desc, jacobi_member, plain_entry,
@@ -295,6 +296,33 @@ def test_fork_pre_pass_counts_a_line_exactly_when_the_scan_builds_it(
         cost = 0
     assert _forks(config, text, 2 * cost - 1)
     assert not _forks(config, text, 2 * cost)
+
+
+def test_a_catalog_that_cannot_fork_reads_each_header_once(catalog_lines,
+                                                           monkeypatch):
+    # at max_order 12, m = 2, no line costs more than 8 * 6 ** 2 bytes, so
+    # 213 lines cannot pass _FORK_BYTES and a --jobs 2 scan reads each
+    # line's header only to decode it; at the default max_order it reads
+    # each twice, the pre-pass first
+    lines = _mixed_catalog(catalog_lines)
+    scanned = [line.strip() for line in lines if line.strip()]
+    reads, header = [], graphs._graph6_header
+
+    def counting(text):
+        reads.append(text)
+        return header(text)
+
+    monkeypatch.setattr(graphs, "_graph6_header", counting)
+    monkeypatch.setattr(search, "_graph6_header", counting)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert len(scanned) * 8 * 6 ** 2 <= search._FORK_BYTES
+    for max_order, times in ((12, 1), (DEFAULT_MAX_DIM, 2)):
+        config = ScanConfig(m=2, max_order=max_order)
+        reads.clear()
+        forked = scan_stream(lines, config, jobs=2)
+        assert sorted(reads) == sorted(scanned * times)
+        assert report_to_json(forked) == report_to_json(
+            scan_stream(lines, config))
 
 
 def _blas_threads(path):
@@ -606,10 +634,69 @@ def test_report_text_format():
 def test_write_report_to_file(tmp_path):
     report = scan_stream(["A_"], ScanConfig(m=2))
     out = tmp_path / "report.json"
-    text = write_report(report, "json", out)
-    assert out.read_text() == text == report_to_json(report)
-    with pytest.raises(ValueError):
-        write_report(report, "yaml")
+    assert write_report(report, "json", out) is None
+    assert out.read_text() == report_to_json(report)
+    # an unknown format is refused before anything is opened or written
+    refused = tmp_path / "report.yaml"
+    with pytest.raises(ValueError, match="unknown report format"):
+        write_report(report, "yaml", refused)
+    assert not refused.exists()
+
+
+def _alternates(entries) -> bool:
+    """Whether some block's entries are split by another block's."""
+    runs = [e.block for k, e in enumerate(entries)
+            if not k or e.block is not entries[k - 1].block]
+    return len(set(map(id, runs))) < len(runs)
+
+
+@pytest.mark.parametrize("small", [False, True])
+def test_write_report_writes_what_report_to_returns(catalog_lines, tmp_path,
+                                                    monkeypatch, small):
+    if small:  # one order spans several blocks and chunks
+        monkeypatch.setattr(search, "_BLOCK_BYTES", 3 * 8 * 6 ** 2)
+        monkeypatch.setattr(search, "_CHUNK_LINES", 7)
+    pinned = [*catalog_lines, "garbage!", "A", "\u00e9"]
+    reports = [scan_stream(pinned, ScanConfig(m=m, theorem=theorem))
+               for theorem, m in sorted(_GOLDEN_REPORTS)]
+    # a shuffled catalog of orders 1-7, whose entries alternate between
+    # blocks, and an empty report
+    mixed = scan_stream(_mixed_catalog(catalog_lines), ScanConfig(m=2))
+    assert _alternates(mixed.certificates)
+    blocks = {id(e.block): e.block for e in mixed.certificates}.values()
+    orders = [graph_from_graph6(block.graph6[0]).n for block in blocks]
+    assert (len(orders) > len(set(orders))) == small
+    reports += [mixed, scan_stream([], ScanConfig(m=2))]
+    digests = [*(_GOLDEN_REPORTS[key] for key in sorted(_GOLDEN_REPORTS)),
+               None, None]
+    for report, digest in zip(reports, digests):
+        for format, render in (("json", report_to_json), ("csv", report_to_csv),
+                               ("text", report_to_text)):
+            out = tmp_path / f"report.{format}"
+            assert write_report(report, format, out) is None
+            assert out.read_text() == render(report)
+        text = (tmp_path / "report.json").read_bytes()
+        assert text.decode() == reference_json(report) + "\n"
+        assert digest in (None, hashlib.sha256(text).hexdigest())
+
+
+def test_write_report_holds_a_small_share_of_the_report(catalog_lines,
+                                                        tmp_path,
+                                                        monkeypatch):
+    # the n <= 6 atlas 30 times in chunks of 64 lines: 5130 entries, an
+    # 8.1 MB file.  Writing it peaked at 0.022-0.027 of the file's size
+    # (tracemalloc), at 2.25 when the report was rendered as one string.
+    monkeypatch.setattr(search, "_CHUNK_LINES", 64)
+    report = scan_stream(catalog_lines * 30, ScanConfig(m=2))
+    out = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        write_report(report, "json", out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.certificates) == 5130
+    assert peak < out.stat().st_size / 10
 
 
 def test_scan_theorem_two():
