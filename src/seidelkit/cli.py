@@ -14,15 +14,13 @@ import argparse
 import sys
 
 from . import __version__
-from .graphs import (KINDS, Graph6Error, _check_blowup, complement, construct,
-                     graph_from_graph6, graph_to_graph6)
+from .graphs import (KINDS, NUMERIC_MAX_ORDER, Graph6Error, _check_blowup,
+                     complement, construct, graph_from_graph6, graph_to_graph6)
 from .spectral import (CHARPOLY_MAX_ORDER, ConvergenceError, charpoly_exact,
                        seidel_inertia, seidel_matrix, seidel_spectrum)
-from .search import (NUMERIC_MAX_ORDER, ScanConfig, _sig, scan_stream,
-                     to_json, write_report)
-from .theory import (blowup_seidel_spectrum, certify,
+from .theory import (_sig, blowup_seidel_spectrum, certify,
                      clique_blowup_seidel_spectrum, compare_spectra,
-                     composed_blowup_seidel_spectra)
+                     composed_blowup_seidel_spectra, to_json)
 
 class _UsageError(Exception):
     pass
@@ -217,6 +215,10 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    # only a scan loads the scan layer: importing it costs a fresh process
+    # about 6.6 ms
+    from .search import ScanConfig, scan_stream, write_report
+
     # built, and so checked against the construction cap, before any line
     # is read
     config = ScanConfig(m=args.m, theorem=args.theorem,

@@ -24,6 +24,7 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_MAX_DIM",
+    "NUMERIC_MAX_ORDER",
     "Graph",
     "Graph6Error",
     "graph_from_graph6",
@@ -39,6 +40,9 @@ __all__ = [
 # refuse one over it, and a scan a max_order over it.  Dense storage is
 # quadratic, so this bounds memory at ~100 MB for int8 adjacency.
 DEFAULT_MAX_DIM = 10_000
+
+# Default cap on the order of constructed graphs during a scan.
+NUMERIC_MAX_ORDER = 2_000
 
 # Largest order representable in the 3-byte graph6 size field: the first
 # 6-bit chunk may not be 63 (byte 126 is the long-size escape).

@@ -9,36 +9,34 @@ Lines are certified in chunks of equal-order blocks (``_scan_chunk``), in
 worker processes once a catalog passes ``_FORK_BYTES`` of work at
 ``jobs > 1`` (``scan_stream``).  The certificates stay their blocks'
 columns (``theory.CertificateBlock``), and ``write_report`` writes the
-report in pieces, never the whole text.  Output follows input line order,
-and the JSON (``to_json``) is byte-identical whatever the chunk, block and
-worker counts.
+report in pieces, never the whole text: ``_report`` renders the JSON
+report with the canonical writer that ``theory`` owns (``to_json``).
+Output follows input line order, and the JSON is byte-identical whatever
+the chunk, block and worker counts.
 
 Accounting invariant, enforced by construction:
 
     scanned == certified + refuted + hypothesis_failed + parse_failed + skipped
 """
 
-import json
-import math
 import os
 import sys
 from collections import Counter, defaultdict
 from contextlib import nullcontext, suppress
-from dataclasses import dataclass, is_dataclass
-from functools import cache, partial
+from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice
-from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import (DEFAULT_MAX_DIM, Graph6Error, _check_blowup,
-                     _graph6_header, graph_from_graph6)
-from .theory import Certificate, CertificateBlock, _certify_block, _fields
+from .graphs import (DEFAULT_MAX_DIM, NUMERIC_MAX_ORDER, Graph6Error,
+                     _check_blowup, _graph6_header, graph_from_graph6)
+from .theory import (Certificate, CertificateBlock, _certify_block, _layout,
+                     _quote, _render, _sig, _template)
 
 __all__ = [
-    "NUMERIC_MAX_ORDER",
     "ScanConfig",
     "ScanEntry",
     "ScanFailure",
@@ -46,11 +44,7 @@ __all__ = [
     "PairReport",
     "scan_stream",
     "write_report",
-    "to_json",
 ]
-
-# Default cap on the order of constructed graphs during a scan.
-NUMERIC_MAX_ORDER = 2_000
 
 # Lines per chunk: each chunk is decoded, then certified in equal-order
 # blocks.
@@ -136,6 +130,10 @@ class PairReport:
     @property
     def has_violations(self) -> bool:
         return self.totals["violations"] > 0
+
+    def _json_pieces(self, nl: str):
+        """The pieces of ``theory.to_json`` of this report: ``_report``."""
+        return _report(self, nl)
 
 
 # ---------------------------------------------------------------------------
@@ -287,146 +285,43 @@ def scan_stream(lines, config: ScanConfig, jobs: int = 1) -> PairReport:
 # ---------------------------------------------------------------------------
 
 
-def to_json(obj) -> str:
-    """Canonical JSON text of ``obj``: ``json.dumps(x, sort_keys=True,
-    indent=2)`` of the same value ``x`` with each dataclass replaced by a
-    dict of its fields, so with sorted keys, ASCII escapes, ``NaN`` and
-    ``Infinity`` for special floats and no trailing newline.  Dict keys
-    must be strings; a value that ``json`` refuses raises ``TypeError``.
-
-    A :class:`PairReport` renders each of its certificates as an object of
-    its ``certificate``, ``kind`` and ``line``, in the pieces of ``_report``.
-    """
-    return _render(obj, "\n")
-
-
-def _render(obj, nl: str) -> str:
-    """``obj`` as JSON, nested under ``nl``: a newline and the indent of
-    the line that holds ``obj``."""
-    leaf = _LEAVES.get(type(obj))
-    if leaf is not None and (leaf is not float.__repr__ or math.isfinite(obj)):
-        return leaf(obj)
-    if isinstance(obj, (tuple, list)):
-        return _bracket(_column(obj, nl + "  "), nl)
-    if type(obj) is PairReport:
-        return "".join(_report(obj, nl))
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return _template(type(obj), obj, nl)[0] % ()
-    if isinstance(obj, dict):
-        if not all(isinstance(key, str) for key in obj):
-            raise TypeError("keys must be str")
-        template, pairs = _layout(tuple(obj), nl)
-        return template % tuple(_render(obj[key], nl + "  ") for key, _ in pairs)
-    # a special float or a subclass of a leaf type, or else TypeError
-    return json.dumps(obj)
-
-
-_LEAVES = {str: _quote, int: int.__repr__, float: float.__repr__,
-           bool: {False: "false", True: "true"}.__getitem__}
-
-
-def _column(values, nl: str) -> list[str]:
-    """Each of ``values`` rendered under ``nl``: leaves of one type, finite
-    if floats, by one ``map``, and instances of one dataclass as a record
-    of their columns, by ``_template``.  A float column formats each
-    distinct value once, for this call only, and reuses its text for every
-    repeat: report columns repeat a few spectra and energies many times."""
-    kinds = set(map(type, values))
-    cls = kinds.pop() if len(kinds) == 1 else None
-    leaf = _LEAVES.get(cls)
-    if cls is float:
-        distinct = set(values)
-        if not all(map(math.isfinite, distinct)):
-            leaf = None
-        elif len(distinct) < len(values):
-            texts = dict(zip(distinct, map(float.__repr__, distinct)))
-            if 0.0 in texts:  # the one key of 0.0 and -0.0: zeros by value
-                return [texts[v] if v else repr(v) for v in values]
-            leaf = texts.__getitem__
-    if leaf is not None:
-        return list(map(leaf, values))
-    if is_dataclass(cls):
-        template, texts = _template(cls, SimpleNamespace(**{
-            name: [getattr(v, name) for v in values] for name, _ in _fields(cls)}), nl)
-        return [template % row for row in zip(*texts)] if texts else [
-            template % ()] * len(values)
-    return [_render(value, nl) for value in values]
-
-
-def _bracket(texts: list[str], nl: str) -> str:
-    """The JSON array of the rendered items ``texts`` under ``nl``."""
-    if not texts:
-        return "[]"
-    inner = nl + "  "
-    return "[" + inner + ("," + inner).join(texts) + nl + "]"
-
-
-@cache
-def _layout(keys, nl: str) -> tuple[str, tuple[tuple[str, type], ...]]:
-    """The ``%`` template of an object at indent ``nl`` whose keys are a
-    dataclass's fields or a tuple of names, sorted and rendered; with each
-    key in that order and its type if a dataclass field is one, else None."""
-    pairs = sorted(((name, None) for name in keys) if type(keys) is tuple
-                   else _fields(keys))
-    if not pairs:
-        return "{}", ()
-    inner = nl + "  "
-    items = ("," + inner).join(_quote(name).replace("%", "%%") + ": %s"
-                               for name, _ in pairs)
-    return "{" + inner + items + nl + "}", tuple(pairs)
-
-
-def _template(cls, columns, nl: str) -> tuple[str, list[list[str]]]:
-    """The ``_layout`` template of the dataclass ``cls`` at ``nl``, filled
-    from ``columns``: an instance of ``cls``, whose every field is filled
-    in, or a record of columns that ``theory._record`` reads, in which each
-    list leaves ``%s`` slots and the rest is filled in.  Returns it with the
-    rendered columns of its slots, in order."""
-    template, pairs = _layout(cls, nl)
-    inner = nl + "  "
-    slots, texts = [], []
-    for name, kind in pairs:
-        value = getattr(columns, name, columns)
-        if kind is not None and isinstance(value, (kind, SimpleNamespace)):
-            slot, nested = _template(kind, value, inner)
-            texts += nested
-        elif type(value) is not list or not isinstance(columns, SimpleNamespace):
-            slot = _render(value, inner).replace("%", "%%")
-        elif set(map(type, value)) == {list} and len(set(map(len, value))) == 1:
-            # rows of one width: an array of a slot per item
-            width = len(value[0])
-            slot = _bracket(["%s"] * width, inner)
-            items = _column(list(chain.from_iterable(value)), inner + "  ")
-            texts += [items[k::width] for k in range(width)]
-        else:
-            slot = "%s"
-            texts.append(_column(value, inner))
-        slots.append(slot)
-    return template % tuple(slots), texts
-
-
 def _report(report: PairReport, nl: str):
-    """``report`` as a dataclass renders, in pieces: the text up to its
-    certificates, each entry with the separator before it, and the rest.
-    A block's rows are rendered, by column, at its first entry and dropped
-    after its last: a writer holds the rows of one chunk's blocks at most."""
+    """``report`` as a dataclass renders, in pieces: the template's text
+    before each field, the config and the totals, and each certificate
+    entry, failure and skip with the separator before it."""
     template, pairs = _layout(PairReport, nl)
     inner, deeper = nl + "  ", nl + "    "
-    first, rest = template.split("%s", 1)  # "certificates" sorts first
-    entry = _layout(("certificate", "kind", "line"), deeper)[0]
-    yield first + "["
-    blocks, sep = {}, deeper  # each open block's template and rows, by id
-    for e in report.certificates:
+    texts = template.split("%s")
+    for text, (name, _) in zip(texts, pairs):
+        yield text
+        value = getattr(report, name)
+        if type(value) is not tuple:  # the config and the totals
+            yield _render(value, inner)
+            continue
+        sep = "[" + deeper
+        for piece in (_entries(value, deeper) if name == "certificates"
+                      else (_render(item, deeper) for item in value)):
+            yield sep + piece
+            sep = "," + deeper
+        yield inner + "]" if value else "[]"
+    yield texts[-1]
+
+
+def _entries(entries, nl: str):
+    """Each :class:`ScanEntry` of ``entries`` rendered under ``nl``, as an
+    object of its ``certificate``, ``kind`` and ``line``.  A block's rows
+    are rendered, by column, at its first entry and dropped after its last:
+    a writer holds the rows of one chunk's blocks at most."""
+    entry = _layout(("certificate", "kind", "line"), nl)[0]
+    blocks = {}  # each open block's template and rows, by id
+    for e in entries:
         if id(e.block) not in blocks:
-            cert, columns = _template(Certificate, e.block, deeper + "  ")
+            cert, columns = _template(Certificate, e.block, nl + "  ")
             blocks[id(e.block)] = cert, list(zip(*columns))
         cert, rows = blocks[id(e.block)]
         if e.row == len(rows) - 1:
             del blocks[id(e.block)]
-        yield sep + entry % (cert % rows[e.row], _quote(e.kind), e.line)
-        sep = "," + deeper
-    yield (inner if report.certificates else "") + "]" + rest % tuple(
-        _render(getattr(report, name), inner) for name, _ in pairs[1:])
+        yield entry % (cert % rows[e.row], _quote(e.kind), e.line)
 
 
 _CSV_FIELDS = [
@@ -435,9 +330,6 @@ _CSV_FIELDS = [
     "energy_b", "energy_delta", "equienergetic", "cospectral",
     "closed_form_agrees", "exact_multiplicities_verified", "theorem_violation",
 ]
-
-
-_sig = "{:.12g}".format
 
 
 def _csv(report: PairReport):

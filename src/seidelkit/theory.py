@@ -24,12 +24,20 @@ order, with one numpy call per stage: build, solve, screen (``_hypotheses``),
 proof.  It returns the certificates of the rows that meet the bound as one
 :class:`CertificateBlock` of columns, with no object per row.  ``certify``
 is a block of one; ``search.scan_stream`` passes whole blocks, screened.
+
+The canonical JSON writer (``to_json``) lives here too, beside ``_record``,
+whose reading of a record of columns its ``_template`` mirrors.  Every
+``--json`` command, ``certify`` and the scan report use it, so a process
+that scans nothing never loads ``search``.
 """
 
+import json
 import math
 import operator
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cache
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
 import numpy as np
@@ -50,6 +58,7 @@ __all__ = [
     "compare_spectra",
     "hypothesis_from_spectrum",
     "certify",
+    "to_json",
 ]
 
 # Relative tolerance for declaring two Seidel energies equal.
@@ -142,7 +151,7 @@ def _record(cls, columns, row: int):
     """Row ``row`` of the record ``columns`` as a ``cls``.  Each field reads
     the attribute of its name: a list has a value per row (a list row is a
     tuple), anything else is every row's; a dataclass field reads its
-    attribute or else ``columns``.  ``search._template`` reads alike."""
+    attribute or else ``columns``.  ``_template`` reads alike."""
     values = {}
     for name, nested in _fields(cls):
         if nested is not None:
@@ -431,3 +440,130 @@ def _certify_block(adj: np.ndarray, m: int, theorem: int, screen: bool = False
         base_residual=residuals, theorem_violation=[
             ok and equal != bal for equal, ok, bal
             in zip(same, hypothesis.met, hypothesis.balanced)])
+
+
+# ---------------------------------------------------------------------------
+# Canonical JSON
+# ---------------------------------------------------------------------------
+
+
+def to_json(obj) -> str:
+    """Canonical JSON text of ``obj``: ``json.dumps(x, sort_keys=True,
+    indent=2)`` of the same value ``x`` with each dataclass replaced by a
+    dict of its fields, so with sorted keys, ASCII escapes, ``NaN`` and
+    ``Infinity`` for special floats and no trailing newline.  Dict keys
+    must be strings; a value that ``json`` refuses raises ``TypeError``.
+
+    A dataclass with a ``_json_pieces(nl)`` method renders as the join of
+    its pieces: ``search.PairReport`` renders each of its certificates as an
+    object of its ``certificate``, ``kind`` and ``line``.
+    """
+    return _render(obj, "\n")
+
+
+def _render(obj, nl: str) -> str:
+    """``obj`` as JSON, nested under ``nl``: a newline and the indent of
+    the line that holds ``obj``."""
+    leaf = _LEAVES.get(type(obj))
+    if leaf is not None and (leaf is not float.__repr__ or math.isfinite(obj)):
+        return leaf(obj)
+    if isinstance(obj, (tuple, list)):
+        return _bracket(_column(obj, nl + "  "), nl)
+    if is_dataclass(obj) and not isinstance(obj, type):
+        if pieces := getattr(obj, "_json_pieces", None):
+            return "".join(pieces(nl))
+        return _template(type(obj), obj, nl)[0] % ()
+    if isinstance(obj, dict):
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("keys must be str")
+        template, pairs = _layout(tuple(obj), nl)
+        return template % tuple(_render(obj[key], nl + "  ") for key, _ in pairs)
+    # a special float or a subclass of a leaf type, or else TypeError
+    return json.dumps(obj)
+
+
+_LEAVES = {str: _quote, int: int.__repr__, float: float.__repr__,
+           bool: {False: "false", True: "true"}.__getitem__}
+
+
+def _column(values, nl: str) -> list[str]:
+    """Each of ``values`` rendered under ``nl``: leaves of one type, finite
+    if floats, by one ``map``, and instances of one dataclass as a record
+    of their columns, by ``_template``.  A float column formats each
+    distinct value once, for this call only, and reuses its text for every
+    repeat: report columns repeat a few spectra and energies many times."""
+    kinds = set(map(type, values))
+    cls = kinds.pop() if len(kinds) == 1 else None
+    leaf = _LEAVES.get(cls)
+    if cls is float:
+        distinct = set(values)
+        if not all(map(math.isfinite, distinct)):
+            leaf = None
+        elif len(distinct) < len(values):
+            texts = dict(zip(distinct, map(float.__repr__, distinct)))
+            if 0.0 in texts:  # the one key of 0.0 and -0.0: zeros by value
+                return [texts[v] if v else repr(v) for v in values]
+            leaf = texts.__getitem__
+    if leaf is not None:
+        return list(map(leaf, values))
+    if is_dataclass(cls):
+        template, texts = _template(cls, SimpleNamespace(**{
+            name: [getattr(v, name) for v in values] for name, _ in _fields(cls)}), nl)
+        return [template % row for row in zip(*texts)] if texts else [
+            template % ()] * len(values)
+    return [_render(value, nl) for value in values]
+
+
+def _bracket(texts: list[str], nl: str) -> str:
+    """The JSON array of the rendered items ``texts`` under ``nl``."""
+    if not texts:
+        return "[]"
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(texts) + nl + "]"
+
+
+@cache
+def _layout(keys, nl: str) -> tuple[str, tuple[tuple[str, type], ...]]:
+    """The ``%`` template of an object at indent ``nl`` whose keys are a
+    dataclass's fields or a tuple of names, sorted and rendered; with each
+    key in that order and its type if a dataclass field is one, else None."""
+    pairs = sorted(((name, None) for name in keys) if type(keys) is tuple
+                   else _fields(keys))
+    if not pairs:
+        return "{}", ()
+    inner = nl + "  "
+    items = ("," + inner).join(_quote(name).replace("%", "%%") + ": %s"
+                               for name, _ in pairs)
+    return "{" + inner + items + nl + "}", tuple(pairs)
+
+
+def _template(cls, columns, nl: str) -> tuple[str, list[list[str]]]:
+    """The ``_layout`` template of the dataclass ``cls`` at ``nl``, filled
+    from ``columns``: an instance of ``cls``, whose every field is filled
+    in, or a record of columns that ``theory._record`` reads, in which each
+    list leaves ``%s`` slots and the rest is filled in.  Returns it with the
+    rendered columns of its slots, in order."""
+    template, pairs = _layout(cls, nl)
+    inner = nl + "  "
+    slots, texts = [], []
+    for name, kind in pairs:
+        value = getattr(columns, name, columns)
+        if kind is not None and isinstance(value, (kind, SimpleNamespace)):
+            slot, nested = _template(kind, value, inner)
+            texts += nested
+        elif type(value) is not list or not isinstance(columns, SimpleNamespace):
+            slot = _render(value, inner).replace("%", "%%")
+        elif set(map(type, value)) == {list} and len(set(map(len, value))) == 1:
+            # rows of one width: an array of a slot per item
+            width = len(value[0])
+            slot = _bracket(["%s"] * width, inner)
+            items = _column(list(chain.from_iterable(value)), inner + "  ")
+            texts += [items[k::width] for k in range(width)]
+        else:
+            slot = "%s"
+            texts.append(_column(value, inner))
+        slots.append(slot)
+    return template % tuple(slots), texts
+
+
+_sig = "{:.12g}".format

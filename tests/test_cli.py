@@ -328,7 +328,8 @@ def test_scan_from_file_with_non_ascii_line(tmp_path, capsys):
 
 def test_warm_up_scan_loads_no_module_after_the_cli(tmp_path):
     # a module that the first scan imports lazily adds to every scan's
-    # start-up time; only the text codecs may load then
+    # start-up time; only the scan layer itself, which no other command
+    # loads, and the text codecs may load then
     catalog, out = tmp_path / "warm.g6", tmp_path / "report.json"
     catalog.write_bytes(b"A_\nBw\nC~\nnot graph6\n")
     script = "\n".join([
@@ -345,7 +346,8 @@ def test_warm_up_scan_loads_no_module_after_the_cli(tmp_path):
     code, loaded = json.loads(result.stdout)
     assert code == 0
     assert json.loads(out.read_text())["totals"]["parse_failed"] == 1
-    assert [name for name in loaded if not name.startswith("encodings.")] == []
+    assert [name for name in loaded if not name.startswith("encodings.")] == [
+        "seidelkit.search"]
 
 
 def test_only_a_scan_that_forks_loads_the_pool(tmp_path, catalog_lines):
@@ -385,6 +387,48 @@ def test_only_a_scan_that_forks_loads_the_pool(tmp_path, catalog_lines):
     serial = (tmp_path / "jobs1.json").read_bytes()
     assert (tmp_path / "jobs2.json").read_bytes() == serial
     assert (tmp_path / "forked.json").read_bytes() == serial
+
+
+# the names the package re-exported from ``search`` when it imported it
+# eagerly; ``NUMERIC_MAX_ORDER`` and ``to_json`` now live in graphs and theory
+_SEARCH_REEXPORTS = ["NUMERIC_MAX_ORDER", "PairReport", "ScanConfig",
+                     "ScanEntry", "ScanFailure", "ScanSkip", "scan_stream",
+                     "to_json", "write_report", "search"]
+
+
+def test_no_command_but_scan_loads_the_scan_layer():
+    # every other command starts in a fresh process without ``search``, csv
+    # or the process pool, and ``import seidelkit`` alone loads none of
+    # them; the names the package re-exports still resolve on first use
+    commands = [["certify", "--theorem", "2", "--m", "3", "A_"],
+                ["certify", "--theorem", "1", "--m", "2", "Bw", "--text"],
+                ["spectrum", "C~", "--json"], ["energy", "C~"],
+                ["inertia", "C~"], ["charpoly", "C~"], ["complement", "Bw"],
+                ["construct", "Bw", "--dm", "--m", "2"],
+                ["closed-form", "C~", "--theorem", "2", "--m", "2"],
+                ["compare", "Bw", "C~"]]
+    script = "\n".join([
+        "import contextlib, io, json, sys",
+        "import seidelkit",
+        "bare = 'seidelkit.search' in sys.modules",
+        "import seidelkit.cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    codes = [seidelkit.cli.run(argv) for argv in {commands!r}]",
+        "cold = [name for name in ('seidelkit.search', 'csv',",
+        "                          'concurrent.futures') if name in sys.modules]",
+        f"names = {_SEARCH_REEXPORTS!r}",
+        "listed = set(names) <= set(dir(seidelkit))",
+        "missing = [name for name in names if not hasattr(seidelkit, name)]",
+        "print(json.dumps([bare, codes, cold, listed, missing]))"])
+    src = os.path.dirname(os.path.dirname(seidelkit.__file__))
+    result = subprocess.run([sys.executable, "-c", script], check=True,
+                            capture_output=True, text=True, timeout=120,
+                            env={**os.environ, "PYTHONPATH": src})
+    bare, codes, cold, listed, missing = json.loads(result.stdout)
+    assert not bare
+    assert codes == [0] * len(commands)
+    assert cold == []
+    assert listed and missing == []
 
 
 def test_scan_stdin_and_output_file(tmp_path, capsys, monkeypatch):

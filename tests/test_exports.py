@@ -26,17 +26,19 @@ def test_all_names_resolve(name):
 
 
 def test_package_reexports_only_exported_names():
-    # every ``from .module import name`` in the package's ``__init__``, so a
-    # name deleted from a module's ``__all__`` cannot linger as a re-export
+    # every ``from .module import name`` in the package's ``__init__``, and
+    # every name of its table of lazy ``search`` re-exports, so a name
+    # deleted from a module's ``__all__`` cannot linger as a re-export
     tree = ast.parse(Path(seidelkit.__file__).read_text())
     imports = [node for node in tree.body
                if isinstance(node, ast.ImportFrom) and node.level == 1]
-    assert {node.module for node in imports} == {
-        "graphs", "spectral", "theory", "search"}
-    stale = [f"{node.module}.{alias.name}" for node in imports
-             for alias in node.names
-             if alias.name not in importlib.import_module(
-                 f"seidelkit.{node.module}").__all__]
+    assert {node.module for node in imports} == {"graphs", "spectral", "theory"}
+    reexports = [(node.module, alias.name) for node in imports
+                 for alias in node.names]
+    reexports += [("search", name) for name in seidelkit._SEARCH]
+    stale = [f"{module}.{name}" for module, name in reexports
+             if name not in importlib.import_module(
+                 f"seidelkit.{module}").__all__]
     assert stale == []
 
 
