@@ -275,11 +275,12 @@ def _check_blowup(n: int, m: int, steps: int) -> None:
     """Refuse ``steps`` twin steps at multiplicity m from order n unless
     ``steps`` is a theorem, 1 or 2, m is at least 2, and their order
     n*m**steps is at most ``DEFAULT_MAX_DIM``.  The one check of these
-    rules for every public entry; n = 0 checks the theorem and m alone."""
-    if steps not in (1, 2):
-        raise ValueError("theorem must be 1 or 2")
-    if m < 2:
-        raise ValueError(f"blow-up multiplicity must be >= 2, got {m}")
+    rules for every public entry; n = 0 checks the theorem and m alone,
+    each an ``int``, not a ``bool`` or a numpy integer."""
+    if type(steps) is not int or steps not in (1, 2):
+        raise ValueError(f"theorem must be 1 or 2, got {steps!r}")
+    if type(m) is not int or m < 2:
+        raise ValueError(f"blow-up multiplicity must be >= 2, got {m!r}")
     if n * m ** steps > DEFAULT_MAX_DIM:
         raise ValueError(f"blow-up order {n * m ** steps} exceeds "
                          f"dimension cap {DEFAULT_MAX_DIM}")

@@ -8,9 +8,9 @@ failures and lines over ``max_order`` are recorded, never fatal.
 Lines are certified in chunks of equal-order blocks (``_scan_chunk``), in
 worker processes once a catalog passes ``_FORK_BYTES`` of work at
 ``jobs > 1`` (``scan_stream``).  The certificates stay their blocks'
-columns (``theory.CertificateBlock``), and ``write_report`` writes the
-report in pieces, never the whole text: ``_report`` renders the JSON
-report with the canonical writer that ``theory`` owns (``to_json``).
+columns (``theory.CertificateBlock``).  ``write_report``, the one writer
+of a report's text, writes it in pieces, never whole: ``_report`` renders
+the JSON with the pieces of the canonical writer that ``theory`` owns.
 Output follows input line order, and the JSON is byte-identical whatever
 the chunk, block and worker counts.
 
@@ -25,7 +25,7 @@ from collections import Counter, defaultdict
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice
+from itertools import islice
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -33,8 +33,8 @@ import numpy as np
 
 from .graphs import (DEFAULT_MAX_DIM, NUMERIC_MAX_ORDER, Graph6Error,
                      _check_blowup, _graph6_header, graph_from_graph6)
-from .theory import (Certificate, CertificateBlock, _certify_block, _layout,
-                     _quote, _render, _sig, _template)
+from .theory import (Certificate, CertificateBlock, _certify_block, _column,
+                     _layout, _quote, _render, _sig, _template)
 
 __all__ = [
     "ScanConfig",
@@ -62,6 +62,9 @@ _BLOCK_BYTES = 1 << 22
 # and on G(300, 1/2) lines, at theorem 1, m = 2.
 _FORK_BYTES = 20 << 20
 
+# Failures or skips per ``_column`` call: a writer holds one slice's texts.
+_SLICE = 256
+
 
 @dataclass(frozen=True)
 class ScanConfig:
@@ -80,8 +83,9 @@ class ScanConfig:
         # m and the theorem alone: each line's order is checked against
         # max_order, so a config may skip every line
         _check_blowup(0, self.m, self.theorem)
-        if self.max_order < 1:
-            raise ValueError("max_order must be positive")
+        if type(self.max_order) is not int or self.max_order < 1:
+            raise ValueError(f"max_order must be a positive int, "
+                             f"got {self.max_order!r}")
         if self.max_order > DEFAULT_MAX_DIM:
             # a line over the construction cap would abort the whole scan
             raise ValueError(f"max_order {self.max_order} exceeds the "
@@ -130,10 +134,6 @@ class PairReport:
     @property
     def has_violations(self) -> bool:
         return self.totals["violations"] > 0
-
-    def _json_pieces(self, nl: str):
-        """The pieces of ``theory.to_json`` of this report: ``_report``."""
-        return _report(self, nl)
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +285,13 @@ def scan_stream(lines, config: ScanConfig, jobs: int = 1) -> PairReport:
 # ---------------------------------------------------------------------------
 
 
-def _report(report: PairReport, nl: str):
-    """``report`` as a dataclass renders, in pieces: the template's text
-    before each field, the config and the totals, and each certificate
-    entry, failure and skip with the separator before it."""
-    template, pairs = _layout(PairReport, nl)
-    inner, deeper = nl + "  ", nl + "    "
+def _report(report: PairReport):
+    """``report`` as canonical JSON with a trailing newline, in pieces: the
+    template's text before each field, the config, the totals, and each
+    certificate entry and slice of ``_SLICE`` failures or skips after its
+    separator."""
+    template, pairs = _layout(PairReport, "\n")
+    inner, deeper = "\n  ", "\n    "
     texts = template.split("%s")
     for text, (name, _) in zip(texts, pairs):
         yield text
@@ -299,12 +300,13 @@ def _report(report: PairReport, nl: str):
             yield _render(value, inner)
             continue
         sep = "[" + deeper
-        for piece in (_entries(value, deeper) if name == "certificates"
-                      else (_render(item, deeper) for item in value)):
+        for piece in (_entries(value, deeper) if name == "certificates" else
+                      (("," + deeper).join(_column(part, deeper))
+                       for part in _chunks(value, _SLICE))):
             yield sep + piece
             sep = "," + deeper
         yield inner + "]" if value else "[]"
-    yield texts[-1]
+    yield texts[-1] + "\n"
 
 
 def _entries(entries, nl: str):
@@ -368,31 +370,16 @@ def _text(report: PairReport):
         yield f"line {skip.line}: skipped ({skip.reason}: {skip.order})\n"
 
 
-# the pieces of a report's text in each format, in order: JSON is the
-# canonical form, CSV carries one certificate summary per row, and text is
-# human-readable
-_FORMATS = {"json": lambda report: chain(_report(report, "\n"), ["\n"]),
-            "csv": _csv, "text": _text}
-
-
-def report_to_json(report: PairReport) -> str:
-    """Canonical JSON rendering (sorted keys, fixed layout, trailing newline)."""
-    return "".join(_FORMATS["json"](report))
-
-
-def report_to_csv(report: PairReport) -> str:
-    return "".join(_csv(report))
-
-
-def report_to_text(report: PairReport) -> str:
-    return "".join(_text(report))
+# each format's pieces, in order: JSON is the canonical form, CSV carries
+# one certificate summary per row, and text is human-readable
+_FORMATS = {"json": _report, "csv": _csv, "text": _text}
 
 
 def write_report(report: PairReport, format: str = "json",
                  destination=None) -> None:
     """Write ``report`` in ``format`` to the path ``destination``, or to
-    ``sys.stdout`` if None, piece by piece: the whole text is never held.
-    ``report_to_<format>`` returns that text."""
+    ``sys.stdout`` if None: the one writer of a report's text, piece by
+    piece, never holding the whole text."""
     pieces = _FORMATS.get(format)
     if pieces is None:  # refused before anything is opened
         raise ValueError(f"unknown report format: {format!r}")

@@ -23,12 +23,12 @@ per (m, kind), on the construction of one vertex (``_kind_proven``).
 order, with one numpy call per stage: build, solve, screen (``_hypotheses``),
 proof.  It returns the certificates of the rows that meet the bound as one
 :class:`CertificateBlock` of columns, with no object per row.  ``certify``
-is a block of one; ``search.scan_stream`` passes whole blocks, screened.
+is a block of one; a scan passes whole blocks, screened.
 
 The canonical JSON writer (``to_json``) lives here too, beside ``_record``,
 whose reading of a record of columns its ``_template`` mirrors.  Every
-``--json`` command, ``certify`` and the scan report use it, so a process
-that scans nothing never loads ``search``.
+``--json`` command and ``certify`` use it, and the scan report is built of
+its pieces, so a process that scans nothing never loads the scan layer.
 """
 
 import json
@@ -453,10 +453,6 @@ def to_json(obj) -> str:
     dict of its fields, so with sorted keys, ASCII escapes, ``NaN`` and
     ``Infinity`` for special floats and no trailing newline.  Dict keys
     must be strings; a value that ``json`` refuses raises ``TypeError``.
-
-    A dataclass with a ``_json_pieces(nl)`` method renders as the join of
-    its pieces: ``search.PairReport`` renders each of its certificates as an
-    object of its ``certificate``, ``kind`` and ``line``.
     """
     return _render(obj, "\n")
 
@@ -470,8 +466,6 @@ def _render(obj, nl: str) -> str:
     if isinstance(obj, (tuple, list)):
         return _bracket(_column(obj, nl + "  "), nl)
     if is_dataclass(obj) and not isinstance(obj, type):
-        if pieces := getattr(obj, "_json_pieces", None):
-            return "".join(pieces(nl))
         return _template(type(obj), obj, nl)[0] % ()
     if isinstance(obj, dict):
         if not all(isinstance(key, str) for key in obj):

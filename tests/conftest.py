@@ -11,10 +11,13 @@ one-pass proof of a closed form.  ``tile_twin_steps`` builds a
 construction one twin step at a time, the reference for the package's
 Kronecker-sum build, and ``stacked_member_proven`` proves the closed form
 of each built member of a stack, the per-graph reference for the
-package's one proof per (m, kind).
+package's one proof per (m, kind).  ``report_text`` is the text of a
+scan report as ``write_report``, its one writer, writes it to stdout.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -349,6 +352,14 @@ def to_plain(obj):
     if isinstance(obj, (tuple, list)):
         return [to_plain(item) for item in obj]
     return obj
+
+
+def report_text(report, format="json") -> str:
+    """The text ``write_report`` writes of ``report`` in ``format`` to
+    standard output."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        search.write_report(report, format)
+    return out.getvalue()
 
 
 def reference_json(obj) -> str:

@@ -21,10 +21,9 @@ from seidelkit import (ScanConfig, blowup, certify, charpoly_exact,
                        blowup_seidel_spectrum, clique_blowup_seidel_spectrum,
                        complement, graph_from_graph6, graph_to_graph6,
                        scan_stream, seidel_matrix, seidel_spectrum)
-from seidelkit.search import report_to_json
 from seidelkit.spectral import integer_root_multiplicity
 from conftest import (from_nx, jacobi_desc, jacobi_member, random_simple_graph,
-                      seidel_of)
+                      report_text, seidel_of)
 
 
 @contextmanager
@@ -191,7 +190,7 @@ def test_criterion_9_scan_determinism_and_oracle(catalog_lines, pool_starts):
         serial = scan_stream(catalog_lines, ScanConfig(m=2), jobs=1)
         parallel = scan_stream(catalog_lines, ScanConfig(m=2), jobs=2)
         assert pool_starts == ([2] if (os.cpu_count() or 1) > 1 else [])
-        assert report_to_json(serial) == report_to_json(parallel)
+        assert report_text(serial) == report_text(parallel)
 
         # brute force with the independent Jacobi eigensolver
         expected = set()

@@ -17,11 +17,11 @@ from seidelkit import (ClosedFormSpectrum, Graph, ScanConfig, blowup,
                        compare_spectra, complement,
                        composed_blowup_seidel_spectra, construct,
                        graph_from_graph6, graph_to_graph6, graphs,
-                       scan_stream, search, seidel_inertia, seidel_matrix,
+                       scan_stream, seidel_inertia, seidel_matrix,
                        seidel_spectrum, spectral)
 from seidelkit import cli
 from seidelkit.cli import run
-from conftest import reference_json
+from conftest import reference_json, report_text
 
 
 def _out(capsys):
@@ -442,16 +442,14 @@ def test_scan_stdin_and_output_file(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("format", ["json", "csv", "text"])
-def test_scan_writes_what_report_to_returns(tmp_path, capsys, catalog_lines,
-                                            format):
+def test_scan_gives_stdout_and_a_path_the_same_report(
+        tmp_path, capsys, catalog_lines, format):
     # shuffled, so that the entries alternate between blocks
     lines = [*catalog_lines, "garbage!", "A", "F~~~w"]
     random.Random(5).shuffle(lines)
     catalog = tmp_path / "catalog.g6"
     catalog.write_text("\n".join(lines) + "\n")
-    render = {"json": search.report_to_json, "csv": search.report_to_csv,
-              "text": search.report_to_text}[format]
-    expected = render(scan_stream(lines, ScanConfig(m=2)))
+    expected = report_text(scan_stream(lines, ScanConfig(m=2)), format)
     scan = ["scan", str(catalog), "--m", "2", "--format", format]
     assert run(scan) == 0
     assert capsys.readouterr().out == expected

@@ -23,11 +23,10 @@ from seidelkit import (DEFAULT_MAX_DIM, Graph, Graph6Error, ScanConfig,
                        scan_stream, to_json, write_report)
 from seidelkit import graphs, search
 from seidelkit.cli import run
-from seidelkit.search import report_to_csv, report_to_json, report_to_text
 from conftest import (CONFIG_KEYS, ENTRY_KEYS, FAILURE_KEYS, POOL,
                       REPORT_KEYS, SKIP_KEYS, TOTALS_KEYS, check_json_object,
                       from_nx, jacobi_desc, jacobi_member, plain_entry,
-                      reference_json, seidel_of)
+                      reference_json, report_text, seidel_of)
 
 
 def test_config_validation():
@@ -117,9 +116,9 @@ def test_scan_deterministic_across_parallelism(catalog_lines, pool_starts):
     parallel = scan_stream(lines, ScanConfig(m=2), jobs=3)
     cpus = os.cpu_count() or 1
     assert pool_starts == ([min(3, cpus)] if cpus > 1 else [])
-    assert report_to_json(serial) == report_to_json(parallel)
+    assert report_text(serial) == report_text(parallel)
     again = scan_stream(lines, ScanConfig(m=2), jobs=1)
-    assert report_to_json(serial) == report_to_json(again)
+    assert report_text(serial) == report_text(again)
 
 
 class _InProcessPool:
@@ -147,22 +146,22 @@ def test_scan_starts_no_more_workers_than_cpus_or_lines(monkeypatch):
     monkeypatch.setattr(POOL, _InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     lines = ["A_", "Bw", "junk", "C~", "Bo", "@"]
-    serial = report_to_json(scan_stream(lines, ScanConfig(m=2)))
+    serial = report_text(scan_stream(lines, ScanConfig(m=2)))
     # under the fork threshold: no pool at any worker count
     for jobs in (2, 3, 8, 100_000):
-        assert report_to_json(scan_stream(lines, ScanConfig(m=2),
-                                          jobs=jobs)) == serial
+        assert report_text(scan_stream(lines, ScanConfig(m=2),
+                                       jobs=jobs)) == serial
     assert started == []
 
     # "A_" and "Bw" alone, 32 + 72 bytes, pass it; "junk" counts nothing
     monkeypatch.setattr(search, "_FORK_BYTES", 64)
-    assert report_to_json(scan_stream(lines, ScanConfig(m=2))) == serial
+    assert report_text(scan_stream(lines, ScanConfig(m=2))) == serial
     report = scan_stream(lines, ScanConfig(m=2), jobs=100_000)
-    assert report_to_json(report) == serial
+    assert report_text(report) == serial
     scan_stream(lines[:3], ScanConfig(m=2), jobs=100_000)
     assert started == [4, 3]
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: serial
-    assert report_to_json(scan_stream(lines, ScanConfig(m=2), jobs=8)) == serial
+    assert report_text(scan_stream(lines, ScanConfig(m=2), jobs=8)) == serial
     assert started == [4, 3]
 
 
@@ -176,7 +175,7 @@ def test_broken_pool_reruns_the_lost_chunks_in_process(catalog_lines,
             raise BrokenProcessPool("a worker died")
 
     lines = catalog_lines[:60]
-    serial = report_to_json(scan_stream(lines, ScanConfig(m=2)))
+    serial = report_text(scan_stream(lines, ScanConfig(m=2)))
     started, firsts = [], []
     scan_chunk = search._scan_chunk
 
@@ -189,7 +188,7 @@ def test_broken_pool_reruns_the_lost_chunks_in_process(catalog_lines,
     monkeypatch.setattr(search, "_scan_chunk", recording)
     monkeypatch.setattr(search, "_FORK_BYTES", 1 << 12)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert report_to_json(scan_stream(lines, ScanConfig(m=2), jobs=2)) == serial
+    assert report_text(scan_stream(lines, ScanConfig(m=2), jobs=2)) == serial
     # eight chunks of eight lines, each run once, in line order
     assert started == [2]
     assert firsts == list(range(1, 61, 8))
@@ -321,8 +320,7 @@ def test_a_catalog_that_cannot_fork_reads_each_header_once(catalog_lines,
         reads.clear()
         forked = scan_stream(lines, config, jobs=2)
         assert sorted(reads) == sorted(scanned * times)
-        assert report_to_json(forked) == report_to_json(
-            scan_stream(lines, config))
+        assert report_text(forked) == report_text(scan_stream(lines, config))
 
 
 def _blas_threads(path):
@@ -353,7 +351,7 @@ def test_report_json_round_trip():
     lines = ["A_", "junk", "Bw", "C~"]
     config = ScanConfig(m=2, max_order=6)
     report = scan_stream(lines, config)
-    doc = json.loads(report_to_json(report))
+    doc = json.loads(report_text(report))
     assert set(doc) == REPORT_KEYS
     check_json_object(doc["config"], config, CONFIG_KEYS)
     assert set(doc["totals"]) == TOTALS_KEYS
@@ -368,7 +366,7 @@ def test_report_json_round_trip():
 
 
 def test_report_json_shape_empty():
-    text = report_to_json(scan_stream([], ScanConfig(m=2)))
+    text = report_text(scan_stream([], ScanConfig(m=2)))
     doc = json.loads(text)
     assert doc["certificates"] == [] and doc["failures"] == []
     assert all(v == 0 for v in doc["totals"].values())
@@ -550,9 +548,9 @@ def test_a_report_renders_alone_after_another():
     first, second = (scan_stream(lines, ScanConfig(m=2, theorem=theorem))
                      for theorem, lines in ((1, ["A_", "Bw", "C~"]),
                                             (2, ["Bw", "C^", "C~"])))
-    alone = report_to_json(second)
-    report_to_json(first)
-    assert report_to_json(second) == alone == reference_json(second) + "\n"
+    alone = report_text(second)
+    report_text(first)
+    assert report_text(second) == alone == reference_json(second) + "\n"
 
 
 # digests of the canonical reports on the n <= 6 atlas and three bad lines
@@ -567,7 +565,7 @@ _GOLDEN_REPORTS = {
 def test_report_json_is_byte_for_byte_pinned(catalog_lines, theorem, m):
     lines = [*catalog_lines, "garbage!", "A", "\u00e9"]
     report = scan_stream(lines, ScanConfig(m=m, theorem=theorem))
-    text = report_to_json(report)
+    text = report_text(report)
     assert text == reference_json(report) + "\n"
     assert (hashlib.sha256(text.encode()).hexdigest()
             == _GOLDEN_REPORTS[theorem, m])
@@ -580,7 +578,7 @@ def test_report_json_of_the_whole_atlas_is_pinned():
              if g.number_of_nodes() >= 1]
     report = scan_stream(lines, ScanConfig(m=2, theorem=1))
     assert len(lines) == 1252 and len(report.certificates) == 821
-    text = report_to_json(report)
+    text = report_text(report)
     assert text == reference_json(report) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "d475403d314f5fde9ffb34d9b7ed3be44636a100b375a7c5261468ab109dec5c")
@@ -607,17 +605,16 @@ def test_every_report_format_is_pinned_and_the_same_through_a_pool(
     serial = scan_stream(lines, config)
     pooled = scan_stream(lines, config, jobs=2)
     assert pool_starts == ([2] if (os.cpu_count() or 1) > 1 else [])
-    for render in (report_to_json, report_to_csv, report_to_text):
-        assert render(pooled) == render(serial)
-    for render, golden in ((report_to_csv, _GOLDEN_CSV),
-                           (report_to_text, _GOLDEN_TEXT)):
-        text = render(serial)
+    for format in ("json", "csv", "text"):
+        assert report_text(pooled, format) == report_text(serial, format)
+    for format, golden in (("csv", _GOLDEN_CSV), ("text", _GOLDEN_TEXT)):
+        text = report_text(serial, format)
         assert hashlib.sha256(text.encode()).hexdigest() == golden[theorem, m]
 
 
 def test_report_csv_format():
     report = scan_stream(["A_"], ScanConfig(m=2))
-    csv_text = report_to_csv(report)
+    csv_text = report_text(report, "csv")
     header, row = csv_text.strip().split("\n")
     assert header.startswith("line,kind,graph6")
     assert "A_" in row and ",6," in row  # energy 6 printed at 12 significant digits
@@ -625,7 +622,7 @@ def test_report_csv_format():
 
 def test_report_text_format():
     report = scan_stream(["A_", "garbage"], ScanConfig(m=2))
-    text = report_to_text(report)
+    text = report_text(report, "text")
     assert "scanned=2" in text
     assert "certified=1" in text
     assert "parse error" in text
@@ -635,7 +632,7 @@ def test_write_report_to_file(tmp_path):
     report = scan_stream(["A_"], ScanConfig(m=2))
     out = tmp_path / "report.json"
     assert write_report(report, "json", out) is None
-    assert out.read_text() == report_to_json(report)
+    assert out.read_text() == report_text(report)
     # an unknown format is refused before anything is opened or written
     refused = tmp_path / "report.yaml"
     with pytest.raises(ValueError, match="unknown report format"):
@@ -651,8 +648,8 @@ def _alternates(entries) -> bool:
 
 
 @pytest.mark.parametrize("small", [False, True])
-def test_write_report_writes_what_report_to_returns(catalog_lines, tmp_path,
-                                                    monkeypatch, small):
+def test_write_report_writes_the_same_text_to_a_path_and_to_stdout(
+        catalog_lines, tmp_path, monkeypatch, small):
     if small:  # one order spans several blocks and chunks
         monkeypatch.setattr(search, "_BLOCK_BYTES", 3 * 8 * 6 ** 2)
         monkeypatch.setattr(search, "_CHUNK_LINES", 7)
@@ -670,11 +667,10 @@ def test_write_report_writes_what_report_to_returns(catalog_lines, tmp_path,
     digests = [*(_GOLDEN_REPORTS[key] for key in sorted(_GOLDEN_REPORTS)),
                None, None]
     for report, digest in zip(reports, digests):
-        for format, render in (("json", report_to_json), ("csv", report_to_csv),
-                               ("text", report_to_text)):
+        for format in ("json", "csv", "text"):
             out = tmp_path / f"report.{format}"
             assert write_report(report, format, out) is None
-            assert out.read_text() == render(report)
+            assert out.read_text() == report_text(report, format)
         text = (tmp_path / "report.json").read_bytes()
         assert text.decode() == reference_json(report) + "\n"
         assert digest in (None, hashlib.sha256(text).hexdigest())
@@ -722,6 +718,23 @@ def test_write_report_holds_a_small_share_of_many_failures_or_skips(
     assert peak < out.stat().st_size / 10
 
 
+@pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 513])
+def test_failures_and_skips_render_in_slices_as_each_alone(catalog_lines,
+                                                           count):
+    # count unparsable lines and count lines over max_order, shuffled among
+    # certified ones: no slice, one item, a slice short of _SLICE, full, or
+    # one over; errors with "%" and non-ASCII text, skips of two orders
+    bad = ["garbage! %s %d", "A", "é", "%"]
+    lines = [*catalog_lines[:60], *(bad[i % 4] + "~" * (i % 3) for i in
+                                    range(count)),
+             *(("F~~~w", "G~~~~{")[i % 2] for i in range(count))]
+    random.Random(count).shuffle(lines)
+    report = scan_stream(lines, ScanConfig(m=2, max_order=12))
+    assert search._SLICE == 256 and report.totals["certified"]
+    assert report.totals["parse_failed"] == report.totals["skipped"] == count
+    assert report_text(report) == reference_json(report) + "\n"
+
+
 def test_scan_theorem_two():
     report = scan_stream(["A_"], ScanConfig(m=2, theorem=2))
     [entry] = report.certificates
@@ -753,8 +766,8 @@ def test_blocks_report_as_one_line_at_a_time(catalog_lines, monkeypatch,
     blocks = scan_stream(lines, config)
     assert blocks.totals["skipped"] == 1 and blocks.totals["parse_failed"] == 2
     assert blocks.totals["certified"] and blocks.totals["refuted"]
-    text = report_to_json(blocks)
-    assert report_to_json(scan_stream(lines, config, jobs=2)) == text
+    text = report_text(blocks)
+    assert report_text(scan_stream(lines, config, jobs=2)) == text
 
     sizes = []
     certify_block = search._certify_block
@@ -770,7 +783,7 @@ def test_blocks_report_as_one_line_at_a_time(catalog_lines, monkeypatch,
         monkeypatch.setattr(search, "_BLOCK_BYTES", budget)
         monkeypatch.setattr(search, "_CHUNK_LINES", chunk)
         sizes.clear()
-        assert report_to_json(scan_stream(lines, config)) == text
+        assert report_text(scan_stream(lines, config)) == text
         assert all(size == 1 or held <= budget for size, held in sizes)
         assert (max(size for size, _ in sizes) > 1) == (budget > 1)
 

@@ -758,8 +758,10 @@ def test_certify_refuses_an_order_over_the_cap_before_solving(monkeypatch):
 
 _K2 = from_nx(nx.complete_graph(2))
 _SIGMA = spectrum_from_values([1.0, -1.0])  # the Seidel spectrum of K2
-_THEOREM = "theorem must be 1 or 2"
+_THEOREM = "theorem must be 1 or 2, got 3"
 _MULTIPLICITY = "blow-up multiplicity must be >= 2, got 1"
+_INT64 = "blow-up multiplicity must be >= 2, got np.int64(2)"
+_BOOL = "theorem must be 1 or 2, got True"
 
 
 def _over(order):
@@ -801,6 +803,14 @@ _ARGUMENT_CASES = {
     "ScanConfig-theorem3": (lambda: ScanConfig(m=2, theorem=3), _THEOREM),
     "ScanConfig-cap": (lambda: ScanConfig(m=2, max_order=10001),
                        "max_order 10001 exceeds the construction cap 10000"),
+    # an int of another type: True passed for 1, a numpy integer for 2
+    "certify-m-int64": (lambda: certify(_K2, np.int64(2), 1), _INT64),
+    "certify-theorem-bool": (lambda: certify(_K2, 2, True), _BOOL),
+    "ScanConfig-m-int64": (lambda: ScanConfig(m=np.int64(2)), _INT64),
+    "ScanConfig-theorem-bool": (lambda: ScanConfig(m=2, theorem=True), _BOOL),
+    "ScanConfig-max_order-bool": (
+        lambda: ScanConfig(m=2, max_order=True),
+        "max_order must be a positive int, got True"),
 }
 
 
