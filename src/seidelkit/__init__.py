@@ -9,25 +9,16 @@ The package is organized in four layers:
 * :mod:`seidelkit.search`   -- bulk catalog scanning and the scan report
 
 plus the :mod:`seidelkit.cli` front end (``seidelkit`` console script).
-``search`` and its names are imported on first use, so a process that
-scans nothing never loads it.
+The package re-exports each module's ``__all__``, its one list of public
+names.  ``search`` and its names are imported on first use, so a process
+that scans nothing never loads it.
 """
 
 __version__ = "0.1.0"
 
-from .graphs import (DEFAULT_MAX_DIM, KINDS, NUMERIC_MAX_ORDER, Graph,
-                     Graph6Error, blowup, clique_blowup, complement, construct,
-                     graph_from_graph6, graph_to_graph6)
-from .spectral import (GROUP_TOL, NUM_TOL, ZERO_TOL, ConvergenceError,
-                       Inertia, IntPolynomial, Spectrum, charpoly_exact,
-                       seidel_inertia, seidel_matrix, seidel_spectrum,
-                       spectrum_from_values, sym_eigenvalues)
-from .theory import (ENERGY_TOL, Certificate, CertificateBlock,
-                     ClosedFormSpectrum, HypothesisReport,
-                     blowup_seidel_spectrum, certify,
-                     clique_blowup_seidel_spectrum, compare_spectra,
-                     composed_blowup_seidel_spectra, hypothesis_from_spectrum,
-                     to_json)
+from .graphs import *
+from .spectral import *
+from .theory import *
 
 # re-exported from ``search`` on first use (PEP 562)
 _SEARCH = ("PairReport", "ScanConfig", "ScanEntry", "ScanFailure", "ScanSkip",

@@ -5,22 +5,24 @@ instance contradicts the predicted equienergy (bug or counterexample --
 either demands attention).
 
 Single-graph commands accept the graph6 string as a positional argument,
-``-`` to read it from stdin, or ``--file PATH``; exactly one source.
-Constructed orders are capped at ``graphs.DEFAULT_MAX_DIM``, the same cap
-for ``construct``, ``certify``, ``closed-form`` and ``scan``.
+or read it as bytes, as ``scan`` does, from stdin (``-``) or ``--file
+PATH``; exactly one source.  ``closed-form`` and ``certify`` name a pair
+by its theorem.  Constructed orders are capped at ``DEFAULT_MAX_DIM``,
+the same cap for ``construct``, ``certify``, ``closed-form`` and ``scan``.
 """
 
 import argparse
 import sys
+
+import numpy as np
 
 from . import __version__
 from .graphs import (KINDS, NUMERIC_MAX_ORDER, Graph6Error, _check_blowup,
                      complement, construct, graph_from_graph6, graph_to_graph6)
 from .spectral import (CHARPOLY_MAX_ORDER, ConvergenceError, charpoly_exact,
                        seidel_inertia, seidel_matrix, seidel_spectrum)
-from .theory import (_sig, blowup_seidel_spectrum, certify,
-                     clique_blowup_seidel_spectrum, compare_spectra,
-                     composed_blowup_seidel_spectra, to_json)
+from .theory import (_MEMBERS, ClosedFormSpectrum, _closed_forms, _record,
+                     _sig, certify, compare_spectra, to_json)
 
 class _UsageError(Exception):
     pass
@@ -71,12 +73,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True, help="multiplicity, >= 2")
 
     p = graph_command("closed-form", _cmd_closed_form,
-                      "predicted blow-up spectrum from the input spectrum")
-    which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--lemma", type=int, choices=(1, 2),
-                       help="1: independent blow-up, 2: clique blow-up")
-    which.add_argument("--theorem", type=int, choices=(2,),
-                       help="2: both composed double blow-ups")
+                      "closed-form spectra of both members of a pair")
+    p.add_argument("--theorem", type=int, choices=(1, 2), required=True)
     p.add_argument("--m", type=int, required=True)
 
     p = sub.add_parser("compare", help="equienergetic/cospectral verdict for two graphs")
@@ -114,7 +112,7 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _first_graph6_line(stream) -> str:
+def _first_graph6_line(stream) -> bytes:
     for line in stream:
         if line.strip():
             return line.strip()
@@ -123,16 +121,17 @@ def _first_graph6_line(stream) -> str:
 
 def _load_graph(token, file=None):
     """The graph of a graph6 ``token``, ``-`` for the next non-blank stdin
-    line, or of the first non-blank line of ``file``: exactly one source."""
+    line, or of the first non-blank line of ``file``: exactly one source.
+    Bytes, as ``scan`` reads them, so a bad line gets the scan's error."""
     if (token is None) == (file is None):
         raise _UsageError(
             "seidelkit: error: supply exactly one input "
             "(positional graph6, '-', or --file PATH)")
     if file is not None:
-        with open(file, "r", encoding="ascii") as fh:
+        with open(file, "rb") as fh:
             token = _first_graph6_line(fh)
     elif token == "-":
-        token = _first_graph6_line(sys.stdin)
+        token = _first_graph6_line(sys.stdin.buffer)
     return graph_from_graph6(token)
 
 
@@ -182,19 +181,14 @@ def _cmd_construct(args) -> int:
 
 def _cmd_closed_form(args) -> int:
     g = _load_graph(args.graph, args.file)
-    # refused before the solve: a lemma is one twin step, theorem 2 two
-    _check_blowup(g.n, args.m, args.theorem or 1)
-    sigma = seidel_spectrum(g)
-    if args.lemma == 1:
-        forms = {"spectrum": blowup_seidel_spectrum(sigma, args.m)}
-    elif args.lemma == 2:
-        forms = {"spectrum": clique_blowup_seidel_spectrum(sigma, args.m)}
-    else:
-        left, right = composed_blowup_seidel_spectra(sigma, args.m)
-        forms = {"spectrum_a": left, "spectrum_b": right}
+    # each member is theorem twin steps: refuse them before the base solve
+    _check_blowup(g.n, args.m, args.theorem)
+    values = np.array([seidel_spectrum(g).values])
+    forms = {f"spectrum_{side}": _record(ClosedFormSpectrum,
+                                         _closed_forms(values, args.m, kind), 0)
+             for side, kind in zip("ab", _MEMBERS[args.theorem])}
     return _emit(args, forms, lambda: "\n".join(
-        ("" if len(forms) == 1 else f"{key}: ") + cf.format_grouped()
-        for key, cf in forms.items()))
+        f"{key}: {cf.format_grouped()}" for key, cf in forms.items()))
 
 
 def _cmd_compare(args) -> int:

@@ -52,7 +52,8 @@ _GRAPH6_HEADER = ">>graph6<<"
 
 
 class Graph6Error(ValueError):
-    """Malformed graph6 input.  ``offset`` is the byte position of the fault."""
+    """Malformed graph6 input.  ``offset`` is the byte position of the
+    fault, counted from the line's first byte, ``>>graph6<<`` included."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
@@ -140,53 +141,53 @@ def _graph6_header(text: str | bytes) -> tuple[int, bytes, int]:
     """(n, line bytes, payload offset) of a graph6 line that decodes.  The
     one check of a line: its header, then its payload's length, byte range
     and padding bits; the first fault raises :class:`Graph6Error`."""
-    if isinstance(text, str):
-        if not text.isascii():
-            i = next(i for i, ch in enumerate(text) if ord(ch) > 127)
-            raise Graph6Error("non-ASCII character", i)
-        data = text.encode("ascii")
-    else:
-        data = bytes(text)
+    try:
+        data = text.encode("ascii") if isinstance(text, str) else bytes(text)
+    except UnicodeEncodeError as exc:  # at the first non-ASCII character
+        raise Graph6Error("non-ASCII character", exc.start) from None
     data = data.rstrip(b"\r\n")
-    if data.startswith(_GRAPH6_HEADER.encode()):
-        data = data[len(_GRAPH6_HEADER):]
-    elif data.startswith(b">>"):
+    skip = len(_GRAPH6_HEADER) * data.startswith(_GRAPH6_HEADER.encode())
+    if not skip and data.startswith(b">>"):
         raise Graph6Error("unrecognized format header", 0)
+    data = data[skip:]
     if not data:
-        raise Graph6Error("empty graph6 string", 0)
+        raise Graph6Error("empty graph6 string", skip)
     b0 = data[0]
     if b0 == 58:  # ':'
-        raise Graph6Error("sparse6 input not supported", 0)
+        raise Graph6Error("sparse6 input not supported", skip)
     if b0 == 38:  # '&'
-        raise Graph6Error("digraph6 input not supported", 0)
+        raise Graph6Error("digraph6 input not supported", skip)
     if b0 < 63 or b0 > 126:
-        raise Graph6Error("size byte out of graph6 range", 0)
+        raise Graph6Error("size byte out of graph6 range", skip)
     if b0 == 63:
-        raise Graph6Error("order-zero graph not supported", 0)
+        raise Graph6Error("order-zero graph not supported", skip)
     n, start = b0 - 63, 1
     if b0 == 126:  # long form: 126 then 18 bits in three bytes
         if len(data) >= 2 and data[1] == 126:
-            raise Graph6Error("graph order beyond supported long form", 1)
+            raise Graph6Error("graph order beyond supported long form",
+                              skip + 1)
         if len(data) < 4:
-            raise Graph6Error("truncated long-form size field", len(data))
+            raise Graph6Error("truncated long-form size field",
+                              skip + len(data))
         n, start = 0, 4
         for i in (1, 2, 3):
             b = data[i]
             if b < 63 or b > 126:
-                raise Graph6Error("size byte out of graph6 range", i)
+                raise Graph6Error("size byte out of graph6 range", skip + i)
             n = (n << 6) | (b - 63)
         if n <= 62:
-            raise Graph6Error("non-canonical long-form size field", 1)
+            raise Graph6Error("non-canonical long-form size field", skip + 1)
     nbits = n * (n - 1) // 2
     end = start + (nbits + 5) // 6
     if len(data) < end:
-        raise Graph6Error("truncated bit payload", len(data))
+        raise Graph6Error("truncated bit payload", skip + len(data))
     if len(data) > end:
-        raise Graph6Error("trailing garbage after bit payload", end)
+        raise Graph6Error("trailing garbage after bit payload", skip + end)
     if bad := _NON_GRAPH6.search(data, start):
-        raise Graph6Error("payload byte out of graph6 range", bad.start())
+        raise Graph6Error("payload byte out of graph6 range",
+                          skip + bad.start())
     if (data[end - 1] - 63) & ((1 << -nbits % 6) - 1):  # in the last byte
-        raise Graph6Error("nonzero padding bits", end - 1)
+        raise Graph6Error("nonzero padding bits", skip + end - 1)
     return n, data, start
 
 

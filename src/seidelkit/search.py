@@ -50,10 +50,10 @@ __all__ = [
 # blocks.
 _CHUNK_LINES = 4096
 
-# Cap on B * n**2 * 8 bytes, the int64 base Seidel matrices of a block of B
-# graphs of order n, summed over the blocks waiting to run.  A line over the
-# cap on its own runs as a block of one.  4 MiB: G(300, 1/2) lines peaked
-# at 7.8 MiB (tracemalloc), not 35.7 as at 16 MiB, for up to 8 % more time.
+# Cap on B * n**2 * 8 bytes, the float64 base Seidel matrices of a block of
+# B graphs of order n, summed over the blocks waiting to run.  A line over
+# the cap on its own runs as a block of one.  4 MiB: G(300, 1/2) lines peak
+# at 4.9 MiB (tracemalloc), not 21.9 as at 16 MiB, for up to 8 % more time.
 _BLOCK_BYTES = 1 << 22
 
 # Work, in the bytes ``_BLOCK_BYTES`` counts, that a catalog must pass for
@@ -195,7 +195,7 @@ def _chunks(tasks, size: int):
 
 def _line_cost(config: ScanConfig, n: int) -> tuple[int, int]:
     """The one rule for a line whose graph has order n: its constructed
-    order, and the bytes a block budgets for it, its int64 base Seidel
+    order, and the bytes a block budgets for it, its float64 base Seidel
     matrix, or 0 for a line over ``max_order``, which is skipped."""
     order = config.m ** config.theorem * n
     return order, 8 * n * n if order <= config.max_order else 0
@@ -224,8 +224,8 @@ def scan_stream(lines, config: ScanConfig, jobs: int = 1) -> PairReport:
     back in input order; those a broken pool did not return run here.
     The report does not depend on the chunk, block or worker count.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
+    if type(jobs) is not int or jobs < 1:
+        raise ValueError(f"jobs must be a positive int, got {jobs!r}")
     tasks = ((i, text) for i, line in enumerate(lines, start=1)
              if (text := line.strip()))
 

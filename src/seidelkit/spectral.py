@@ -168,7 +168,7 @@ def sym_eigenvalues(mat: np.ndarray) -> np.ndarray:
     if not np.array_equal(a, a.swapaxes(-1, -2)):
         raise ValueError("matrix must be symmetric")
     try:
-        values = np.linalg.eigvalsh(a.astype(np.float64))
+        values = np.linalg.eigvalsh(a.astype(np.float64, copy=False))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
     # eigvalsh returns each row ascending

@@ -64,6 +64,10 @@ __all__ = [
 # Relative tolerance for declaring two Seidel energies equal.
 ENERGY_TOL = 1e-8
 
+# the two members of pair theorem t: the construction kinds of t twin steps
+_MEMBERS = {t: tuple(kind for kind, steps in KINDS.items() if len(steps) == t)
+            for t in (1, 2)}
+
 
 # ---------------------------------------------------------------------------
 # Closed-form spectra
@@ -144,7 +148,7 @@ def composed_blowup_seidel_spectra(
     """Closed forms of clique_blowup(blowup(G,m),m) and blowup(clique_blowup(G,m),m)."""
     return tuple(_record(ClosedFormSpectrum,
                          _closed_forms(np.array([sigma.values]), m, kind), 0)
-                 for kind in ("t2-left", "t2-right"))
+                 for kind in _MEMBERS[2])
 
 
 def _record(cls, columns, row: int):
@@ -366,11 +370,6 @@ def _kind_proven(m: int, kind: str) -> tuple[bool, bool]:
         seidel_matrix(point), m, forms.scale, forms.shift, forms.padding)
 
 
-# the two members of pair theorem t: the construction kinds of t twin steps
-_MEMBERS = {t: tuple(kind for kind, steps in KINDS.items() if len(steps) == t)
-            for t in (1, 2)}
-
-
 class CertificateBlock(SimpleNamespace):
     """The certificates of a block of graphs of one order, as columns: an
     attribute per field of :class:`Certificate`, :class:`HypothesisReport`
@@ -409,7 +408,7 @@ def _certify_block(adj: np.ndarray, m: int, theorem: int, screen: bool = False
     proof of K, ``_kind_proven``.  Energies and verdicts come from the
     closed forms, each energy and residual a ``math.fsum`` over its row.
     """
-    values = sym_eigenvalues(seidel_matrix(adj))
+    values = sym_eigenvalues(seidel_matrix(adj, np.float64))  # no int64 copy
     rows, hypothesis = _hypotheses(values, m, theorem, screen)
     if screen:
         if not len(rows):
@@ -470,7 +469,7 @@ def _render(obj, nl: str) -> str:
     if isinstance(obj, dict):
         if not all(isinstance(key, str) for key in obj):
             raise TypeError("keys must be str")
-        template, pairs = _layout(tuple(obj), nl)
+        template, pairs = _layout.__wrapped__(tuple(obj), nl)
         return template % tuple(_render(obj[key], nl + "  ") for key, _ in pairs)
     # a special float or a subclass of a leaf type, or else TypeError
     return json.dumps(obj)
@@ -520,7 +519,8 @@ def _bracket(texts: list[str], nl: str) -> str:
 def _layout(keys, nl: str) -> tuple[str, tuple[tuple[str, type], ...]]:
     """The ``%`` template of an object at indent ``nl`` whose keys are a
     dataclass's fields or a tuple of names, sorted and rendered; with each
-    key in that order and its type if a dataclass field is one, else None."""
+    key in that order and its type if a dataclass field is one, else None.
+    A dict's keys, which may be new on every call, bypass the cache."""
     pairs = sorted(((name, None) for name in keys) if type(keys) is tuple
                    else _fields(keys))
     if not pairs:

@@ -4,21 +4,21 @@ import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import seidelkit
 from seidelkit import (ClosedFormSpectrum, Graph, ScanConfig, blowup,
-                       blowup_seidel_spectrum, certify, charpoly_exact,
-                       clique_blowup, clique_blowup_seidel_spectrum,
-                       compare_spectra, complement,
-                       composed_blowup_seidel_spectra, construct,
+                       certify, charpoly_exact, clique_blowup,
+                       compare_spectra, complement, construct,
                        graph_from_graph6, graph_to_graph6, graphs,
                        scan_stream, seidel_inertia, seidel_matrix,
-                       seidel_spectrum, spectral)
+                       seidel_spectrum, spectral, to_json)
 from seidelkit import cli
 from seidelkit.cli import run
 from conftest import reference_json, report_text
@@ -120,13 +120,43 @@ def test_construct_kinds(capsys, kind, order):
 
 
 def test_construct_pipes_into_spectrum_matching_closed_form(capsys):
-    assert run(["construct", "--dm", "--m", "2", "A_"]) == 0
-    constructed, _ = _out(capsys)
-    assert run(["spectrum", constructed]) == 0
-    numeric, _ = _out(capsys)
-    assert run(["closed-form", "--lemma", "1", "--m", "2", "A_"]) == 0
+    # theorem 1's members are dm and dmstar, in that order
+    numeric = []
+    for kind in ("dm", "dmstar"):
+        assert run(["construct", f"--{kind}", "--m", "2", "A_"]) == 0
+        constructed, _ = _out(capsys)
+        assert run(["spectrum", constructed]) == 0
+        numeric.append(_out(capsys)[0])
+    assert run(["closed-form", "--theorem", "1", "--m", "2", "A_"]) == 0
     closed, _ = _out(capsys)
-    assert numeric == closed
+    assert closed == f"spectrum_a: {numeric[0]}\nspectrum_b: {numeric[1]}"
+
+
+@pytest.mark.parametrize("theorem, m", [(1, 2), (1, 3), (2, 2), (2, 3)])
+def test_closed_form_prints_the_closed_forms_of_certify(capsys, theorem, m):
+    # both members of the pair, as certify reports them: one table of a
+    # pair's construction kinds, ``theory._MEMBERS``, for both commands
+    for line in ("A_", "Bw", "C~", "D]w", "DQc", "E?Bw"):
+        cert = certify(graph_from_graph6(line), m, theorem)
+        argv = ["closed-form", line, "--theorem", str(theorem), "--m", str(m)]
+        assert run(argv + ["--json"]) == 0
+        assert capsys.readouterr() == (to_json(
+            {"spectrum_a": cert.closed_a, "spectrum_b": cert.closed_b}) + "\n",
+            "")
+        assert run(argv) == 0
+        assert _out(capsys) == (
+            f"spectrum_a: {cert.closed_a.format_grouped()}\n"
+            f"spectrum_b: {cert.closed_b.format_grouped()}", "")
+
+
+def test_closed_form_takes_no_lemma(capsys):
+    # a lemma's one construction is a member of theorem 1's pair
+    assert run(["closed-form", "--lemma", "1", "--m", "2", "A_"]) == 1
+    assert run(["closed-form", "--theorem", "1", "--lemma", "2", "--m", "2",
+                "A_"]) == 1
+    assert run(["closed-form", "--theorem", "3", "--m", "2", "A_"]) == 1
+    assert run(["closed-form", "--m", "2", "A_"]) == 1  # no --theorem
+    assert _out(capsys)[0] == ""
 
 
 def test_closed_form_theorem_two(capsys):
@@ -162,19 +192,19 @@ def test_closed_form_respects_cap(capsys, monkeypatch, json_flag):
 
     with monkeypatch.context() as patch:
         patch.setattr(cli, "seidel_spectrum", unreachable)
-        for argv, order in ((["--lemma", "1", "--m", "5001"], 10002),
-                            (["--lemma", "2", "--m", "5001"], 10002),
+        for argv, order in ((["--theorem", "1", "--m", "5001"], 10002),
                             (["--theorem", "2", "--m", "71"], 10082)):
             assert run(["closed-form", "A_", *argv, *json_flag]) == 2
             assert _out(capsys) == ("", f"seidelkit: blow-up order {order} "
                                         "exceeds dimension cap 10000")
     # order 10000, at the cap, is still predicted
-    assert run(["closed-form", "A_", "--lemma", "1", "--m", "5000",
+    assert run(["closed-form", "A_", "--theorem", "1", "--m", "5000",
                 *json_flag]) == 0
     out, err = _out(capsys)
     assert err == ""
     if not json_flag:
-        assert out == "{9999^1, -1^9999}"
+        assert out == ("spectrum_a: {9999^1, -1^9999}\n"
+                       "spectrum_b: {1^9999, -9999^1}")
 
 
 def test_closed_form_json_builds_no_text(capsys, monkeypatch):
@@ -200,7 +230,8 @@ def test_compare_k3_p3(capsys):
 
 
 def test_compare_reads_two_stdin_lines(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("\nBw\n\nBo\nBW\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(
+        b"\nBw\n\nBo\nBW\n")))
     assert run(["compare", "-", "-"]) == 0
     out, _ = _out(capsys)
     assert "equienergetic=True" in out and "cospectral=False" in out
@@ -258,14 +289,9 @@ def _compare(first, second):
             "cospectral": cospectral}
 
 
-def _closed_form(g, m, lemma):
-    sigma = seidel_spectrum(g)
-    if lemma == 1:
-        return {"spectrum": blowup_seidel_spectrum(sigma, m)}
-    if lemma == 2:
-        return {"spectrum": clique_blowup_seidel_spectrum(sigma, m)}
-    left, right = composed_blowup_seidel_spectra(sigma, m)
-    return {"spectrum_a": left, "spectrum_b": right}
+def _closed_form(g, m, theorem):
+    cert = certify(g, m, theorem)
+    return {"spectrum_a": cert.closed_a, "spectrum_b": cert.closed_b}
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -279,12 +305,12 @@ def _closed_form(g, m, lemma):
     (["construct", "--t2-left", "--m", "2", "--json"], lambda g: {
         "graph6": graph_to_graph6(construct(g, 2, "t2-left")),
         "order": 4 * g.n}),
-    (["closed-form", "--lemma", "1", "--m", "3", "--json"],
+    (["closed-form", "--theorem", "1", "--m", "3", "--json"],
      lambda g: _closed_form(g, 3, 1)),
-    (["closed-form", "--lemma", "2", "--m", "3", "--json"],
+    (["closed-form", "--theorem", "2", "--m", "3", "--json"],
      lambda g: _closed_form(g, 3, 2)),
     (["closed-form", "--theorem", "2", "--m", "2", "--json"],
-     lambda g: _closed_form(g, 2, 3)),
+     lambda g: _closed_form(g, 2, 2)),
     (["compare", "--json", "Bw"], lambda g: _compare(g, graph_from_graph6("Bw"))),
     (["certify", "--theorem", "1", "--m", "2"], lambda g: certify(g, 2, 1)),
     (["certify", "--theorem", "2", "--m", "3"], lambda g: certify(g, 3, 2)),
@@ -492,7 +518,7 @@ def test_scan_skips_lines_over_max_order(tmp_path, capsys):
 
 
 def test_stdin_single_graph(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("C~\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"C~\n")))
     assert run(["energy", "-"]) == 0
     out, _ = _out(capsys)
     assert out == "6"
@@ -504,6 +530,46 @@ def test_file_input_single_graph(tmp_path, capsys):
     assert run(["energy", "--file", str(path)]) == 0
     out, _ = _out(capsys)
     assert out == "6"
+
+
+@pytest.mark.parametrize("line", [
+    b"B\xffw", b"A\xc3\xa9", b"C~~", b">>graph6<<C~~", b">>graph6<<C\x80",
+    b">>graph6<<"])
+def test_a_bad_line_gets_one_error_from_file_stdin_and_scan(
+        tmp_path, capsys, monkeypatch, line):
+    # --file and - read bytes, as scan does, so a line fails with the same
+    # message and byte offset whichever way it comes in
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"\n" + line + b"\r\n")
+    assert run(["scan", str(path), "--m", "2"]) == 0
+    [failure] = json.loads(_out(capsys)[0])["failures"]
+    expected = ("", f"seidelkit: {failure['error']}")
+    assert run(["spectrum", "--file", str(path)]) == 2
+    assert _out(capsys) == expected
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(
+        path.read_bytes())))
+    assert run(["spectrum", "-"]) == 2
+    assert _out(capsys) == expected
+
+
+def _readme_examples() -> list[list[str]]:
+    """The arguments of each ``seidelkit`` line of README.md's CLI block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.split("\n```", 1)[0].splitlines()
+            if line.startswith("seidelkit ")]
+
+
+def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch, catalog_lines):
+    # the usage the README documents is the parser's; ``scan`` reads a few
+    # atlas lines from the catalog its example names
+    examples = _readme_examples()
+    assert {argv[0] for argv in examples} >= {"closed-form", "certify", "scan"}
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "catalog.g6").write_text("\n".join(catalog_lines[:12]) + "\n")
+    codes = {shlex.join(argv): run(argv) for argv in examples}
+    assert codes == dict.fromkeys(codes, 0)
 
 
 # -- exit codes ----------------------------------------------------------------------

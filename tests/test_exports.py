@@ -26,20 +26,24 @@ def test_all_names_resolve(name):
 
 
 def test_package_reexports_only_exported_names():
-    # every ``from .module import name`` in the package's ``__init__``, and
-    # every name of its table of lazy ``search`` re-exports, so a name
-    # deleted from a module's ``__all__`` cannot linger as a re-export
+    # the package's ``__init__`` re-exports ``graphs``, ``spectral`` and
+    # ``theory`` by one ``import *`` each, so each module's ``__all__`` is
+    # the one list of its public names; every name of its table of lazy
+    # ``search`` re-exports is in ``search.__all__``, and the package has
+    # no other public name, so a name deleted from a module's ``__all__``
+    # cannot linger as a re-export
     tree = ast.parse(Path(seidelkit.__file__).read_text())
-    imports = [node for node in tree.body
-               if isinstance(node, ast.ImportFrom) and node.level == 1]
-    assert {node.module for node in imports} == {"graphs", "spectral", "theory"}
-    reexports = [(node.module, alias.name) for node in imports
-                 for alias in node.names]
-    reexports += [("search", name) for name in seidelkit._SEARCH]
-    stale = [f"{module}.{name}" for module, name in reexports
-             if name not in importlib.import_module(
-                 f"seidelkit.{module}").__all__]
-    assert stale == []
+    imports = {node.module: [alias.name for alias in node.names]
+               for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert imports == dict.fromkeys(("graphs", "spectral", "theory"), ["*"])
+    modules = ("graphs", "spectral", "theory", "search")
+    exported = {name: set(importlib.import_module(f"seidelkit.{name}").__all__)
+                for name in modules}
+    assert set(seidelkit._SEARCH) <= exported["search"]
+    public = {name for name in dir(seidelkit) if not name.startswith("_")}
+    # ``cli`` is an attribute once anything has imported ``seidelkit.cli``
+    assert public - {"cli"} == set(modules).union(*exported.values())
 
 
 class _Loads(ast.NodeVisitor):

@@ -146,6 +146,13 @@ def test_codec_accepts_header_and_newline():
     (b"C\x80", 1),           # above range, in a bytes line
     ("A@", 1),               # nonzero padding bits
     (chr(126), 1),           # truncated long-form size
+    # the offsets count the >>graph6<< prefix
+    (">>graph6<<", 10),      # empty after the prefix
+    (">>graph6<<:Fa@x^", 10),  # sparse6 after the prefix
+    (">>graph6<<C~~", 12),   # trailing garbage
+    (b">>graph6<<C\x80", 11),  # above range, in a bytes line
+    (">>graph6<<~~", 11),    # long form beyond the supported orders
+    (">>graph6<<A@", 11),    # nonzero padding bits
 ])
 def test_codec_errors_carry_offsets(text, offset):
     with pytest.raises(Graph6Error) as err:

@@ -21,7 +21,7 @@ from networkx.generators.atlas import graph_atlas_g
 from seidelkit import (DEFAULT_MAX_DIM, Graph, Graph6Error, ScanConfig,
                        certify, graph_from_graph6, graph_to_graph6,
                        scan_stream, to_json, write_report)
-from seidelkit import graphs, search
+from seidelkit import graphs, search, theory
 from seidelkit.cli import run
 from conftest import (CONFIG_KEYS, ENTRY_KEYS, FAILURE_KEYS, POOL,
                       REPORT_KEYS, SKIP_KEYS, TOTALS_KEYS, check_json_object,
@@ -36,6 +36,23 @@ def test_config_validation():
     assert ScanConfig(m=2, max_order=DEFAULT_MAX_DIM).max_order == DEFAULT_MAX_DIM
     with pytest.raises(ValueError):
         scan_stream(["A_"], ScanConfig(m=2), jobs=0)
+
+
+class _UnreadLines:
+    def __iter__(self):
+        raise AssertionError("the scan read a line")
+
+
+@pytest.mark.parametrize("jobs", [2.5, True, np.int64(2), 0, -1, "2", None])
+def test_jobs_must_be_a_positive_int_before_any_line_is_read(
+        monkeypatch, jobs):
+    # with four CPUs, past the fork threshold, 2.5 failed in islice only
+    # after every line was listed, and True ran serially
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(search, "_FORK_BYTES", 0)
+    with pytest.raises(ValueError) as err:
+        scan_stream(_UnreadLines(), ScanConfig(m=2), jobs=jobs)
+    assert str(err.value) == f"jobs must be a positive int, got {jobs!r}"
 
 
 def test_empty_stream():
@@ -497,6 +514,21 @@ def test_runs_of_a_dataclass_without_fields(length):
     for rows in ((_Empty(),) * length, [_Empty() for _ in range(length)],
                  (_Pair(_Empty(), (_Empty(),) * length),) * length):
         assert to_json(rows) == reference_json(rows)
+
+
+def test_dict_layouts_are_not_cached():
+    # a dict's keys may be new on every call: each set of keys kept one
+    # cached layout; dataclass layouts stay cached
+    theory._layout.cache_clear()
+    cert = to_json(certify(graph_from_graph6("A_"), 2, 1))
+    size = theory._layout.cache_info().currsize
+    assert size > 0
+    for k in range(100):
+        obj = {f"key{k}": [k, 0.5], f"other{k}": {f"inner{k}": k}}
+        assert to_json(obj) == reference_json(obj)
+    assert theory._layout.cache_info().currsize == size
+    assert to_json(certify(graph_from_graph6("A_"), 2, 1)) == cert
+    assert theory._layout.cache_info().currsize == size
 
 
 def test_to_json_refuses_what_json_refuses_and_non_str_keys():

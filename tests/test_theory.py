@@ -664,6 +664,33 @@ def kind_proofs(monkeypatch):
     theory._kind_proven.cache_clear()
 
 
+def test_certify_holds_one_base_seidel_matrix(monkeypatch):
+    # S is built in float64, the solver's type: with an int64 S and its
+    # float64 copy, certify of G(1500, 1/2) peaked at 2.0 x 8n^2
+    # (tracemalloc), built once at 1.13 x (its symmetry check's bool array)
+    n = 1500
+    rng = np.random.default_rng(17)
+    adj = np.triu(rng.integers(0, 2, (n, n), dtype=np.int8), 1)
+    g = Graph._trusted(adj | adj.T)
+    solved, solve = [], theory.sym_eigenvalues
+    monkeypatch.setattr(theory, "sym_eigenvalues",
+                        lambda mat: solved.append(solve(mat)) or solved[-1])
+    tracemalloc.start()
+    try:
+        cert = certify(g, 2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n * n
+    # eigvalsh gets the same input as from the int64 matrix: the same
+    # eigenvalues, bit for bit, and the same certificate
+    monkeypatch.setattr(theory, "seidel_matrix", lambda adj, dtype=np.int64:
+                        seidel_matrix(adj, np.int64 if dtype is np.float64
+                                      else dtype))
+    assert to_json(certify(g, 2, 1)) == to_json(cert)
+    assert np.array_equal(solved[0], solved[1])
+
+
 def test_kind_proof_builds_k_in_int8(kind_proofs):
     # K at M = 2000 as int64 alone is 30.5 MiB; int8 peaked at 7.6 MiB
     tracemalloc.start()
