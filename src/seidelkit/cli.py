@@ -13,6 +13,7 @@ the same cap for ``construct``, ``certify``, ``closed-form`` and ``scan``.
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -122,7 +123,8 @@ def _first_graph6_line(stream) -> bytes:
 def _load_graph(token, file=None):
     """The graph of a graph6 ``token``, ``-`` for the next non-blank stdin
     line, or of the first non-blank line of ``file``: exactly one source.
-    Bytes, as ``scan`` reads them, so a bad line gets the scan's error."""
+    Bytes, as ``scan`` reads them (a stdin with none, as an ``io.StringIO``,
+    gives text), so a bad line gets the scan's error."""
     if (token is None) == (file is None):
         raise _UsageError(
             "seidelkit: error: supply exactly one input "
@@ -131,7 +133,7 @@ def _load_graph(token, file=None):
         with open(file, "rb") as fh:
             token = _first_graph6_line(fh)
     elif token == "-":
-        token = _first_graph6_line(sys.stdin.buffer)
+        token = _first_graph6_line(getattr(sys.stdin, "buffer", sys.stdin))
     return graph_from_graph6(token)
 
 
@@ -217,12 +219,10 @@ def _cmd_scan(args) -> int:
     # is read
     config = ScanConfig(m=args.m, theorem=args.theorem,
                         max_order=args.max_order)
-    # read bytes: a non-ASCII line then fails to parse on its own
-    if args.input == "-":
-        report = scan_stream(sys.stdin.buffer, config, jobs=args.jobs)
-    else:
-        with open(args.input, "rb") as fh:
-            report = scan_stream(fh, config, jobs=args.jobs)
+    # read bytes, if stdin has them: a non-ASCII line then fails on its own
+    with (nullcontext(getattr(sys.stdin, "buffer", sys.stdin))
+          if args.input == "-" else open(args.input, "rb")) as fh:
+        report = scan_stream(fh, config, jobs=args.jobs)
     write_report(report, format=args.format, destination=args.out)
     return 3 if report.has_violations else 0
 

@@ -201,7 +201,7 @@ def graph_from_graph6(text: str | bytes) -> Graph:
     n, data, start = _graph6_header(text)
     # symmetric, 0/1 and loop-free by construction: no re-validation
     if n <= 62:  # one gather from a cached map; the size byte leads
-        bits = _SEVEN_BITS[np.frombuffer(data, np.uint8)]
+        bits = _SEVEN_BITS.take(np.frombuffer(data, np.uint8), axis=0)
         return Graph._trusted(bits.take(_bit_positions(n)))
     adj = np.zeros((n, n), dtype=np.int8)
     lower = _lower.__wrapped__(n)

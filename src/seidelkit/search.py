@@ -14,7 +14,7 @@ the JSON with the pieces of the canonical writer that ``theory`` owns.
 Output follows input line order, and the JSON is byte-identical whatever
 the chunk, block and worker counts.
 
-Accounting invariant, enforced by construction:
+Accounting invariant, each bucket counted where its lines are decided:
 
     scanned == certified + refuted + hypothesis_failed + parse_failed + skipped
 """
@@ -26,6 +26,7 @@ from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -58,8 +59,8 @@ _BLOCK_BYTES = 1 << 22
 
 # Work, in the bytes ``_BLOCK_BYTES`` counts, that a catalog must pass for
 # ``jobs > 1`` to start a pool.  Two BLAS-capped workers broke even with
-# serial at 16-22 MiB on 2 cores, on copies of a catalog of orders 10-32
-# and on G(300, 1/2) lines, at theorem 1, m = 2.
+# serial on 2 cores, at theorem 1, m = 2, at 18-22 MiB on copies of a
+# catalog of orders 10-32 and at 21-24 MiB on G(300, 1/2) lines.
 _FORK_BYTES = 20 << 20
 
 # Failures or skips per ``_column`` call: a writer holds one slice's texts.
@@ -112,7 +113,7 @@ class ScanFailure:
 class ScanSkip:
     line: int
     order: int
-    reason: str
+    reason: str = "constructed order exceeds max_order"
 
 
 @dataclass(frozen=True)
@@ -141,49 +142,56 @@ class PairReport:
 # ---------------------------------------------------------------------------
 
 
-def _scan_chunk(config: ScanConfig, chunk) -> list[tuple]:
-    """Process (line number, text) pairs; returns one (line, tag, ...)
-    record per pair, in order, whose tag is the totals bucket of the line:
-    a :class:`ScanEntry` for a certified or refuted line.
+def _scan_chunk(config: ScanConfig, chunk) -> tuple:
+    """Process (line number, text) pairs; returns the chunk's entries,
+    failures and skips, each a list in line order, and a ``Counter`` of its
+    lines, ``scanned``, and of each bucket where its lines are decided.
 
     Every line is decoded on its own, and ``_line_cost`` of its order skips
     it or budgets it.  The graphs that reach the solve wait in equal-order
     blocks until their Seidel matrices would pass ``_BLOCK_BYTES``; then
-    every waiting block runs.  Module-level so worker processes can
-    unpickle it.
+    every waiting block runs.  Module-level so workers can unpickle it.
     """
-    records, waiting, held = {}, defaultdict(list), 0
+    entries, failures, skips = [], [], []
+    counts, waiting, held = Counter(scanned=len(chunk)), defaultdict(list), 0
     for line_no, text in chunk:
         try:
-            g = graph_from_graph6(text)
+            adj = graph_from_graph6(text).adj
         except Graph6Error as exc:
-            records[line_no] = (line_no, "parse_failed", str(exc))
+            failures.append(ScanFailure(line_no, str(exc)))
             continue
-        order, cost = _line_cost(config, g.n)
+        order, cost = _line_cost(config, len(adj))
         if not cost:
-            records[line_no] = (line_no, "skipped", order)
+            skips.append(ScanSkip(line_no, order))
             continue
         if held + cost > _BLOCK_BYTES:
-            _run_blocks(config, waiting, records)
+            _run_blocks(config, waiting, entries, counts)
             held = 0
-        waiting[g.n].append((line_no, g))
+        waiting[len(adj)].append((line_no, adj))
         held += cost
-    _run_blocks(config, waiting, records)
-    return [records[line_no] for line_no, _ in chunk]
+    _run_blocks(config, waiting, entries, counts)
+    counts.update(parse_failed=len(failures), skipped=len(skips))
+    entries.sort(key=itemgetter(0))  # blocks of mixed orders interleave
+    return entries, failures, skips, counts
 
 
-def _run_blocks(config: ScanConfig, waiting: dict, records: dict) -> None:
-    """Run each order's waiting (line number, graph) pairs as one screened
-    ``_certify_block`` into ``records``: the lines below the bound are
-    ``hypothesis_failed``."""
+def _run_blocks(config: ScanConfig, waiting, entries, counts) -> None:
+    """Run each order's waiting (line number, adjacency) pairs as one
+    screened ``_certify_block``: its kept rows join ``entries``, and
+    ``counts`` gains its lines under the bound and its columns' verdicts."""
     for block in waiting.values():
-        rows, certs = _certify_block(np.stack([g.adj for _, g in block]),
-                                     config.m, config.theorem, screen=True)
-        records.update((line_no, (line_no, "hypothesis_failed"))
-                       for line_no, _ in block)
-        for k, row in enumerate(rows.tolist()):
-            kind = "certified" if certs.satisfied[k] else "refuted"
-            records[block[row][0]] = ScanEntry(block[row][0], kind, certs, k)
+        lines, adj = zip(*block)
+        rows, certs = _certify_block(np.array(adj), config.m, config.theorem,
+                                     screen=True)
+        counts["hypothesis_failed"] += len(block) - len(rows)
+        if certs is not None:
+            entries += (ScanEntry(lines[row], "certified" if ok else "refuted",
+                                  certs, k) for k, (row, ok)
+                        in enumerate(zip(rows.tolist(), certs.satisfied)))
+            counts.update(certified=certs.satisfied.count(True),
+                          refuted=certs.satisfied.count(False),
+                          boundary_flagged=certs.boundary.count(True),
+                          violations=certs.theorem_violation.count(True))
     waiting.clear()
 
 
@@ -260,24 +268,16 @@ def scan_stream(lines, config: ScanConfig, jobs: int = 1) -> PairReport:
             chunks += map(worker, todo[len(chunks):])
     else:
         chunks = map(worker, _chunks(tasks, _CHUNK_LINES))
-    records = [record for chunk in chunks for record in chunk]
-
-    tags = Counter(record[1] for record in records)
-    entries = tuple(r for r in records if type(r) is ScanEntry)
-    totals = {tag: tags[tag] for tag in ("parse_failed", "skipped",
-                                         "hypothesis_failed", "certified",
-                                         "refuted")}
-    totals.update(
-        scanned=len(records), hypothesis_satisfied=tags["certified"],
-        boundary_flagged=sum(e.block.boundary[e.row] for e in entries),
-        violations=sum(e.block.theorem_violation[e.row] for e in entries))
-    failures = tuple(ScanFailure(line=r[0], error=r[2])
-                     for r in records if r[1] == "parse_failed")
-    skips = tuple(ScanSkip(line=r[0], order=r[2],
-                           reason="constructed order exceeds max_order")
-                  for r in records if r[1] == "skipped")
-    return PairReport(config=config, totals=totals, certificates=entries,
-                      failures=failures, skipped=skips)
+    entries, failures, skips, counts = merged = [], [], [], Counter()
+    for chunk in chunks:  # each chunk's lists and counts, in line order
+        for whole, part in zip(merged, chunk):
+            whole += part
+    counts["hypothesis_satisfied"] = counts["certified"]
+    return PairReport(config=config, totals={tag: counts[tag] for tag in (
+        "parse_failed", "skipped", "hypothesis_failed", "certified", "refuted",
+        "scanned", "hypothesis_satisfied", "boundary_flagged", "violations")},
+        certificates=tuple(entries), failures=tuple(failures),
+        skipped=tuple(skips))
 
 
 # ---------------------------------------------------------------------------

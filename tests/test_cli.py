@@ -1,5 +1,7 @@
 """Command-line interface tests: output formats and the exit-code contract."""
 
+import ast
+import contextlib
 import io
 import json
 import os
@@ -552,12 +554,17 @@ def test_a_bad_line_gets_one_error_from_file_stdin_and_scan(
     assert _out(capsys) == expected
 
 
+def _readme_block(heading: str, language: str) -> str:
+    """The first ``language`` code block of README.md's ``heading`` section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split(f"\n## {heading}\n", 1)[1]
+    return block.split(f"```{language}\n", 1)[1].split("\n```", 1)[0]
+
+
 def _readme_examples() -> list[list[str]]:
     """The arguments of each ``seidelkit`` line of README.md's CLI block."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
     return [shlex.split(line, comments=True)[1:]
-            for line in block.split("\n```", 1)[0].splitlines()
+            for line in _readme_block("CLI", "sh").splitlines()
             if line.startswith("seidelkit ")]
 
 
@@ -570,6 +577,58 @@ def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch, catalog_lines):
     (tmp_path / "catalog.g6").write_text("\n".join(catalog_lines[:12]) + "\n")
     codes = {shlex.join(argv): run(argv) for argv in examples}
     assert codes == dict.fromkeys(codes, 0)
+
+
+def test_readme_library_block_runs_and_its_comments_hold(
+        tmp_path, capsys, monkeypatch, catalog_lines):
+    # the Python block of README's Library section, on a catalog of atlas
+    # lines; each comment that is a Python literal states the value of its
+    # line, or with "...}" a prefix of it
+    block = _readme_block("Library", "python")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "catalog.g6").write_text("\n".join(catalog_lines[:40]) + "\n")
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    # write_report(report, "json", None) prints the text of report.json
+    assert capsys.readouterr().out == (tmp_path / "report.json").read_text()
+    stated = {}
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        with contextlib.suppress(ValueError, SyntaxError):
+            stated[code.strip()] = ast.literal_eval(comment.strip())
+    assert stated == {
+        "sk.seidel_spectrum(g).format_grouped()": "{2.56155281281^1, 1^2, ...}",
+        "cert.equienergetic, cert.energy_a": (True, 10.0)}
+    for code, value in stated.items():
+        actual = eval(code, namespace)
+        if isinstance(value, str) and value.endswith("...}"):
+            assert actual.startswith(value.removesuffix("...}"))
+        else:
+            assert actual == value
+    entry = namespace["entry"]
+    assert entry.block.certificate(entry.row) == certify(
+        graph_from_graph6(entry.block.graph6[entry.row]), 2, 1)
+
+
+@pytest.mark.parametrize("argv, data", [
+    (["spectrum", "-"], "C~\n"),
+    (["energy", "-"], "\n\nC~\n"),
+    (["compare", "-", "-"], "\nBw\n\nBo\nBW\n"),
+    (["scan", "-", "--m", "2"], "A_\nC~\n\ngarbage!\nF~~~w\n"),
+    (["scan", "--m", "2", "--format", "text"], "A_\nBw\n"),
+    (["spectrum", "-"], "C~~\n"),
+    (["spectrum", "-"], "\n")])
+def test_a_text_only_stdin_reads_as_a_byte_stdin(capsys, monkeypatch, argv,
+                                                 data):
+    # an io.StringIO has no byte layer: the commands read its text, with
+    # the same output and exit code as from stdin's bytes
+    results = []
+    for stdin in (io.TextIOWrapper(io.BytesIO(data.encode())),
+                  io.StringIO(data)):
+        monkeypatch.setattr("sys.stdin", stdin)
+        results.append((run(argv), capsys.readouterr()))
+    assert results[0] == results[1]
+    assert results[0][0] == (2 if "C~~" in data else 1 if data == "\n" else 0)
 
 
 # -- exit codes ----------------------------------------------------------------------

@@ -820,6 +820,93 @@ def test_blocks_report_as_one_line_at_a_time(catalog_lines, monkeypatch,
         assert (max(size for size, _ in sizes) > 1) == (budget > 1)
 
 
+_BUCKETS = ("parse_failed", "skipped", "hypothesis_failed", "certified",
+            "refuted")
+
+
+def _bucket_of_each_line(lines, config: ScanConfig) -> dict:
+    """Each scanned line's number -> (bucket, detail), decided one line at a
+    time: a failure's message, a skip's order, or a certified or refuted
+    line's ``certify`` certificate."""
+    buckets = {}
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            g = graph_from_graph6(line.strip())
+        except Graph6Error as exc:
+            buckets[line_no] = ("parse_failed", str(exc))
+            continue
+        order = config.m ** config.theorem * g.n
+        if order > config.max_order:
+            buckets[line_no] = ("skipped", order)
+            continue
+        cert = certify(g, config.m, config.theorem)
+        hypothesis = cert.hypothesis
+        buckets[line_no] = (
+            ("certified" if hypothesis.satisfied else "refuted", cert)
+            if hypothesis.bound_met() else ("hypothesis_failed", None))
+    return buckets
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([(1, 2), (1, 3), (2, 2)]),
+       st.integers(3, 8), st.integers(1, 9), st.integers(1, 4))
+def test_totals_partition_the_lines_in_line_order_at_any_chunk_and_block(
+        catalog_lines, data, pair, top, chunk, block):
+    # shuffled valid lines of orders 1-12 and 60-70, the atlas's twice as
+    # often, malformed and blank lines; lines of order over top are skipped
+    atlas = st.sampled_from(catalog_lines)
+    lines = data.draw(st.lists(st.one_of(
+        atlas, atlas, _graph6_lines(),
+        st.sampled_from(["garbage!", "A", "C~~", "\u00e9", ">>graph6<<",
+                         b"B\xffw", "", "\n"])), min_size=20, max_size=80))
+    theorem, m = pair
+    config = ScanConfig(m=m, theorem=theorem, max_order=top * m ** theorem)
+    expected = _bucket_of_each_line(lines, config)
+    default = report_text(scan_stream(lines, config))
+    with pytest.MonkeyPatch.context() as patch:
+        # chunks of a few lines, blocks of up to ``block`` n = 6 lines
+        patch.setattr(search, "_CHUNK_LINES", chunk)
+        patch.setattr(search, "_BLOCK_BYTES", block * 8 * 6 ** 2)
+        report = scan_stream(lines, config)
+        assert report_text(report) == default
+        patch.setattr(_InProcessPool, "started", [])
+        patch.setattr(POOL, _InProcessPool)
+        patch.setattr(search, "_FORK_BYTES", 0)
+        patch.setattr(os, "cpu_count", lambda: 2)
+        assert report_text(scan_stream(lines, config, jobs=2)) == default
+
+    totals = report.totals
+    assert totals["scanned"] == len(expected) == sum(
+        totals[bucket] for bucket in _BUCKETS)
+    counted = {bucket: 0 for bucket in _BUCKETS}
+    for bucket, _ in expected.values():
+        counted[bucket] += 1
+    assert {bucket: totals[bucket] for bucket in _BUCKETS} == counted
+    # each line in at most one list, each list in line order
+    found = [[e.line for e in report.certificates],
+             [f.line for f in report.failures], [s.line for s in report.skipped]]
+    assert all(lines_of == sorted(lines_of) for lines_of in found)
+    assert len(set().union(*found)) == sum(map(len, found))
+    assert [(e.line, e.kind, e.block.certificate(e.row))
+            for e in report.certificates] == [
+        (line_no, bucket, cert) for line_no, (bucket, cert) in expected.items()
+        if bucket in ("certified", "refuted")]
+    assert [(f.line, f.error) for f in report.failures] == [
+        (line_no, error) for line_no, (bucket, error) in expected.items()
+        if bucket == "parse_failed"]
+    assert [(s.line, s.order) for s in report.skipped] == [
+        (line_no, order) for line_no, (bucket, order) in expected.items()
+        if bucket == "skipped"]
+    certs = [cert for bucket, cert in expected.values()
+             if bucket in ("certified", "refuted")]
+    assert totals["hypothesis_satisfied"] == totals["certified"]
+    assert totals["boundary_flagged"] == sum(
+        c.hypothesis.boundary for c in certs)
+    assert totals["violations"] == sum(c.theorem_violation for c in certs)
+
+
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 8), st.integers(0, 2 ** 32 - 1)),
                 min_size=1, max_size=12),
